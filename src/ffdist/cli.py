@@ -105,7 +105,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "json") -
     parser.add_argument("--out", help="write the payload to this path")
     parser.add_argument("--format", choices=["json", "csv"], default=default_format)
     parser.add_argument("--force", action="store_true", help="override enumeration guards")
-    parser.add_argument("--threads", type=int, default=1, help="cap worker threads (never changes results)")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--selftest", action="store_true", help="run this subcommand's oracle suite and exit")
 
 
@@ -600,7 +600,6 @@ def _cmd_scan(args) -> int:
         args.kind,
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
         max_m=args.max_m,
     )
     config = {

@@ -12,14 +12,16 @@ Two interchangeable paths produce identical Python-int results:
 The transform path needs primes q = 1 (mod N) below 2**31.5 (so numpy
 int64 products never overflow), where N is the power-of-two transform
 length.  Such primes exist in bulk for every N up to 2**25, which covers
-all desk-scale moduli; beyond that the direct path is the fallback.
+all desk-scale moduli; beyond that the transform raises GuardExceeded
+rather than falling back to an O(n^2) loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import is_prime
+from .errors import GuardExceeded
+from .field import is_prime, primitive_root
 
 # Lengths at or below this use the schoolbook path.
 DIRECT_LIMIT = 512
@@ -49,12 +51,7 @@ def exact_cyclic(a: list[int], b: list[int], method: str | None = None) -> list[
     if method is None:
         if n <= DIRECT_LIMIT:
             return _convolve_direct(a, b)
-        try:
-            return _convolve_transform(a, b)
-        except RuntimeError:
-            # Transform-friendly primes ran out (enormous n or counts);
-            # correctness wins over speed.
-            return _convolve_direct(a, b)
+        return _convolve_transform(a, b)
     if method == "direct" or n <= 2:
         return _convolve_direct(a, b)
     return _convolve_transform(a, b)
@@ -117,8 +114,9 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     while product < bound:
         while idx >= len(pool):
             if cursor < 1:
-                raise RuntimeError(
-                    f"not enough transform-friendly primes for length {size}"
+                raise GuardExceeded(
+                    f"not enough transform-friendly primes below 2**31.5 for "
+                    f"length {size} and output bound of {bound.bit_length()} bits"
                 )
             q = cursor * size + 1
             cursor -= 1
@@ -134,30 +132,8 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
 
 def _order_n_generator(q: int, n: int) -> int:
     """An element of exact multiplicative order n mod q (n | q-1)."""
-    g = _primitive_root(q)
+    g = primitive_root(q)
     return pow(g, (q - 1) // n, q)
-
-
-def _primitive_root(q: int) -> int:
-    factors = _prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
-            return g
-    raise AssertionError(f"no primitive root found for {q}")
-
-
-def _prime_factors(m: int) -> list[int]:
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    return factors
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:

@@ -62,10 +62,7 @@ def dot_energy(A: FieldSubset, d: int) -> EnergyValue:
 
 
 def _sum_spectrum(A: FieldSubset) -> Spectrum:
-    p = A.modulus.p
-    ind = [0] * p
-    for a in A:
-        ind[a] = 1
+    ind = A.indicator()
     return Spectrum(A.modulus, exact_cyclic(ind, ind), expected_total=len(A) ** 2)
 
 
@@ -142,10 +139,9 @@ class DyadicLevels:
 
 def dyadic_levels(S: Spectrum) -> DyadicLevels:
     """Level sets P_i = {t : 2^i <= S[t] < 2^(i+1)}; they partition the support."""
-    buckets: dict[int, int] = {}
+    buckets: dict[int, list[int]] = {}
     for t, c in S.items():
-        i = c.bit_length() - 1
-        buckets[i] = buckets.get(i, 0) | (1 << t)
+        buckets.setdefault(c.bit_length() - 1, []).append(t)
     levels = tuple(
         (i, FieldSubset(S.modulus, buckets[i])) for i in sorted(buckets)
     )

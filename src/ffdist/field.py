@@ -43,6 +43,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group mod the prime q."""
+    phi = q - 1
+    factors = []
+    m = phi
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    for g in range(2, q):
+        if all(pow(g, phi // f, q) != 1 for f in factors):
+            return g
+    raise AssertionError(f"no primitive root mod {q}")
+
+
 class PrimeModulus:
     """A validated odd prime p in [3, 2**31).
 

@@ -44,7 +44,8 @@ def derive_seed(*parts) -> int:
     """Stable 64-bit child seed from a tag and parameters (sha256 based).
 
     Used to give every sampling site and every scan cell its own stream,
-    so parallel and serial schedules draw identical values.
+    so a draw depends only on its own parameters, never on the order in
+    which other sites or cells ran.
     """
     text = ":".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()

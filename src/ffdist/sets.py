@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError
@@ -10,93 +11,85 @@ from .rng import SplitMix64, derive_seed, sample_distinct
 
 
 class FieldSubset:
-    """A subset of F_p, stored as a bitmask over the canonical residues."""
+    """A subset of F_p, stored as the sorted tuple of its canonical residues."""
 
-    __slots__ = ("modulus", "mask")
+    __slots__ = ("modulus", "_elements")
 
-    def __init__(self, modulus: PrimeModulus, mask: int = 0):
-        if mask < 0 or mask >> modulus.p:
-            raise ValueError("mask has bits outside [0, p)")
+    def __init__(self, modulus: PrimeModulus, elements: Iterable[int]):
+        p = modulus.p
         self.modulus = modulus
-        self.mask = mask
+        self._elements: tuple[int, ...] = tuple(sorted({x % p for x in elements}))
 
     @classmethod
     def from_elements(cls, modulus: PrimeModulus, elements: Iterable[int]) -> "FieldSubset":
-        mask = 0
-        for x in elements:
-            mask |= 1 << (x % modulus.p)
-        return cls(modulus, mask)
+        return cls(modulus, elements)
 
     @classmethod
     def full(cls, modulus: PrimeModulus) -> "FieldSubset":
-        return cls(modulus, (1 << modulus.p) - 1)
+        return cls(modulus, range(modulus.p))
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return len(self._elements)
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> (x % self.modulus.p) & 1)
+        x %= self.modulus.p
+        i = bisect_left(self._elements, x)
+        return i < len(self._elements) and self._elements[i] == x
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        x = 0
-        while mask:
-            if mask & 1:
-                yield x
-            mask >>= 1
-            x += 1
+        return iter(self._elements)
 
     def elements(self) -> list[int]:
-        return list(self)
+        return list(self._elements)
+
+    def indicator(self) -> list[int]:
+        """The length-p 0/1 list with a 1 at each element."""
+        ind = [0] * self.modulus.p
+        for x in self:
+            ind[x] = 1
+        return ind
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldSubset)
             and other.modulus == self.modulus
-            and other.mask == self.mask
+            and other._elements == self._elements
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus.p, self.mask))
+        return hash((self.modulus.p, self._elements))
 
     def __repr__(self) -> str:
         return f"FieldSubset(p={self.modulus.p}, {{{self.serialize()}}})"
 
     def union(self, other: "FieldSubset") -> "FieldSubset":
         self._check_same(other)
-        return FieldSubset(self.modulus, self.mask | other.mask)
+        return FieldSubset(self.modulus, self._elements + other._elements)
 
     def intersection(self, other: "FieldSubset") -> "FieldSubset":
         self._check_same(other)
-        return FieldSubset(self.modulus, self.mask & other.mask)
+        return FieldSubset(self.modulus, set(self._elements).intersection(other._elements))
 
     def difference(self, other: "FieldSubset") -> "FieldSubset":
         self._check_same(other)
-        return FieldSubset(self.modulus, self.mask & ~other.mask)
+        return FieldSubset(self.modulus, set(self._elements).difference(other._elements))
 
     def complement(self) -> "FieldSubset":
-        return FieldSubset(self.modulus, ~self.mask & ((1 << self.modulus.p) - 1))
+        return FieldSubset(self.modulus, set(range(self.modulus.p)).difference(self._elements))
 
     def translate(self, c: int) -> "FieldSubset":
         """The shifted set A + c."""
-        p = self.modulus.p
-        c %= p
-        if c == 0:
-            return self
-        wrapped = (self.mask << c) | (self.mask >> (p - c))
-        return FieldSubset(self.modulus, wrapped & ((1 << p) - 1))
+        return FieldSubset(self.modulus, (x + c for x in self))
 
     def dilate(self, c: int) -> "FieldSubset":
         """The dilated set c * A; requires c != 0."""
-        p = self.modulus.p
-        c %= p
-        if c == 0:
+        if c % self.modulus.p == 0:
             raise ValueError("dilation by 0 collapses the set")
-        return FieldSubset.from_elements(self.modulus, (c * x % p for x in self))
+        return FieldSubset(self.modulus, (c * x for x in self))
 
     def serialize(self) -> str:
         """Comma-separated canonical elements; parse_subset inverts this."""
-        return ",".join(str(x) for x in self)
+        return ",".join(map(str, self))
 
     def _check_same(self, other: "FieldSubset") -> None:
         if other.modulus != self.modulus:
@@ -149,7 +142,7 @@ def parse_subset(text: str, modulus: PrimeModulus) -> FieldSubset:
     """
     if text is None or text.strip() == "":
         raise ParseError("empty set description")
-    mask = 0
+    elements: list[int] = []
     p = modulus.p
     for pos, raw in enumerate(text.split(","), start=1):
         token = raw.strip()
@@ -163,15 +156,14 @@ def parse_subset(text: str, modulus: PrimeModulus) -> FieldSubset:
                 raise ParseError(f"malformed range {token!r} at position {pos}") from None
             if lo > hi:
                 raise ParseError(f"descending range {token!r} at position {pos}")
-            for x in range(lo, hi + 1):
-                mask |= 1 << (x % p)
+            # p consecutive integers already cover every residue.
+            elements.extend(range(lo, min(hi, lo + p - 1) + 1))
         else:
             try:
-                x = int(token)
+                elements.append(int(token))
             except ValueError:
                 raise ParseError(f"malformed element {token!r} at position {pos}") from None
-            mask |= 1 << (x % p)
-    return FieldSubset(modulus, mask)
+    return FieldSubset(modulus, elements)
 
 
 def random_subset(modulus: PrimeModulus, n: int, seed: int) -> FieldSubset:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation, ParseError
-from .field import PrimeModulus
+from .field import PrimeModulus, primitive_root
 from .sets import FieldSubset, PointSet
 
 # Below this many pairs, base spectra enumerate directly instead of
@@ -87,13 +87,7 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
     else:
         # #{(a,b): a-b = delta} is the cyclic autocorrelation of the
         # indicator; push each difference count onto its square.
-        ind = [0] * p
-        for a in A:
-            ind[a] = 1
-        ind_neg = [0] * p
-        for a in A:
-            ind_neg[-a % p] = 1
-        diff_counts = exact_cyclic(ind, ind_neg)
+        diff_counts = exact_cyclic(A.indicator(), A.dilate(-1).indicator())
         for delta, c in enumerate(diff_counts):
             if c:
                 counts[delta * delta % p] += c
@@ -115,7 +109,7 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     else:
         # Discrete logs turn products into sums: convolve the indicator
         # of A\{0} over Z_{p-1}, then map exponents back.
-        g = _primitive_root(A.modulus)
+        g = primitive_root(p)
         log = [0] * p
         acc = 1
         for k in range(p - 1):
@@ -135,26 +129,6 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
         if 0 in A:
             counts[0] += 2 * nonzero + 1
     return Spectrum(A.modulus, counts, expected_total=m * m)
-
-
-def _primitive_root(modulus: PrimeModulus) -> int:
-    p = modulus.p
-    phi = p - 1
-    factors = []
-    m = phi
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, phi // f, p) != 1 for f in factors):
-            return g
-    raise AssertionError(f"no primitive root mod {p}")
 
 
 def cyclic_convolve(S: Spectrum, T: Spectrum, method: str | None = None) -> Spectrum:
@@ -235,25 +209,15 @@ def distance_spectrum_general(
 
 def support(S: Spectrum, include_zero: bool = True) -> FieldSubset:
     """The set {t : S[t] > 0}, optionally without t = 0."""
-    mask = 0
-    for t, c in enumerate(S.counts):
-        if c:
-            mask |= 1 << t
-    if not include_zero:
-        mask &= ~1
-    return FieldSubset(S.modulus, mask)
+    return FieldSubset(S.modulus, (t for t, c in enumerate(S.counts) if c and (t or include_zero)))
 
 
 def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:
-    """{x + y : x in X, y in Y}."""
+    """{x + y : x in X, y in Y}: the support of the indicators' convolution."""
     if X.modulus != Y.modulus:
         raise ValueError("mixed moduli")
-    p = X.modulus.p
-    full = (1 << p) - 1
-    mask = 0
-    for y in Y:
-        mask |= (X.mask << y) | (X.mask >> (p - y)) if y else X.mask
-    return FieldSubset(X.modulus, mask & full)
+    sums = exact_cyclic(X.indicator(), Y.indicator())
+    return FieldSubset(X.modulus, (t for t, c in enumerate(sums) if c))
 
 
 # -- serialization ---------------------------------------------------------

@@ -6,7 +6,6 @@ energy decomposition, and empirical threshold scans.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .energy import (
@@ -66,23 +65,19 @@ class CoverageReport:
 
 def coverage_check(S: Spectrum, descriptor: str = "") -> CoverageReport:
     p = S.modulus.p
-    missing_mask = 0
-    for t, c in enumerate(S.counts):
-        if c == 0:
-            missing_mask |= 1 << t
-    missing = FieldSubset(S.modulus, missing_mask)
+    missing = FieldSubset(S.modulus, (t for t, c in enumerate(S.counts) if c == 0))
     deviation_num = max(abs(c * p - S.total) for c in S.counts)
     return CoverageReport(
         p=p,
         descriptor=descriptor,
-        covered=missing_mask == 0,
+        covered=len(missing) == 0,
         missing=missing,
         counts=list(S.counts),
         total=S.total,
         deviation_num=deviation_num,
         deviation_den=S.total,
         zero_count=S.counts[0],
-        covered_excluding_zero=(missing_mask & ~1) == 0,
+        covered_excluding_zero=all(S.counts[1:]),
     )
 
 
@@ -356,15 +351,14 @@ def threshold_scan(
     kind: str,
     trials: int,
     seed: int,
-    threads: int = 1,
     max_m: int | None = None,
 ) -> ScanTable:
     """Empirical coverage fractions of the n-fold spectrum as |A| grows.
 
     For the dot kind, coverage means all nonzero values attained; whether
     0 is attained is tracked in its own column.  Each (m, trial) cell
-    draws from its own seed-derived stream, so any thread count produces
-    the same table.
+    draws from its own seed-derived stream, so a cell's outcome does not
+    depend on which cells ran before it.
     """
     if kind not in ("distance", "dot"):
         raise ValueError(f"scan kind must be distance or dot, got {kind!r}")
@@ -372,21 +366,10 @@ def threshold_scan(
         raise ValueError("need at least one trial per cardinality")
     p = modulus.p
     top = p if max_m is None else min(p, max_m)
-    cells = [(m, t) for m in range(1, top + 1) for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(
-                zip(
-                    cells,
-                    pool.map(lambda cell: _scan_cell(modulus, n, kind, seed, *cell), cells),
-                )
-            )
-    else:
-        results = {cell: _scan_cell(modulus, n, kind, seed, *cell) for cell in cells}
     rows = []
     min_full = None
     for m in range(1, top + 1):
-        outcomes = [results[(m, t)] for t in range(trials)]
+        outcomes = [_scan_cell(modulus, n, kind, seed, m, t) for t in range(trials)]
         covered = sum(1 for c, _, _ in outcomes if c)
         zero = sum(1 for _, z, _ in outcomes if z)
         rows.append(

@@ -1,6 +1,7 @@
 import pytest
 
-from ffdist.convolution import DIRECT_LIMIT, exact_cyclic
+from ffdist.convolution import DIRECT_LIMIT, _primes_for, exact_cyclic
+from ffdist.errors import GuardExceeded
 from ffdist.rng import SplitMix64
 
 
@@ -81,3 +82,11 @@ def test_auto_switch_boundary():
 def test_zero_inputs():
     assert exact_cyclic([0] * 600, [1] * 600, method="transform") == [0] * 600
     assert exact_cyclic([], []) == []
+
+
+def test_transform_primes_exhausted_is_guard():
+    # Asking for more transform primes than exist below 2**31.5 must exit
+    # through GuardExceeded, not fall back to the O(n^2) loop; calling the
+    # prime picker directly keeps this from allocating the transform.
+    with pytest.raises(GuardExceeded, match="transform-friendly primes"):
+        _primes_for(1 << 25, 1 << 4000)

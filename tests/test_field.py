@@ -2,7 +2,7 @@ import cmath
 
 import pytest
 
-from ffdist.field import PrimeModulus, additive_character, is_prime
+from ffdist.field import PrimeModulus, additive_character, is_prime, primitive_root
 from ffdist.rng import SplitMix64
 
 AXIOM_PRIMES = [3, 5, 7, 101, 65537]
@@ -22,6 +22,21 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+def _order(h, q):
+    k, x = 1, h % q
+    while x != 1:
+        x = x * h % q
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 23, 101, 7681])
+def test_primitive_root_is_least_generator(q):
+    g = primitive_root(q)
+    assert _order(g, q) == q - 1
+    assert all(_order(h, q) < q - 1 for h in range(2, g))
 
 
 def test_field_op_examples():

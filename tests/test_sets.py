@@ -26,6 +26,13 @@ def test_parse_examples():
     assert parse_subset("-1", P7).elements() == [6]
 
 
+def test_parse_wide_range_is_whole_field():
+    # A range spanning p or more integers covers F_p without walking it.
+    assert parse_subset("0..10000000", P7) == FieldSubset.full(P7)
+    assert parse_subset("5..11", P7) == FieldSubset.full(P7)
+    assert parse_subset("5..10", P7).elements() == [0, 1, 2, 3, 5, 6]
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse_subset("", P7)

@@ -173,10 +173,10 @@ def test_threshold_scan_dot_zero_column():
 
 
 def test_threshold_scan_thread_invariance():
-    serial = threshold_scan(PrimeModulus(11), 2, "distance", trials=3, seed=7, threads=1)
-    parallel = threshold_scan(PrimeModulus(11), 2, "distance", trials=3, seed=7, threads=4)
-    assert serial.to_csv() == parallel.to_csv()
-    assert serial.min_full_coverage_m == parallel.min_full_coverage_m
+    first = threshold_scan(PrimeModulus(11), 2, "distance", trials=3, seed=7)
+    second = threshold_scan(PrimeModulus(11), 2, "distance", trials=3, seed=7)
+    assert first.to_csv() == second.to_csv()
+    assert first.min_full_coverage_m == second.min_full_coverage_m
 
 
 def test_threshold_scan_max_m():
