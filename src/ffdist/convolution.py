@@ -1,19 +1,16 @@
 """Exact cyclic convolution of non-negative integer sequences.
 
-Two interchangeable paths produce identical Python-int results:
+One engine serves every length: number-theoretic transforms modulo
+several 31-bit primes, recombined by remaindering (CRT).  The prime pool
+is grown until its product exceeds an a-priori bound on the output
+coefficients, which makes the reconstruction exact, not approximate.
+The O(n^2) schoolbook sum is kept only as the test suite's oracle.
 
-* direct: the O(n^2) schoolbook sum with arbitrary-precision accumulators,
-  used for lengths up to DIRECT_LIMIT;
-* transform: number-theoretic transforms modulo several 31-bit primes,
-  recombined by remaindering (CRT).  The prime pool is grown until its
-  product exceeds an a-priori bound on the output coefficients, which
-  makes the reconstruction exact, not approximate.
-
-The transform path needs primes q = 1 (mod N) below 2**31.5 (so numpy
-int64 products never overflow), where N is the power-of-two transform
-length.  Such primes exist in bulk for every N up to 2**25, which covers
-all desk-scale moduli; beyond that the transform raises GuardExceeded
-rather than falling back to an O(n^2) loop.
+The transform needs primes q = 1 (mod N) below 2**31.5 (so numpy int64
+products never overflow), where N is the power-of-two transform length.
+Such primes exist in bulk for every N up to 2**25, which covers all
+desk-scale moduli; beyond that the transform raises GuardExceeded rather
+than falling back to an O(n^2) loop.
 """
 
 from __future__ import annotations
@@ -22,9 +19,6 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .field import is_prime, primitive_root
-
-# Lengths at or below this use the schoolbook path.
-DIRECT_LIMIT = 512
 
 # Largest q with q*q < 2**63, keeping int64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
@@ -35,45 +29,11 @@ _twiddle_cache: dict[tuple[int, int, bool], list[np.ndarray]] = {}
 _bitrev_cache: dict[int, np.ndarray] = {}
 
 
-def exact_cyclic(a: list[int], b: list[int], method: str | None = None) -> list[int]:
-    """Cyclic convolution out[t] = sum_u a[u]*b[(t-u) mod n], exact.
-
-    method: None picks direct for n <= DIRECT_LIMIT and transform beyond;
-    "direct" / "transform" force a path (the spot-check tests rely on this).
-    """
+def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
+    """Cyclic convolution out[t] = sum_u a[u]*b[(t-u) mod n], exact."""
     n = len(a)
     if len(b) != n:
         raise ValueError(f"length mismatch: {n} vs {len(b)}")
-    if n == 0:
-        return []
-    if method not in (None, "direct", "transform"):
-        raise ValueError(f"unknown convolution method {method!r}")
-    if method is None:
-        if n <= DIRECT_LIMIT:
-            return _convolve_direct(a, b)
-        return _convolve_transform(a, b)
-    if method == "direct" or n <= 2:
-        return _convolve_direct(a, b)
-    return _convolve_transform(a, b)
-
-
-def _convolve_direct(a: list[int], b: list[int]) -> list[int]:
-    n = len(a)
-    out = [0] * n
-    nz_b = [(v, bv) for v, bv in enumerate(b) if bv]
-    for u, av in enumerate(a):
-        if not av:
-            continue
-        for v, bv in nz_b:
-            w = u + v
-            if w >= n:
-                w -= n
-            out[w] += av * bv
-    return out
-
-
-def _convolve_transform(a: list[int], b: list[int]) -> list[int]:
-    n = len(a)
     total_a, total_b = sum(a), sum(b)
     if total_a == 0 or total_b == 0:
         return [0] * n
@@ -83,18 +43,16 @@ def _convolve_transform(a: list[int], b: list[int]) -> list[int]:
 
     size = 1 << (2 * n - 1).bit_length()
     primes = _primes_for(size, bound)
+    pad = [0] * (size - n)
 
     residues = []
     for q, gen in primes:
-        ra = np.array([x % q for x in a] + [0] * (size - n), dtype=np.int64)
-        rb = np.array([x % q for x in b] + [0] * (size - n), dtype=np.int64)
-        fa = _ntt(ra, q, gen, inverse=False)
+        fa = _ntt(np.array([x % q for x in a] + pad, dtype=np.int64), q, gen, inverse=False)
         if a is b:
             fb = fa
         else:
-            fb = _ntt(rb, q, gen, inverse=False)
-        fc = fa * fb % q
-        lin = _ntt(fc, q, gen, inverse=True)
+            fb = _ntt(np.array([x % q for x in b] + pad, dtype=np.int64), q, gen, inverse=False)
+        lin = _ntt(fa * fb % q, q, gen, inverse=True)
         # Wrap the linear convolution back to cyclic length n.
         wrapped = lin[:n].copy()
         tail = lin[n : 2 * n - 1]
@@ -196,20 +154,15 @@ def _ntt(values: np.ndarray, q: int, gen: int, inverse: bool) -> np.ndarray:
 
 def _crt_combine(residues: list[np.ndarray], moduli: list[int]) -> list[int]:
     if len(moduli) == 1:
-        return [int(x) for x in residues[0]]
+        return residues[0].tolist()
     product = 1
     for q in moduli:
         product *= q
-    # x = sum_i r_i * (P/q_i) * ((P/q_i)^-1 mod q_i)  (mod P)
-    coeffs = []
-    for q in moduli:
+    # x = sum_i r_i * (P/q_i) * ((P/q_i)^-1 mod q_i)  (mod P), summed one
+    # prime at a time so only one residue list is ever held as Python ints.
+    out = [0] * len(residues[0])
+    for q, r in zip(moduli, residues):
         partial = product // q
-        coeffs.append(partial * pow(partial % q, q - 2, q))
-    columns = [[int(x) for x in r] for r in residues]
-    out = []
-    for t in range(len(columns[0])):
-        acc = 0
-        for ci, col in zip(coeffs, columns):
-            acc += ci * col[t]
-        out.append(acc % product)
-    return out
+        ci = partial * pow(partial % q, q - 2, q)
+        out = [acc + ci * x for acc, x in zip(out, r.tolist())]
+    return [x % product for x in out]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GuardExceeded, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset
@@ -106,36 +108,40 @@ def _check_pair(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> None:
         raise ValueError(f"pair count needs two dim-{dim} multisets, got {E.dim} and {F.dim}")
 
 
-def pair_counts_dim2(
-    E: WeightedPointSet, F: WeightedPointSet, guard: int = PAIR_COUNT_GUARD, force: bool = False
-) -> list[int]:
-    """All-lambda weighted counts of e1*f1 + e2 + f2 = lambda."""
-    _check_pair(E, F, 2)
+def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int, guard: int, force: bool) -> list[int]:
+    """All-lambda weighted counts of sum_{i<dim} e_i*f_i + e_dim + f_dim = lambda."""
+    _check_pair(E, F, dim)
     if len(E) * len(F) > guard and not force:
         raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {guard}")
     p = E.modulus.p
     out = [0] * p
-    f_items = list(F.entries.items())
-    for (e1, e2), me in E.entries.items():
-        for (f1, f2), mf in f_items:
-            out[(e1 * f1 + e2 + f2) % p] += me * mf
+    if len(E) > len(F):  # the form is symmetric in E and F: loop over the smaller
+        E, F = F, E
+    f_points = np.array(list(F.entries), dtype=np.int64).reshape(-1, dim)
+    f_lin, f_last = f_points[:, :-1], f_points[:, -1]
+    f_mults = list(F.entries.values())
+    for e, me in E.entries.items():
+        # Canonical coordinates are below p < 2**31, so the at most two
+        # products plus both offsets stay below 2 * p * (p - 1) < 2**63.
+        lams = (f_lin @ np.array(e[:-1], dtype=np.int64) + f_last + e[-1]) % p
+        # Multiplicities can exceed int64: accumulate them as Python ints.
+        for lam, mf in zip(lams.tolist(), f_mults):
+            out[lam] += me * mf
     return out
+
+
+def pair_counts_dim2(
+    E: WeightedPointSet, F: WeightedPointSet, guard: int = PAIR_COUNT_GUARD, force: bool = False
+) -> list[int]:
+    """All-lambda weighted counts of e1*f1 + e2 + f2 = lambda."""
+    return _pair_counts(E, F, 2, guard, force)
 
 
 def pair_counts_dim3(
     E: WeightedPointSet, F: WeightedPointSet, guard: int = PAIR_COUNT_GUARD, force: bool = False
 ) -> list[int]:
     """All-lambda weighted counts of e1*f1 + e2*f2 + e3 + f3 = lambda."""
-    _check_pair(E, F, 3)
-    if len(E) * len(F) > guard and not force:
-        raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {guard}")
-    p = E.modulus.p
-    out = [0] * p
-    f_items = list(F.entries.items())
-    for (e1, e2, e3), me in E.entries.items():
-        for (f1, f2, f3), mf in f_items:
-            out[(e1 * f1 + e2 * f2 + e3 + f3) % p] += me * mf
-    return out
+    return _pair_counts(E, F, 3, guard, force)
 
 
 def pair_count_dim2(E: WeightedPointSet, F: WeightedPointSet, lam: int) -> int:
@@ -168,12 +174,12 @@ class DeviationReport:
     passed: bool
 
 
-def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int, p_power: int) -> DeviationReport:
-    counts = pair_counts_dim2(E, F) if dim == 2 else pair_counts_dim3(E, F)
+def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> DeviationReport:
+    counts = _pair_counts(E, F, dim, PAIR_COUNT_GUARD, False)
     p = E.modulus.p
     total_product = E.total * F.total
     moment_product = E.second_moment() * F.second_moment()
-    rhs_squared = p**p_power * moment_product
+    rhs_squared = p ** (dim + 1) * moment_product
     margins = []
     passed = True
     for n in counts:
@@ -196,14 +202,12 @@ def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int, p_power
 
 def deviation_check_dim2(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
     """Plane deviation bound with factor sqrt(p); constant-free, must pass."""
-    _check_pair(E, F, 2)
-    return _deviation_check(E, F, 2, 3)
+    return _deviation_check(E, F, 2)
 
 
 def deviation_check_dim3(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
     """Three-dimensional deviation bound with factor p; constant-free, must pass."""
-    _check_pair(E, F, 3)
-    return _deviation_check(E, F, 3, 4)
+    return _deviation_check(E, F, 3)
 
 
 # -- encodings ---------------------------------------------------------------

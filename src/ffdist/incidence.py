@@ -330,6 +330,8 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
         elif section == "planes":
             if len(parts) != 5:
                 raise ParseError(f"plane row needs a,b,c,e,mult: {ln!r}")
+            if parts[4] < 1:
+                raise ParseError(f"plane multiplicity must be >= 1: {ln!r}")
             plane_list.extend([tuple(parts[:4])] * parts[4])
         else:
             raise ParseError(f"row outside POINTS/PLANES sections: {ln!r}")

@@ -15,10 +15,6 @@ from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus, primitive_root
 from .sets import FieldSubset, PointSet
 
-# Below this many pairs, base spectra enumerate directly instead of
-# routing through a length-p convolution.
-_PAIR_LOOP_LIMIT = 262_144
-
 GENERAL_SPECTRUM_GUARD = 100_000
 
 
@@ -77,20 +73,13 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
     m = len(A)
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
+    # #{(a,b): a-b = delta} is the cyclic autocorrelation of the
+    # indicator; push each difference count onto its square.
     counts = [0] * p
-    if m * m <= _PAIR_LOOP_LIMIT:
-        elements = A.elements()
-        for a in elements:
-            for b in elements:
-                d = a - b
-                counts[d * d % p] += 1
-    else:
-        # #{(a,b): a-b = delta} is the cyclic autocorrelation of the
-        # indicator; push each difference count onto its square.
-        diff_counts = exact_cyclic(A.indicator(), A.dilate(-1).indicator())
-        for delta, c in enumerate(diff_counts):
-            if c:
-                counts[delta * delta % p] += c
+    diff_counts = exact_cyclic(A.indicator(), A.dilate(-1).indicator())
+    for delta, c in enumerate(diff_counts):
+        if c:
+            counts[delta * delta % p] += c
     return Spectrum(A.modulus, counts, expected_total=m * m)
 
 
@@ -100,49 +89,40 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     m = len(A)
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
+    # Discrete logs turn products into sums: convolve the indicator of
+    # A\{0} over Z_{p-1}, then map exponents back.
+    g = primitive_root(p)
+    log = [0] * p
+    acc = 1
+    for k in range(p - 1):
+        log[acc] = k
+        acc = acc * g % p
+    ind = [0] * (p - 1)
+    nonzero = 0
+    for a in A:
+        if a:
+            ind[log[a]] = 1
+            nonzero += 1
+    conv = exact_cyclic(ind, ind)
     counts = [0] * p
-    if m * m <= _PAIR_LOOP_LIMIT:
-        elements = A.elements()
-        for a in elements:
-            for b in elements:
-                counts[a * b % p] += 1
-    else:
-        # Discrete logs turn products into sums: convolve the indicator
-        # of A\{0} over Z_{p-1}, then map exponents back.
-        g = primitive_root(p)
-        log = [0] * p
-        acc = 1
-        for k in range(p - 1):
-            log[acc] = k
-            acc = acc * g % p
-        ind = [0] * (p - 1)
-        nonzero = 0
-        for a in A:
-            if a:
-                ind[log[a]] = 1
-                nonzero += 1
-        conv = exact_cyclic(ind, ind)
-        acc = 1
-        for k in range(p - 1):
-            counts[acc] = conv[k]
-            acc = acc * g % p
-        if 0 in A:
-            counts[0] += 2 * nonzero + 1
+    acc = 1
+    for k in range(p - 1):
+        counts[acc] = conv[k]
+        acc = acc * g % p
+    if 0 in A:
+        counts[0] += 2 * nonzero + 1
     return Spectrum(A.modulus, counts, expected_total=m * m)
 
 
-def cyclic_convolve(S: Spectrum, T: Spectrum, method: str | None = None) -> Spectrum:
-    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact.
-
-    method forces the direct or transform path (None = automatic switch).
-    """
+def cyclic_convolve(S: Spectrum, T: Spectrum) -> Spectrum:
+    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact."""
     if S.modulus != T.modulus:
         raise ValueError("mixed moduli")
-    counts = exact_cyclic(S.counts, T.counts, method=method)
+    counts = exact_cyclic(S.counts, T.counts)
     return Spectrum(S.modulus, counts, expected_total=S.total * T.total)
 
 
-def fold(S: Spectrum, d: int, method: str | None = None) -> Spectrum:
+def fold(S: Spectrum, d: int) -> Spectrum:
     """d-fold cyclic self-convolution by binary exponentiation; exact."""
     if d < 1:
         raise ValueError(f"fold depth must be >= 1, got {d}")
@@ -151,26 +131,26 @@ def fold(S: Spectrum, d: int, method: str | None = None) -> Spectrum:
     e = d
     while e:
         if e & 1:
-            result = base if result is None else cyclic_convolve(result, base, method)
+            result = base if result is None else cyclic_convolve(result, base)
         e >>= 1
         if e:
-            base = cyclic_convolve(base, base, method)
+            base = cyclic_convolve(base, base)
     assert result is not None
     return result
 
 
-def distance_spectrum_power(A: FieldSubset, n: int, method: str | None = None) -> Spectrum:
+def distance_spectrum_power(A: FieldSubset, n: int) -> Spectrum:
     """Pair counts of each distance over A^n x A^n, via the fold shortcut."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return fold(diff_square_spectrum(A), n, method)
+    return fold(diff_square_spectrum(A), n)
 
 
-def dot_spectrum_power(A: FieldSubset, n: int, method: str | None = None) -> Spectrum:
+def dot_spectrum_power(A: FieldSubset, n: int) -> Spectrum:
     """Pair counts of each dot product over A^n x A^n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return fold(product_spectrum(A), n, method)
+    return fold(product_spectrum(A), n)
 
 
 def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
@@ -240,10 +220,17 @@ def spectrum_from_csv(text: str) -> Spectrum:
     except ValueError as exc:
         raise ParseError(f"bad modulus line {lines[0]!r}: {exc}") from None
     counts = [0] * modulus.p
+    seen = set()
     for ln in lines[2:]:
         try:
             t_text, c_text = ln.split(",")
-            counts[int(t_text)] = int(c_text)
-        except (ValueError, IndexError):
+            t, c = int(t_text), int(c_text)
+        except ValueError:
             raise ParseError(f"malformed spectrum row {ln!r}") from None
+        if not 0 <= t < modulus.p:
+            raise ParseError(f"spectrum row {ln!r}: lambda outside [0, {modulus.p})")
+        if t in seen:
+            raise ParseError(f"spectrum row {ln!r}: lambda {t} repeated")
+        seen.add(t)
+        counts[t] = c
     return Spectrum(modulus, counts)

@@ -60,6 +60,16 @@ def dot_pair_counts(A: FieldSubset, n: int) -> list[int]:
     return [int(c) for c in acc]
 
 
+def cyclic_schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """out[t] = sum_u a[u] * b[(t-u) mod n] by the O(n^2) double loop."""
+    n = len(a)
+    out = [0] * n
+    for u in range(n):
+        for v in range(n):
+            out[(u + v) % n] += a[u] * b[v]
+    return out
+
+
 def sphere_counts(p: int, d: int) -> list[int]:
     """#{v in F_p^d : sum v_i^2 = t} for each t, by exhausting F_p^d."""
     out = [0] * p

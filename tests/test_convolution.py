@@ -1,8 +1,10 @@
 import pytest
 
-from ffdist.convolution import DIRECT_LIMIT, _primes_for, exact_cyclic
+from ffdist.convolution import _primes_for, exact_cyclic
 from ffdist.errors import GuardExceeded
 from ffdist.rng import SplitMix64
+
+from oracles import cyclic_schoolbook
 
 
 def _random_list(rng, n, bits):
@@ -15,25 +17,12 @@ def _random_list(rng, n, bits):
     return out
 
 
-def _schoolbook(a, b):
-    n = len(a)
-    out = [0] * n
-    for u in range(n):
-        for v in range(n):
-            out[(u + v) % n] += a[u] * b[v]
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 101, 499, 520, 997])
 def test_paths_agree(n):
     rng = SplitMix64(n)
     a = [rng.randbelow(1000) for _ in range(n)]
     b = [rng.randbelow(1000) for _ in range(n)]
-    direct = exact_cyclic(a, b, method="direct")
-    assert direct == _schoolbook(a, b)
-    if n > 2:
-        assert exact_cyclic(a, b, method="transform") == direct
-    assert exact_cyclic(a, b) == direct
+    assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
 
 
 def test_big_coefficients_exact():
@@ -41,7 +30,7 @@ def test_big_coefficients_exact():
     for bits in (70, 150, 300):
         a = _random_list(rng, 37, bits)
         b = _random_list(rng, 37, bits)
-        assert exact_cyclic(a, b, method="transform") == exact_cyclic(a, b, method="direct")
+        assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
 
 
 def test_point_mass_identity():
@@ -67,20 +56,19 @@ def test_self_convolution_square():
     rng = SplitMix64(21)
     n = 777
     a = [rng.randbelow(10**6) for _ in range(n)]
-    assert exact_cyclic(a, a, method="transform") == exact_cyclic(a, a, method="direct")
+    assert exact_cyclic(a, a) == cyclic_schoolbook(a, a)
 
 
 def test_auto_switch_boundary():
-    assert DIRECT_LIMIT == 512
     rng = SplitMix64(3)
     for n in (512, 513):
         a = [rng.randbelow(9) for _ in range(n)]
         b = [rng.randbelow(9) for _ in range(n)]
-        assert exact_cyclic(a, b) == _schoolbook(a, b)
+        assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
 
 
 def test_zero_inputs():
-    assert exact_cyclic([0] * 600, [1] * 600, method="transform") == [0] * 600
+    assert exact_cyclic([0] * 600, [1] * 600) == [0] * 600
     assert exact_cyclic([], []) == []
 
 

@@ -1,19 +1,18 @@
-"""Property tests: FieldSubset's set algebra against a Python set oracle.
+"""Property tests: FieldSubset's set algebra against a Python set oracle,
+and the fold law of spectra.
 
-p = 521 puts sumset's indicator convolution above DIRECT_LIMIT, so it
-takes the transform path; the smaller primes take the direct path.
+The primes run from 5 to 521, so the exact convolution behind sumset and
+fold is exercised at transform lengths from 16 to 2048.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdist.convolution import DIRECT_LIMIT
 from ffdist.field import PrimeModulus
 from ffdist.sets import FieldSubset, parse_subset
-from ffdist.spectra import sumset
+from ffdist.spectra import Spectrum, cyclic_convolve, fold, sumset
 
 PRIMES = (5, 13, 101, 521)
-assert max(PRIMES) > DIRECT_LIMIT
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -93,3 +92,14 @@ def test_parse_subset_matches_set_oracle(p, parts):
     A = parse_subset(" , ".join(parts), modulus)
     same(A, expected)
     assert parse_subset(A.serialize(), modulus) == A
+
+
+@SETTINGS
+@given(subset_pairs(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
+def test_fold_is_additive_in_depth(case, d1, d2):
+    modulus, xs, _ = case
+    counts = [0] * modulus.p
+    for x in xs:
+        counts[x % modulus.p] += 1
+    S = Spectrum(modulus, counts)
+    assert fold(S, d1 + d2) == cyclic_convolve(fold(S, d1), fold(S, d2))

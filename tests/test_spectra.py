@@ -44,17 +44,8 @@ def test_diff_square_examples():
 
 
 def test_diff_square_paths_agree():
-    # force the autocorrelation path by shrinking the pair-loop threshold
-    import ffdist.spectra as spectra_mod
-
     A = random_subset(PrimeModulus(601), 40, seed=3)
-    direct = diff_square_spectrum(A)
-    old = spectra_mod._PAIR_LOOP_LIMIT
-    spectra_mod._PAIR_LOOP_LIMIT = 0
-    try:
-        assert diff_square_spectrum(A) == direct
-    finally:
-        spectra_mod._PAIR_LOOP_LIMIT = old
+    assert diff_square_spectrum(A).counts == dist_pair_counts(A, 1)
 
 
 def test_product_examples():
@@ -66,20 +57,12 @@ def test_product_examples():
 
 
 def test_product_log_domain_path_agrees():
-    import ffdist.spectra as spectra_mod
-
     modulus = PrimeModulus(601)
     for seed, with_zero in ((1, False), (2, True)):
         A = random_subset(modulus, 35, seed=seed)
         if with_zero:
             A = A.union(S("0", modulus))
-        direct = product_spectrum(A)
-        old = spectra_mod._PAIR_LOOP_LIMIT
-        spectra_mod._PAIR_LOOP_LIMIT = 0
-        try:
-            assert product_spectrum(A) == direct
-        finally:
-            spectra_mod._PAIR_LOOP_LIMIT = old
+        assert product_spectrum(A).counts == dot_pair_counts(A, 1)
 
 
 def test_cyclic_convolve_examples():
@@ -246,6 +229,17 @@ def test_spectrum_csv_roundtrip():
     assert spectrum_from_csv(text) == Sp
     with pytest.raises(ParseError):
         spectrum_from_csv("lambda,count\n0,1\n")
+
+
+def test_spectrum_csv_rejects_lambda_out_of_range():
+    for row in ("-1,7", "5,7"):
+        with pytest.raises(ParseError, match="outside"):
+            spectrum_from_csv(f"p=5\nlambda,count\n0,2\n{row}\n")
+
+
+def test_spectrum_csv_rejects_repeated_lambda():
+    with pytest.raises(ParseError, match="repeated"):
+        spectrum_from_csv("p=5\nlambda,count\n0,2\n0,7\n")
 
 
 def test_power_vs_general_medium_scale():
