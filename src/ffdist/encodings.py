@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GuardExceeded, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset
@@ -109,24 +107,22 @@ def _check_pair(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> None:
 
 
 def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int, guard: int, force: bool) -> list[int]:
-    """All-lambda weighted counts of sum_{i<dim} e_i*f_i + e_dim + f_dim = lambda."""
+    """All-lambda weighted counts of sum_{i<dim} e_i*f_i + e_dim + f_dim = lambda.
+
+    A dim-2 point gets a leading 0 coordinate, whose product term is 0, so
+    one dim-3 loop counts both forms.
+    """
     _check_pair(E, F, dim)
     if len(E) * len(F) > guard and not force:
         raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {guard}")
     p = E.modulus.p
     out = [0] * p
-    if len(E) > len(F):  # the form is symmetric in E and F: loop over the smaller
-        E, F = F, E
-    f_points = np.array(list(F.entries), dtype=np.int64).reshape(-1, dim)
-    f_lin, f_last = f_points[:, :-1], f_points[:, -1]
-    f_mults = list(F.entries.values())
+    pad = (0,) * (3 - dim)
+    f_items = [(pad + f, mf) for f, mf in F.entries.items()]
     for e, me in E.entries.items():
-        # Canonical coordinates are below p < 2**31, so the at most two
-        # products plus both offsets stay below 2 * p * (p - 1) < 2**63.
-        lams = (f_lin @ np.array(e[:-1], dtype=np.int64) + f_last + e[-1]) % p
-        # Multiplicities can exceed int64: accumulate them as Python ints.
-        for lam, mf in zip(lams.tolist(), f_mults):
-            out[lam] += me * mf
+        e1, e2, e3 = pad + e
+        for (f1, f2, f3), mf in f_items:
+            out[(e1 * f1 + e2 * f2 + e3 + f3) % p] += me * mf
     return out
 
 
