@@ -157,6 +157,20 @@ def dyadic_levels(S: Spectrum) -> DyadicLevels:
 # -- recursion diagnostics ---------------------------------------------------
 
 
+def report_float(compute) -> float | None:
+    """compute() for a report-only float, or None when it overflows a double.
+
+    Bound shapes and their ratios carry no guarantee, so a value past the
+    double range is reported as null rather than failing the run.  Exact
+    integer fields never pass through here.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict:
     """Empirical ratios of E_d against the recursive and closed-form bound
     shapes (their constants are unspecified, so nothing is asserted here).
@@ -173,11 +187,14 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
     m = len(A)
     p = A.modulus.p
     main_term = Fraction(m ** (4 * d), p)
-    recursive_term = m ** (2 * d + 1) * math.sqrt(e_prev)
+    recursive_term = report_float(lambda: m ** (2 * d + 1) * math.sqrt(e_prev))
     log_m = math.log(m)
-    recursive_rhs = d**2 * log_m**2 * (float(main_term) + recursive_term)
-    closed_form_rhs = d**2 * log_m**2 * float(main_term) + d**4 * log_m**4 * m ** (
-        4 * d - 2 + 1 / 2 ** (d - 1)
+    # a right-hand side is at least its overflowed part whenever m > 1
+    recursive_rhs = None if recursive_term is None else report_float(
+        lambda: d**2 * log_m**2 * (float(main_term) + recursive_term)
+    )
+    closed_form_rhs = report_float(
+        lambda: d**2 * log_m**2 * float(main_term) + d**4 * log_m**4 * m ** (4 * d - 2 + 1 / 2 ** (d - 1))
     )
     return {
         "kind": kind,
@@ -186,11 +203,11 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
         "p": p,
         "energy_d": e_d,
         "energy_d_minus_1": e_prev,
-        "main_term": float(main_term),
+        "main_term": report_float(lambda: float(main_term)),
         "recursive_term": recursive_term,
         "recursive_rhs": recursive_rhs,
         "closed_form_rhs": closed_form_rhs,
-        "ratio_recursive": e_d / recursive_rhs if recursive_rhs > 0 else None,
-        "ratio_closed_form": e_d / closed_form_rhs if closed_form_rhs > 0 else None,
-        "ratio_main_term": float(Fraction(e_d) / main_term) if m > 0 else None,
+        "ratio_recursive": report_float(lambda: e_d / recursive_rhs) if recursive_rhs else None,
+        "ratio_closed_form": report_float(lambda: e_d / closed_form_rhs) if closed_form_rhs else None,
+        "ratio_main_term": report_float(lambda: float(Fraction(e_d) / main_term)) if m > 0 else None,
     }

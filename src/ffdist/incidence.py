@@ -184,18 +184,14 @@ class RudnevReport:
     term_main: float
     term_sqrt: float
     term_collinear: float
-    ratio: float
+    ratio: float | None  # None when every term is 0
     swapped_roles: bool
     note: str
 
 
 def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
-    count = count_incidences(inst.points, inst.planes)
-    direct = count_incidences(inst.points, inst.planes, strategy="direct")
-    if direct != count:
-        raise InvariantViolation(
-            f"incidence strategies disagree: grouped {count} vs direct {direct}"
-        )
+    """The incidence count, verified by verify_proof_instance, beside the bound terms."""
+    count = verify_proof_instance(inst)
     p = inst.points.modulus.p
     n_r = inst.points.total
     n_s = len(inst.planes)
@@ -214,7 +210,7 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
         term_main=term_main,
         term_sqrt=term_sqrt,
         term_collinear=term_collinear,
-        ratio=count / denom if denom else float("inf"),
+        ratio=count / denom if denom else None,
         swapped_roles=swapped,
         note=note,
     )

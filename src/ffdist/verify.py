@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 from .energy import (
     EnergyValue,
@@ -14,6 +15,7 @@ from .energy import (
     distance_energy,
     dot_energy,
     multiplicative_energy,
+    report_float,
 )
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
@@ -87,7 +89,7 @@ class ThresholdCoverageReport:
 
     Above |E| >= 4 p^((d+1)/2) full distance coverage is guaranteed
     outright, so there it is asserted; below the threshold the coverage
-    is only reported.
+    is only reported.  The full coverage report rides along.
     """
 
     p: int
@@ -96,15 +98,14 @@ class ThresholdCoverageReport:
     threshold: float
     threshold_met: bool
     covered: bool
-    missing_size: int
     asserted: bool
+    coverage: CoverageReport
 
 
-def iosevich_rudnev_check(E: PointSet, guard: int | None = None, force: bool = False) -> ThresholdCoverageReport:
+def iosevich_rudnev_check(E: PointSet, force: bool = False) -> ThresholdCoverageReport:
     p = E.modulus.p
     d = E.dim
-    kwargs = {} if guard is None else {"guard": guard}
-    report = coverage_check(distance_spectrum_general(E, force=force, **kwargs), descriptor=f"distance spectrum of |E|={len(E)} in dim {d}")
+    report = coverage_check(distance_spectrum_general(E, force=force), descriptor=f"distance spectrum of |E|={len(E)} in dim {d}")
     threshold_met = len(E) ** 2 >= 16 * p ** (d + 1)
     if threshold_met and not report.covered:
         raise InvariantViolation(
@@ -118,8 +119,8 @@ def iosevich_rudnev_check(E: PointSet, guard: int | None = None, force: bool = F
         threshold=4 * p ** ((d + 1) / 2),
         threshold_met=threshold_met,
         covered=report.covered,
-        missing_size=len(report.missing),
         asserted=threshold_met,
+        coverage=report,
     )
 
 
@@ -255,12 +256,34 @@ def _current_max(in_b, sums, prods, scratch, touched) -> int:
     )
 
 
+def _size_hypothesis_holds(m: int, p: int, k: int) -> bool:
+    """m^(2k) <= p^(k+2) for 1 <= m <= p and k >= 3, without forming either power.
+
+    It holds for every k when m^2 <= p.  Otherwise it reads
+    k*ln(m^2/p) <= 2*ln(p), which decimal's correctly rounded ln decides:
+    the precision doubles until the gap exceeds a bound on the rounding
+    error of the few operations below.  Equality m^(2k) = p^(k+2) would
+    need m = p (p is prime) and then k = 2, so the loop ends.
+    """
+    if m * m <= p:
+        return True
+    digits = 30
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            ln_p = Decimal(p).ln()
+            gap = k * (2 * Decimal(m).ln() - ln_p) - 2 * ln_p
+            if abs(gap) > 3 * (k + 2) * ln_p * Decimal(10) ** (2 - digits):
+                return gap < 0
+        digits *= 2
+
+
 def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> dict:
     """Decompose A and report both d-fold energies beside the constant-free
     bound shape d^4 (log|A|)^4 |A|^(4d - 2 + 1/(5*2^(d-3))); report only.
 
-    The size hypothesis |A| <= p^(1/2 + 1/(5*2^(d-1) - 2)) is evaluated
-    exactly by clearing denominators.
+    The size hypothesis |A| <= p^(1/2 + 1/(5*2^(d-1) - 2)) is decided
+    exactly; report-only floats past the double range are None.
     """
     if d < 2:
         raise ValueError(f"the energy bound needs d >= 2, got {d}")
@@ -275,9 +298,8 @@ def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> 
     e_dot = dot_energy(decomposition.C, d) if len(decomposition.C) else EnergyValue(0, "dot", d)
     # m <= p^(1/2 + 1/k), k = 5*2^(d-1) - 2  <=>  m^(2k) <= p^(k+2)
     k = 5 * 2 ** (d - 1) - 2
-    hypothesis_holds = m ** (2 * k) <= p ** (k + 2)
     exponent = 4 * d - 2 + 1 / (5 * 2.0 ** (d - 3))
-    bound_shape = d**4 * math.log(m) ** 4 * m**exponent if m > 1 else 0.0
+    bound_shape = report_float(lambda: d**4 * math.log(m) ** 4 * m**exponent) if m > 1 else 0.0
     max_energy = max(e_dist.value, e_dot.value)
     return {
         "p": p,
@@ -292,9 +314,9 @@ def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> 
         "dot_energy_C": e_dot.value,
         "max_energy": max_energy,
         "bound_shape": bound_shape,
-        "ratio": max_energy / bound_shape if bound_shape > 0 else None,
+        "ratio": report_float(lambda: max_energy / bound_shape) if bound_shape else None,
         "size_hypothesis_exponent": 0.5 + 1 / k,
-        "size_hypothesis_holds": hypothesis_holds,
+        "size_hypothesis_holds": _size_hypothesis_holds(m, p, k),
     }
 
 

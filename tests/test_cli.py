@@ -225,8 +225,16 @@ def test_points_file_inputs(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "coverage", "--points-file", str(path))
     assert code == 0
     assert record_of(out)["result"]["covered"] is False
-    # dot spectra are only defined through the power construction
-    assert run_cli(capsys, "spectrum", "--points-file", str(path), "--kind", "dot")[0] == 1
+    # dot spectra are only defined through the power construction, and a
+    # point set is taken as given, with no Cartesian power
+    for source in (["--points-file", str(path)], ["--p", "13", "--isotropic"]):
+        for flags in (["--kind", "dot"], ["--n", "3"]):
+            assert run_cli(capsys, "spectrum", *source, *flags)[0] == 1
+            assert run_cli(capsys, "coverage", *source, *flags)[0] == 1
+    for flags in (["--kind", "dot"], ["--n", "2"]):
+        code, _, err = run_cli(capsys, "coverage", "--p", "5", "--random-points", "10", *flags)
+        assert code == 1 and err.startswith("error: general point sets")
+    assert run_cli(capsys, "spectrum", "--points-file", str(path), "--n", "1")[0] == 0
     # unreadable file is an I/O error
     assert run_cli(capsys, "spectrum", "--points-file", str(tmp_path / "nope.txt"))[0] == 1
 
@@ -284,3 +292,63 @@ def test_repeat_runs_byte_identical(capsys):
     _, out2, _ = run_cli(capsys, *argv)
     assert record_of(out1) == record_of(out2)
     assert json.dumps(record_of(out1), sort_keys=True) == json.dumps(record_of(out2), sort_keys=True)
+
+
+def test_non_finite_report_floats_are_null(capsys):
+    # no incidences and no bound terms: the ratio is undefined, not Infinity
+    code, out, _ = run_cli(capsys, "incidence", "--p", "5", "--random-points", "0", "--random-planes", "0")
+    assert code == 0 and "Infinity" not in out
+    assert record_of(out)["result"]["ratio"] is None
+    # the recursion bound shapes pass the double range at d = 100
+    code, out, _ = run_cli(capsys, "energy", "--p", "101", "--random", "50", "--d", "100", "--recursion")
+    assert code == 0
+    recursion = record_of(out)["result"]["recursion"]
+    assert recursion["recursive_rhs"] is None and int(recursion["energy_d"]) > 0
+
+
+def test_non_finite_float_never_reaches_a_record(capsys, monkeypatch):
+    import ffdist.cli as cli_mod
+
+    real = cli_mod.rudnev_diagnostic
+
+    def infinite_ratio(inst):
+        report = real(inst)
+        report.ratio = float("inf")
+        return report
+
+    monkeypatch.setattr(cli_mod, "rudnev_diagnostic", infinite_ratio)
+    code, out, err = run_cli(capsys, "incidence", "--p", "5", "--random-points", "3")
+    assert code == 1 and out == "" and "JSON" in err
+
+
+def test_each_result_computed_once(capsys, monkeypatch):
+    import ffdist.cli as cli_mod
+    import ffdist.incidence as incidence_mod
+    import ffdist.verify as verify_mod
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(incidence_mod, "count_incidences")
+    counted(cli_mod, "distance_spectrum_general")
+    counted(verify_mod, "distance_spectrum_general")
+    # one count each way per instance
+    assert run_cli(capsys, "incidence", "--p", "7", "--seed", "1")[0] == 0
+    assert calls == ["count_incidences"] * 2
+    calls.clear()
+    assert run_cli(
+        capsys, "proof-instance", "--p", "7", "--set", "0,1,3", "--d", "2", "--i0", "1", "--j0", "1"
+    )[0] == 0
+    assert calls == ["count_incidences"] * 2
+    calls.clear()
+    # the threshold check's coverage report is the one printed
+    assert run_cli(capsys, "coverage", "--p", "5", "--random-points", "20", "--dim", "2")[0] == 0
+    assert calls == ["distance_spectrum_general"]

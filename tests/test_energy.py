@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ffdist.energy import (
@@ -163,6 +165,18 @@ def test_recursion_diagnostic():
     assert set(dot_report) == set(report)
     with pytest.raises(ValueError):
         recursion_diagnostic(A, 1)
+
+
+def test_recursion_diagnostic_overflowing_floats_are_none():
+    # at d = 100 the bound shapes pass the double range; the energies stay exact
+    A = random_subset(PrimeModulus(101), 50, seed=0)
+    report = recursion_diagnostic(A, 100)
+    assert report["energy_d"] == distance_energy(A, 100).value
+    for key in ("main_term", "recursive_term", "recursive_rhs", "closed_form_rhs",
+                "ratio_recursive", "ratio_closed_form"):
+        assert report[key] is None, key
+    assert 0.5 < report["ratio_main_term"] < 2  # an exact ratio of two huge integers
+    json.dumps(report, allow_nan=False)
 
 
 def test_energy_value_validation():

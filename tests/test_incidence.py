@@ -2,7 +2,7 @@ import pytest
 
 from ffdist.encodings import WeightedPointSet
 from ffdist.energy import dyadic_levels
-from ffdist.errors import GuardExceeded
+from ffdist.errors import GuardExceeded, InvariantViolation
 from ffdist.field import PrimeModulus
 from ffdist.incidence import (
     IncidenceInstance,
@@ -107,6 +107,22 @@ def test_rudnev_diagnostic_and_swap():
     inst2 = IncidenceInstance(points=big_pts, planes=small_planes, k=max_collinear(big_pts))
     report2 = rudnev_diagnostic(inst2)
     assert report2.swapped_roles and "swapped" in report2.note
+
+
+def test_rudnev_diagnostic_empty_instance_has_no_ratio():
+    inst = IncidenceInstance(points=WeightedPointSet(P5, 3, {}), planes=PlaneSet(P5, []), k=0)
+    report = rudnev_diagnostic(inst)
+    assert report.incidences == 0 and report.ratio is None
+
+
+def test_rudnev_diagnostic_checks_the_carried_sum():
+    A = random_subset(P7, 3, seed=1)
+    exps = dyadic_levels(fold(diff_square_spectrum(A), 1)).exponents()
+    inst = build_proof_instance(A, 2, exps[0], exps[0])
+    assert rudnev_diagnostic(inst).incidences == inst.expected_incidences
+    inst.expected_incidences += 1
+    with pytest.raises(InvariantViolation, match="carried pair sum"):
+        rudnev_diagnostic(inst)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

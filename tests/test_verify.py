@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
 from ffdist.spectra import Spectrum, distance_spectrum_general, distance_spectrum_power
 from ffdist.verify import (
+    _size_hypothesis_holds,
     balog_wooley_decompose,
     cauchy_davenport_check,
     coverage_check,
@@ -51,6 +54,7 @@ def test_iosevich_rudnev_above_threshold():
             E = random_pointset(modulus, 3, size, seed=seed)
             report = iosevich_rudnev_check(E)
             assert report.threshold_met and report.covered and report.asserted
+            assert report.coverage.covered and report.coverage.total == size * size
 
 
 def test_iosevich_rudnev_below_threshold_reports_only():
@@ -143,6 +147,34 @@ def test_theorem_last_report():
     assert singleton["max_energy"] == 1
     with pytest.raises(ValueError):
         theorem_last_report(A, 1)
+
+
+def test_size_hypothesis_matches_the_power_form():
+    # decided without the powers, it must agree with m^(2k) <= p^(k+2) wherever
+    # the powers are small enough to form
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        for m in range(1, p + 1):
+            for d in range(2, 11):
+                k = 5 * 2 ** (d - 1) - 2
+                assert _size_hypothesis_holds(m, p, k) == (m ** (2 * k) <= p ** (k + 2)), (m, p, d)
+
+
+def test_theorem_last_report_deep_fold_is_quick():
+    A = random_subset(PrimeModulus(101), 12, seed=1)
+    start = time.perf_counter()
+    report = theorem_last_report(A, 40)
+    assert time.perf_counter() - start < 1.0
+    assert report["size_hypothesis_holds"] is False  # 12^2 > 101, so it fails once k is large
+    assert report["bound_shape"] > 0 and report["ratio"] > 0
+
+
+def test_theorem_last_report_overflowing_floats_are_none():
+    # m^exponent and max_energy / bound_shape pass the double range at d = 100
+    A = random_subset(PrimeModulus(101), 12, seed=1)
+    report = theorem_last_report(A, 100)
+    assert report["bound_shape"] is None and report["ratio"] is None
+    assert report["max_energy"] == max(report["distance_energy_B"], report["dot_energy_C"]) > 0
+    json.dumps(report, allow_nan=False)
 
 
 def test_theorem_last_hypothesis_exactness():
