@@ -130,7 +130,7 @@ def _resolve_points(args) -> tuple[PointSet | None, str | None]:
         E, source = read_set_file(args.points_file), f"points:{args.points_file}"
         if isinstance(E, FieldSubset):
             raise UsageError(f"{args.points_file} holds a subset, not a point set")
-    elif getattr(args, "random_points", None):
+    elif getattr(args, "random_points", None):  # only coverage takes --random-points
         modulus = _modulus(args, "--random-points needs --p")
         E = random_pointset(modulus, args.dim, args.random_points, args.seed)
         source = f"random-points:n={args.random_points},dim={args.dim},seed={args.seed}"
@@ -519,7 +519,8 @@ _SEED = _arg("--seed", type=int, default=0)
 _KIND = _arg("--kind", choices=["distance", "dot"], default="distance")
 _STRATEGIES = ["exhaustive", "greedy"]
 
-# Added after each command's own arguments, so --help lists them last.
+# Added after each command's own arguments, so --help lists them last;
+# --format takes its default from the command's entry (set_defaults).
 _COMMON = (
     _arg("--out", help="write the payload to this path"),
     _arg("--format", choices=["json", "csv"]),
