@@ -14,7 +14,7 @@ from itertools import product
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .sets import FieldSubset
-from .spectra import Spectrum, diff_square_spectrum, fold, product_spectrum
+from .spectra import Spectrum, cyclic_convolve, diff_square_spectrum, fold, product_spectrum
 
 KINDS = ("distance", "dot", "additive", "multiplicative")
 
@@ -182,8 +182,9 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
     if kind not in ("distance", "dot"):
         raise ValueError(f"recursion diagnostic covers distance/dot, got {kind!r}")
     base = diff_square_spectrum(A) if kind == "distance" else product_spectrum(A)
-    e_prev = energy_from_spectrum(fold(base, d - 1), kind, d - 1).value
-    e_d = energy_from_spectrum(fold(base, d), kind, d).value
+    folded = fold(base, d - 1)
+    e_prev = energy_from_spectrum(folded, kind, d - 1).value
+    e_d = energy_from_spectrum(cyclic_convolve(folded, base), kind, d).value
     m = len(A)
     p = A.modulus.p
     main_term = Fraction(m ** (4 * d), p)

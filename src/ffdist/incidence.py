@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
+
 from .convolution import exact_cyclic
 from .encodings import WeightedPointSet
 from .energy import dyadic_levels
@@ -75,8 +77,9 @@ def count_incidences(
     """Multiplicity-weighted number of (point, plane) pairs with the point
     on the plane.
 
-    strategy "direct" tests every pair; "grouped" joins on the evaluation
-    of each plane normal against all points.  Both are exact and must agree.
+    strategy "direct" tests every plane against the whole point array;
+    "grouped" histograms the points by their value under each plane normal
+    and joins on the constants.  Both are exact and must agree.
     """
     if points.modulus != planes.modulus:
         raise ValueError("mixed moduli")
@@ -84,12 +87,14 @@ def count_incidences(
         raise ValueError("incidence points live in F_p^3")
     p = points.modulus.p
     if strategy == "direct":
-        total = 0
-        for (x, y, z), mult in points.entries.items():
-            for a, b, c, e in planes:
-                if (a * x + b * y + c * z) % p == e:
-                    total += mult
-        return total
+        # hits[i] = number of planes through point i; every product of two
+        # residues is below p^2 < 2^62, so int64 is exact
+        x, y, z = np.array(list(points.entries), dtype=np.int64).reshape(-1, 3).T
+        hits = np.zeros(len(x), dtype=np.int64)
+        for a, b, c, e in planes:
+            hits += (a * x % p + b * y % p + c * z % p) % p == e
+        # multiplicities may exceed int64, so weight them as Python ints
+        return sum(h * mult for h, mult in zip(hits.tolist(), points.entries.values()))
     if strategy == "grouped":
         total = 0
         for (a, b, c), constants in planes.grouped().items():
@@ -147,18 +152,38 @@ def max_collinear(points, modulus: PrimeModulus | None = None, guard: int = COLL
         raise GuardExceeded(f"|R| = {n} exceeds collinearity guard {guard}")
     if n <= 2:
         return n
+    p = modulus.p
+    P = np.array(pts, dtype=np.int64).reshape(n, 3)
     best = 2
-    for i, anchor in enumerate(pts):
-        directions: Counter = Counter()
-        for j, other in enumerate(pts):
-            if i == j:
-                continue
-            d = tuple((a - b) % modulus.p for a, b in zip(other, anchor))
-            directions[_canonical_direction(d, modulus)] += 1
-        local = 1 + max(directions.values())
+    # A line is seen in full from its first point, so anchor i only looks at
+    # the later points; anchor i can reach at most n - i points.
+    for i in range(n - 2):
+        if best >= n - i:
+            break
+        d = (P[i + 1:] - P[i]) % p
+        x, y, z = d.T
+        pivot = np.where(x != 0, x, np.where(y != 0, y, z))
+        c = d * _inverse_mod(pivot, p)[:, None] % p
+        # the canonical direction has leading coordinate 0 or 1, so its
+        # base-p value stays below 2p^2 < 2^63
+        keys = (c[:, 0] * p + c[:, 1]) * p + c[:, 2]
+        local = 1 + int(np.unique(keys, return_counts=True)[1].max())
         if local > best:
             best = local
     return best
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise for x in [1, p); products stay below 2^62."""
+    result = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return result
 
 
 def max_collinear_vertical(points: WeightedPointSet) -> int:

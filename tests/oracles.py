@@ -6,10 +6,12 @@ check.  The numpy versions vectorize the same literal enumeration; the
 pure-Python micro-oracles exist to validate those on the smallest cases.
 """
 
-from itertools import product
+from collections import defaultdict
+from itertools import combinations, product
 
 import numpy as np
 
+from ffdist.incidence import line_key
 from ffdist.sets import FieldSubset
 
 
@@ -129,3 +131,20 @@ def quadruple_energy(A: FieldSubset, kind: str) -> int:
             if a * b % p == c * e % p:
                 count += 1
     return count
+
+
+def max_collinear_lines(points, modulus, keep=None) -> int:
+    """Most distinct points on one line of F_p^3, by grouping every pair of
+    distinct points under the canonical key of the line through them.
+
+    keep(line) -> bool, given a line_key, restricts the lines counted.  With
+    no line counted the answer is min(#points, 1): a lone point is on a line.
+    """
+    p = modulus.p
+    pts = sorted({tuple(c % p for c in pt) for pt in points})
+    lines = defaultdict(set)
+    for P, Q in combinations(pts, 2):
+        line = line_key(P, Q, modulus)
+        if keep is None or keep(line):
+            lines[line].update((P, Q))
+    return max((len(on) for on in lines.values()), default=min(len(pts), 1))

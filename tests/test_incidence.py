@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import max_collinear_lines
+from test_set_properties import SETTINGS
 
 from ffdist.encodings import WeightedPointSet
 from ffdist.energy import dyadic_levels
@@ -68,6 +72,31 @@ def test_strategy_agreement_random(p):
         )
 
 
+def test_strategies_exact_past_int64():
+    # coordinates and coefficients near p - 1 put every product near 2^62,
+    # and multiplicities above 2^63 must still be summed exactly
+    p = 2147483629
+    modulus = PrimeModulus(p)
+    entries = {(p - 1 - i, p - 2 - 3 * i, p - 1 - 5 * i): 2**64 + 7**i for i in range(6)}
+    pts = WeightedPointSet(modulus, 3, entries)
+    normals = [(p - 1, p - 2, p - 3), (p - 1, 1, p - 1), (p - 5, p - 7, 2)]
+    plane_list = []
+    for a, b, c in normals:
+        for x, y, z in list(entries)[::2]:  # through every other point
+            plane_list.append((a, b, c, (a * x + b * y + c * z) % p))
+        plane_list.append((a, b, c, p - 1))
+    planes = PlaneSet(modulus, plane_list)
+    literal = sum(
+        mult
+        for (x, y, z), mult in entries.items()
+        for a, b, c, e in planes
+        if (a * x + b * y + c * z) % p == e
+    )
+    assert literal >= 3 * 3 * 2**64
+    assert count_incidences(pts, planes, "direct") == literal
+    assert count_incidences(pts, planes, "grouped") == literal
+
+
 def test_max_collinear_examples():
     axis = WeightedPointSet.from_points(P7, 3, [(t, 0, 0) for t in (1, 3, 5)])
     assert max_collinear(axis) == 3
@@ -83,6 +112,55 @@ def test_max_collinear_examples():
 def test_max_collinear_raw_list():
     pts = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]
     assert max_collinear(pts, modulus=P5) == 3
+
+
+COLLINEAR_PRIMES = (3, 5, 7, 101, 2147483629)
+
+
+@st.composite
+def planted_line_sets(draw):
+    """Random points of F_p^3 plus 3-9 points planted on one line."""
+    p = draw(st.sampled_from(COLLINEAR_PRIMES))
+    coord = st.integers(min_value=0, max_value=p - 1)
+    point = st.tuples(coord, coord, coord)
+    base = draw(point)
+    direction = draw(point.filter(lambda v: v != (0, 0, 0)))
+    ts = draw(st.lists(coord, min_size=min(3, p), max_size=min(9, p), unique=True))
+    line = [tuple((b + t * v) % p for b, v in zip(base, direction)) for t in ts]
+    return PrimeModulus(p), draw(st.lists(point, max_size=30)) + line
+
+
+def _unreduced(draw, modulus, pts):
+    """The points as a raw list: repeats, and coordinates shifted by
+    multiples of p, negative ones included."""
+    p = modulus.p
+    shift = st.integers(min_value=-2, max_value=2)
+    raw = [tuple(c + draw(shift) * p for c in pt) for pt in pts]
+    return raw + draw(st.lists(st.sampled_from(raw), max_size=5)) if raw else raw
+
+
+@SETTINGS
+@given(planted_line_sets(), st.data())
+def test_max_collinear_matches_line_oracle(case, data):
+    modulus, pts = case
+    expected = max_collinear_lines(pts, modulus)
+    weighted = WeightedPointSet(modulus, 3, {pt: data.draw(st.integers(1, 3)) for pt in pts})
+    assert max_collinear(weighted) == expected
+    assert max_collinear(_unreduced(data.draw, modulus, pts), modulus=modulus) == expected
+
+
+@pytest.mark.parametrize("p", COLLINEAR_PRIMES)
+def test_max_collinear_small_and_vertical(p):
+    modulus = PrimeModulus(p)
+    for pts in ([], [(1, 2, 0)], [(1, 2, 0), (p - 1, 0, 2)], [(1, 2, 0)] * 3):
+        expected = max_collinear_lines(pts, modulus)
+        assert expected == len(set(pts))
+        assert max_collinear(pts, modulus=modulus) == expected
+        assert max_collinear(WeightedPointSet.from_points(modulus, 3, pts)) == expected
+    # one vertical line: every direction has its pivot in the Z coordinate
+    column = [(2, p - 1, z) for z in range(0, p, max(1, p // 9))]
+    assert max_collinear(column, modulus=modulus) == max_collinear_lines(column, modulus) == len(column)
+    assert max_collinear(column + [(0, 0, 0), (1, 1, 1)], modulus=modulus) == len(column)
 
 
 def test_line_key_canonical():
@@ -166,25 +244,7 @@ def test_proof_instance_structure():
 
 
 def _max_collinear_nonvertical(points: WeightedPointSet) -> int:
-    from collections import Counter
-
-    from ffdist.incidence import _canonical_direction
-
-    pts = list(points.entries)
-    modulus = points.modulus
-    best = 0
-    for i, anchor in enumerate(pts):
-        directions = Counter()
-        for j, other in enumerate(pts):
-            if i == j:
-                continue
-            d = tuple((a - b) % modulus.p for a, b in zip(other, anchor))
-            cd = _canonical_direction(d, modulus)
-            if cd != (0, 0, 1):
-                directions[cd] += 1
-        if directions:
-            best = max(best, 1 + max(directions.values()))
-    return best
+    return max_collinear_lines(points.entries, points.modulus, keep=lambda line: line[1] != (0, 0, 1))
 
 
 def test_proof_instance_rejects_missing_level():
