@@ -15,8 +15,6 @@ from .encodings import (
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
-    pair_count_dim2,
-    pair_count_dim3,
 )
 from .energy import (
     EnergyValue,

@@ -31,10 +31,10 @@ from .encodings import (
     pair_counts_dim3,
 )
 from .energy import (
+    EnergyValue,
     additive_energy,
     distance_energy,
     dot_energy,
-    dyadic_levels,
     energy_bruteforce_oracle,
     multiplicative_energy,
     recursion_diagnostic,
@@ -50,6 +50,7 @@ from .incidence import (
     max_collinear,
     max_collinear_vertical,
     parse_instance,
+    proof_levels,
     rudnev_diagnostic,
 )
 from .rng import SplitMix64, derive_seed
@@ -65,11 +66,9 @@ from .sets import (
 )
 from .spectra import (
     Spectrum,
-    diff_square_spectrum,
     distance_spectrum_general,
     distance_spectrum_power,
     dot_spectrum_power,
-    fold,
     self_dot_spectrum,
     spectrum_to_csv,
 )
@@ -233,7 +232,11 @@ def _cmd_energy(args) -> int:
     kind, d = args.kind, args.d
     if kind in ("additive", "multiplicative") and d != 1:
         raise UsageError(f"{kind} energy has no fold depth; drop --d")
-    if kind == "distance":
+    if args.recursion:
+        # the diagnostic's fold chain ends at depth d, so E_d is taken from it
+        diag = recursion_diagnostic(A, d, kind)
+        value = EnergyValue(diag["energy_d"], kind, d)
+    elif kind == "distance":
         value = distance_energy(A, d)
     elif kind == "dot":
         value = dot_energy(A, d)
@@ -248,7 +251,6 @@ def _cmd_energy(args) -> int:
             raise InvariantViolation(f"energy fast path {value.value} != brute-force oracle {oracle.value}")
         result["oracle"] = str(oracle.value)
     if args.recursion:
-        diag = recursion_diagnostic(A, d, kind)
         for key in ("energy_d", "energy_d_minus_1"):
             diag[key] = str(diag[key])
         result["recursion"] = diag
@@ -261,10 +263,10 @@ def _cmd_coverage(args) -> int:
     threshold = None
     if E is None:
         A, source = _resolve_set(args)
-        report = coverage_check(_power_spectrum(A, args.kind, args.n), source)
+        report = coverage_check(_power_spectrum(A, args.kind, args.n))
         config = {"p": A.modulus.p, "source": source, "set": A.serialize(), "kind": args.kind, "n": args.n}
     elif args.isotropic:
-        report = coverage_check(distance_spectrum_general(E, force=_force(args)), source)
+        report = coverage_check(distance_spectrum_general(E, force=_force(args)))
         config = {"p": E.modulus.p, "source": source}
     else:
         threshold = iosevich_rudnev_check(E, force=_force(args))
@@ -284,7 +286,7 @@ def _cmd_coverage(args) -> int:
     }
     if threshold is not None:
         result["threshold"] = {"value": threshold.threshold, "met": threshold.threshold_met,
-                               "coverage_asserted": threshold.asserted}
+                               "coverage_asserted": threshold.threshold_met}
     _emit(args, config, result)
     return 0
 
@@ -415,7 +417,7 @@ def _cmd_incidence(args) -> int:
 
 def _cmd_proof_instance(args) -> int:
     A, source = _resolve_set(args)
-    levels = dyadic_levels(fold(diff_square_spectrum(A), args.d - 1))
+    levels = proof_levels(A, args.d)
     exponents = levels.exponents()
     if args.all_pairs:
         if args.dump:
@@ -524,7 +526,7 @@ _STRATEGIES = ["exhaustive", "greedy"]
 _COMMON = (
     _arg("--out", help="write the payload to this path"),
     _arg("--format", choices=["json", "csv"]),
-    _arg("--force", action="store_true", help="override enumeration guards"),
+    _arg("--force", action="store_true", help="lift the enumeration guards (not the hard limits; see README)"),
     _arg("--threads", type=int, default=1, help="accepted for compatibility; has no effect"),
     _arg("--selftest", action="store_true", help="run this subcommand's oracle suite and exit"),
 )

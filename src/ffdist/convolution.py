@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GuardExceeded
-from .field import is_prime, primitive_root
+from .field import is_prime, power_table, primitive_root
 
 # Largest q with q*q < 2**63, keeping int64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
@@ -107,16 +107,6 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return cached
 
 
-def _power_table(w: int, m: int, q: int) -> np.ndarray:
-    """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops)."""
-    table = np.ones(1, dtype=np.int64)
-    step = w
-    while table.size < m:
-        table = np.concatenate([table, table * step % q])
-        step = step * step % q
-    return table[:m]
-
-
 def _stage_twiddles(q: int, n: int, gen: int, inverse: bool) -> list[np.ndarray]:
     key = (q, n, inverse)
     cached = _twiddle_cache.get(key)
@@ -126,7 +116,7 @@ def _stage_twiddles(q: int, n: int, gen: int, inverse: bool) -> list[np.ndarray]
         length = 2
         while length <= n:
             w = pow(root, n // length, q)
-            stages.append(_power_table(w, length // 2, q))
+            stages.append(power_table(w, length // 2, q))
             length *= 2
         cached = _twiddle_cache[key] = stages
     return cached

@@ -93,9 +93,12 @@ class WeightedPointSet:
                 raise ParseError(f"malformed multiset row {ln!r}")
             try:
                 pt = tuple(int(c) for c in parts[:-1])
-                entries[pt] = entries.get(pt, 0) + int(parts[-1])
+                mult = int(parts[-1])
             except ValueError:
                 raise ParseError(f"malformed multiset row {ln!r}") from None
+            if mult < 1:
+                raise ParseError(f"multiplicity must be >= 1: {ln!r}")
+            entries[pt] = entries.get(pt, 0) + mult
         return cls(modulus, dim, entries)
 
 
@@ -106,15 +109,15 @@ def _check_pair(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> None:
         raise ValueError(f"pair count needs two dim-{dim} multisets, got {E.dim} and {F.dim}")
 
 
-def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int, guard: int, force: bool) -> list[int]:
+def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> list[int]:
     """All-lambda weighted counts of sum_{i<dim} e_i*f_i + e_dim + f_dim = lambda.
 
     A dim-2 point gets a leading 0 coordinate, whose product term is 0, so
     one dim-3 loop counts both forms.
     """
     _check_pair(E, F, dim)
-    if len(E) * len(F) > guard and not force:
-        raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {guard}")
+    if len(E) * len(F) > PAIR_COUNT_GUARD:
+        raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {PAIR_COUNT_GUARD}")
     p = E.modulus.p
     out = [0] * p
     pad = (0,) * (3 - dim)
@@ -126,28 +129,14 @@ def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int, guard: int,
     return out
 
 
-def pair_counts_dim2(
-    E: WeightedPointSet, F: WeightedPointSet, guard: int = PAIR_COUNT_GUARD, force: bool = False
-) -> list[int]:
+def pair_counts_dim2(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
     """All-lambda weighted counts of e1*f1 + e2 + f2 = lambda."""
-    return _pair_counts(E, F, 2, guard, force)
+    return _pair_counts(E, F, 2)
 
 
-def pair_counts_dim3(
-    E: WeightedPointSet, F: WeightedPointSet, guard: int = PAIR_COUNT_GUARD, force: bool = False
-) -> list[int]:
+def pair_counts_dim3(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
     """All-lambda weighted counts of e1*f1 + e2*f2 + e3 + f3 = lambda."""
-    return _pair_counts(E, F, 3, guard, force)
-
-
-def pair_count_dim2(E: WeightedPointSet, F: WeightedPointSet, lam: int) -> int:
-    """Weighted count of pairs with e1*f1 + e2 + f2 = lambda."""
-    return pair_counts_dim2(E, F)[lam % E.modulus.p]
-
-
-def pair_count_dim3(E: WeightedPointSet, F: WeightedPointSet, lam: int) -> int:
-    """Weighted count of pairs with e1*f1 + e2*f2 + e3 + f3 = lambda."""
-    return pair_counts_dim3(E, F)[lam % E.modulus.p]
+    return _pair_counts(E, F, 3)
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ class DeviationReport:
 
 
 def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> DeviationReport:
-    counts = _pair_counts(E, F, dim, PAIR_COUNT_GUARD, False)
+    counts = _pair_counts(E, F, dim)
     p = E.modulus.p
     total_product = E.total * F.total
     moment_product = E.second_moment() * F.second_moment()

@@ -76,9 +76,7 @@ def multiplicative_energy(A: FieldSubset) -> EnergyValue:
     return energy_from_spectrum(product_spectrum(A), "multiplicative", 1)
 
 
-def energy_bruteforce_oracle(
-    A: FieldSubset, d: int, kind: str, guard: int = ORACLE_GUARD, force: bool = False
-) -> EnergyValue:
+def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = False) -> EnergyValue:
     """Independent oracle: enumerate the 2d-tuples on each side directly.
 
     Every left tuple's form value is computed by plain field arithmetic, no
@@ -91,8 +89,8 @@ def energy_bruteforce_oracle(
     m = len(A)
     if m == 0:
         raise ValueError("empty set has no energy")
-    if m ** (4 * d) > guard and not force:
-        raise GuardExceeded(f"|A|^(4d) = {m ** (4 * d)} exceeds oracle guard {guard}")
+    if m ** (4 * d) > ORACLE_GUARD and not force:
+        raise GuardExceeded(f"|A|^(4d) = {m ** (4 * d)} exceeds oracle guard {ORACLE_GUARD}")
     p = A.modulus.p
     elements = A.elements()
     tally: Counter[int] = Counter()

@@ -10,7 +10,14 @@ class ParseError(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """An enumeration guard was hit; pass force=True (CLI: --force) to override."""
+    """An enumeration guard or a hard size limit was hit.
+
+    force=True (CLI: --force) lifts the guards of the functions that take
+    it: the energy oracle, the general distance spectrum and the
+    collinearity count.  Nothing lifts the hard limits: the exhaustive
+    decomposition size, the weighted pair count, the collinearity count
+    inside build_proof_instance, and the supply of transform primes.
+    """
 
 
 class InvariantViolation(Exception):

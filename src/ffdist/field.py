@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 # Canonical residue in [0, p).
 FieldElement = int
 
@@ -63,6 +65,19 @@ def primitive_root(q: int) -> int:
     raise AssertionError(f"no primitive root mod {q}")
 
 
+def power_table(w: int, m: int, q: int) -> np.ndarray:
+    """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops).
+
+    Exact in int64 while q*q < 2**63.
+    """
+    table = np.ones(1, dtype=np.int64)
+    step = w
+    while table.size < m:
+        table = np.concatenate([table, table * step % q])
+        step = step * step % q
+    return table[:m]
+
+
 class PrimeModulus:
     """A validated odd prime p in [3, 2**31).
 
@@ -92,12 +107,6 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-    def reduce(self, x: int) -> FieldElement:
-        return x % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
 
     # -- field operations ------------------------------------------------
 

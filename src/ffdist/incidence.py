@@ -14,7 +14,7 @@ import numpy as np
 
 from .convolution import exact_cyclic
 from .encodings import WeightedPointSet
-from .energy import dyadic_levels
+from .energy import DyadicLevels, dyadic_levels
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset
@@ -107,52 +107,16 @@ def count_incidences(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _canonical_direction(v: tuple[int, int, int], modulus: PrimeModulus) -> tuple[int, int, int]:
-    """Scale a nonzero direction so its first nonzero coordinate is 1.
-
-    Among all scalings this is the lexicographically least representative,
-    so equal lines hash equal.
-    """
-    p = modulus.p
-    for c in v:
-        if c:
-            inv = modulus.inv(c)
-            return tuple(x * inv % p for x in v)  # type: ignore[return-value]
-    raise ValueError("zero direction")
-
-
-def line_key(
-    P: tuple[int, int, int], Q: tuple[int, int, int], modulus: PrimeModulus
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Canonical (base point, direction) form of the line through P != Q."""
-    p = modulus.p
-    d = _canonical_direction(tuple((q - r) % p for q, r in zip(Q, P)), modulus)
-    pivot = next(i for i, c in enumerate(d) if c)  # d[pivot] == 1
-    t = P[pivot]
-    base = tuple((c - t * dc) % p for c, dc in zip(P, d))
-    return base, d
-
-
-def max_collinear(points, modulus: PrimeModulus | None = None, guard: int = COLLINEAR_GUARD, force: bool = False) -> int:
-    """Largest number of distinct points on a single line of F_p^3.
-
-    Accepts a WeightedPointSet or an iterable of coordinate triples;
-    multiplicities do not inflate the count.
-    """
-    if isinstance(points, WeightedPointSet):
-        modulus = points.modulus
-        pts = list(points.entries.keys())
-    else:
-        if modulus is None:
-            raise ValueError("modulus required for raw point lists")
-        p = modulus.p
-        pts = list({tuple(c % p for c in pt) for pt in points})
+def max_collinear(points: WeightedPointSet, force: bool = False) -> int:
+    """Largest number of distinct points on a single line of F_p^3;
+    multiplicities do not inflate the count."""
+    pts = list(points.entries)
     n = len(pts)
-    if n > guard and not force:
-        raise GuardExceeded(f"|R| = {n} exceeds collinearity guard {guard}")
+    if n > COLLINEAR_GUARD and not force:
+        raise GuardExceeded(f"|R| = {n} exceeds collinearity guard {COLLINEAR_GUARD}")
     if n <= 2:
         return n
-    p = modulus.p
+    p = points.modulus.p
     P = np.array(pts, dtype=np.int64).reshape(n, 3)
     best = 2
     # A line is seen in full from its first point, so anchor i only looks at
@@ -241,6 +205,14 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
     )
 
 
+def proof_levels(A: FieldSubset, d: int) -> DyadicLevels:
+    """Dyadic levels of the (d-1)-fold squared-difference spectrum: the
+    levels the proof instance draws its points and planes from."""
+    if d < 2:
+        raise ValueError(f"the decomposition needs d >= 2, got {d}")
+    return dyadic_levels(fold(diff_square_spectrum(A), d - 1))
+
+
 def build_proof_instance(
     A: FieldSubset, d: int, i0: int, j0: int
 ) -> IncidenceInstance:
@@ -252,11 +224,9 @@ def build_proof_instance(
     The carried value is sum over (t1, t2) in the two levels of
     sum_s r(s - t1) * r(s - t2) with r the base squared-difference counts.
     """
-    if d < 2:
-        raise ValueError(f"the decomposition needs d >= 2, got {d}")
+    levels = proof_levels(A, d)
     p = A.modulus.p
     base = diff_square_spectrum(A)
-    levels = dyadic_levels(fold(base, d - 1))
     P_i = levels.level(i0)
     P_j = levels.level(j0)
     if len(P_i) == 0 or len(P_j) == 0:
@@ -346,6 +316,8 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
         if section == "points":
             if len(parts) != 4:
                 raise ParseError(f"point row needs x,y,z,mult: {ln!r}")
+            if parts[3] < 1:
+                raise ParseError(f"point multiplicity must be >= 1: {ln!r}")
             key = tuple(parts[:3])
             point_entries[key] = point_entries.get(key, 0) + parts[3]
         elif section == "planes":

@@ -19,7 +19,7 @@ from .encodings import (
 )
 from .energy import distance_energy, energy_bruteforce_oracle, multiplicative_energy
 from .field import PrimeModulus, additive_character
-from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
+from .incidence import PlaneSet, build_proof_instance, count_incidences, proof_levels, verify_proof_instance
 from .rng import SplitMix64
 from .sets import FieldSubset, isotropic_line, parse_subset, random_subset
 from .spectra import (
@@ -159,11 +159,7 @@ def incidence_selftest() -> list[Check]:
         ok = ok and count_incidences(pts, planes, "direct") == count_incidences(pts, planes, "grouped")
     checks.append(("strategies agree on random instances", ok))
     A = parse_subset("0,1,3", PrimeModulus(7))
-    from .energy import dyadic_levels
-    from .spectra import fold
-
-    levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
-    i0 = levels.exponents()[0]
+    i0 = proof_levels(A, 2).exponents()[0]
     inst = build_proof_instance(A, 2, i0, i0)
     try:
         verify_proof_instance(inst)

@@ -21,10 +21,6 @@ class FieldSubset:
         self._elements: tuple[int, ...] = tuple(sorted({x % p for x in elements}))
 
     @classmethod
-    def from_elements(cls, modulus: PrimeModulus, elements: Iterable[int]) -> "FieldSubset":
-        return cls(modulus, elements)
-
-    @classmethod
     def full(cls, modulus: PrimeModulus) -> "FieldSubset":
         return cls(modulus, range(modulus.p))
 
@@ -172,7 +168,7 @@ def random_subset(modulus: PrimeModulus, n: int, seed: int) -> FieldSubset:
     if not 1 <= n <= p:
         raise ValueError(f"subset size must satisfy 1 <= n <= {p}, got {n}")
     rng = SplitMix64(derive_seed("subset", p, n, seed))
-    return FieldSubset.from_elements(modulus, sample_distinct(rng, p, n))
+    return FieldSubset(modulus, sample_distinct(rng, p, n))
 
 
 def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> PointSet:
@@ -207,13 +203,6 @@ def isotropic_line(modulus: PrimeModulus) -> PointSet:
         raise ValueError(f"p = {modulus.p} = 3 (mod 4): no square root of -1 exists")
     p = modulus.p
     return PointSet(modulus, 2, [(x, i * x % p) for x in range(p)])
-
-
-def materialize_power(A: FieldSubset, n: int) -> PointSet:
-    """A^n as an explicit point set.  Exponential in n: test-scale inputs only."""
-    from itertools import product
-
-    return PointSet(A.modulus, n, product(A.elements(), repeat=n))
 
 
 # -- set file format -----------------------------------------------------
@@ -253,7 +242,7 @@ def parse_set_file(text: str) -> Union[FieldSubset, PointSet]:
                 raise ParseError(f"line {lineno}: malformed element {ln!r}") from None
         if not elements:
             raise ParseError("set file lists no elements")
-        return FieldSubset.from_elements(modulus, elements)
+        return FieldSubset(modulus, elements)
     points = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation, ParseError
-from .field import PrimeModulus, primitive_root
+from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, PointSet
 
 GENERAL_SPECTRUM_GUARD = 100_000
@@ -91,12 +91,9 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
         raise ValueError("empty set has no pair spectrum")
     # Discrete logs turn products into sums: convolve the indicator of
     # A\{0} over Z_{p-1}, then map exponents back.
-    g = primitive_root(p)
-    log = [0] * p
-    acc = 1
-    for k in range(p - 1):
-        log[acc] = k
-        acc = acc * g % p
+    powers = power_table(primitive_root(p), p - 1, p)
+    log = np.zeros(p, dtype=np.int64)
+    log[powers] = np.arange(p - 1)
     ind = [0] * (p - 1)
     nonzero = 0
     for a in A:
@@ -104,11 +101,10 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
             ind[log[a]] = 1
             nonzero += 1
     conv = exact_cyclic(ind, ind)
-    counts = [0] * p
-    acc = 1
-    for k in range(p - 1):
-        counts[acc] = conv[k]
-        acc = acc * g % p
+    # every count is at most m^2 < 2^62, so int64 holds it exactly
+    counts = np.zeros(p, dtype=np.int64)
+    counts[powers] = conv
+    counts = counts.tolist()
     if 0 in A:
         counts[0] += 2 * nonzero + 1
     return Spectrum(A.modulus, counts, expected_total=m * m)
@@ -167,16 +163,14 @@ def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
     return fold(Spectrum(A.modulus, counts, expected_total=len(A)), n)
 
 
-def distance_spectrum_general(
-    E: PointSet, guard: int = GENERAL_SPECTRUM_GUARD, force: bool = False
-) -> Spectrum:
+def distance_spectrum_general(E: PointSet, force: bool = False) -> Spectrum:
     """Pair counts of each distance over E x E by full enumeration.
 
     Quadratic in |E|; guarded, with force=True overriding the guard.
     """
     m = len(E)
-    if m > guard and not force:
-        raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {guard}")
+    if m > GENERAL_SPECTRUM_GUARD and not force:
+        raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {GENERAL_SPECTRUM_GUARD}")
     p = E.modulus.p
     pts = np.array(E.points, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)

@@ -46,7 +46,6 @@ class CoverageReport:
     """
 
     p: int
-    descriptor: str
     covered: bool
     missing: FieldSubset
     counts: list[int]
@@ -65,13 +64,12 @@ class CoverageReport:
         return self.deviation_num * den <= num * self.deviation_den
 
 
-def coverage_check(S: Spectrum, descriptor: str = "") -> CoverageReport:
+def coverage_check(S: Spectrum) -> CoverageReport:
     p = S.modulus.p
     missing = FieldSubset(S.modulus, (t for t, c in enumerate(S.counts) if c == 0))
     deviation_num = max(abs(c * p - S.total) for c in S.counts)
     return CoverageReport(
         p=p,
-        descriptor=descriptor,
         covered=len(missing) == 0,
         missing=missing,
         counts=list(S.counts),
@@ -89,7 +87,8 @@ class ThresholdCoverageReport:
 
     Above |E| >= 4 p^((d+1)/2) full distance coverage is guaranteed
     outright, so there it is asserted; below the threshold the coverage
-    is only reported.  The full coverage report rides along.
+    is only reported.  threshold_met says which; the full coverage report
+    rides along.
     """
 
     p: int
@@ -97,15 +96,13 @@ class ThresholdCoverageReport:
     size: int
     threshold: float
     threshold_met: bool
-    covered: bool
-    asserted: bool
     coverage: CoverageReport
 
 
 def iosevich_rudnev_check(E: PointSet, force: bool = False) -> ThresholdCoverageReport:
     p = E.modulus.p
     d = E.dim
-    report = coverage_check(distance_spectrum_general(E, force=force), descriptor=f"distance spectrum of |E|={len(E)} in dim {d}")
+    report = coverage_check(distance_spectrum_general(E, force=force))
     threshold_met = len(E) ** 2 >= 16 * p ** (d + 1)
     if threshold_met and not report.covered:
         raise InvariantViolation(
@@ -118,8 +115,6 @@ def iosevich_rudnev_check(E: PointSet, force: bool = False) -> ThresholdCoverage
         size=len(E),
         threshold=4 * p ** ((d + 1) / 2),
         threshold_met=threshold_met,
-        covered=report.covered,
-        asserted=threshold_met,
         coverage=report,
     )
 
@@ -240,7 +235,7 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    B = FieldSubset.from_elements(A.modulus, b_set)
+    B = FieldSubset(A.modulus, b_set)
     C = A.difference(B)
     eplus = additive_energy(B) if len(B) else EnergyValue(0, "additive", 1)
     etimes = multiplicative_energy(C) if len(C) else EnergyValue(0, "multiplicative", 1)

@@ -11,12 +11,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ffdist.incidence import line_key
-from ffdist.sets import FieldSubset
+from ffdist.field import PrimeModulus
+from ffdist.sets import FieldSubset, PointSet
 
 
 def materialized_points(A: FieldSubset, n: int) -> list[tuple[int, ...]]:
     return list(product(A.elements(), repeat=n))
+
+
+def materialize_power(A: FieldSubset, n: int) -> PointSet:
+    """A^n as an explicit point set.  Exponential in n: test-scale inputs only."""
+    return PointSet(A.modulus, n, materialized_points(A, n))
 
 
 def dist_pair_counts_py(A: FieldSubset, n: int) -> list[int]:
@@ -131,6 +136,32 @@ def quadruple_energy(A: FieldSubset, kind: str) -> int:
             if a * b % p == c * e % p:
                 count += 1
     return count
+
+
+def _canonical_direction(v: tuple[int, int, int], modulus: PrimeModulus) -> tuple[int, int, int]:
+    """Scale a nonzero direction so its first nonzero coordinate is 1.
+
+    Among all scalings this is the lexicographically least representative,
+    so equal lines hash equal.
+    """
+    p = modulus.p
+    for c in v:
+        if c:
+            inv = modulus.inv(c)
+            return tuple(x * inv % p for x in v)  # type: ignore[return-value]
+    raise ValueError("zero direction")
+
+
+def line_key(
+    P: tuple[int, int, int], Q: tuple[int, int, int], modulus: PrimeModulus
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Canonical (base point, direction) form of the line through P != Q."""
+    p = modulus.p
+    d = _canonical_direction(tuple((q - r) % p for q, r in zip(Q, P)), modulus)
+    pivot = next(i for i, c in enumerate(d) if c)  # d[pivot] == 1
+    t = P[pivot]
+    base = tuple((c - t * dc) % p for c, dc in zip(P, d))
+    return base, d
 
 
 def max_collinear_lines(points, modulus, keep=None) -> int:

@@ -179,7 +179,7 @@ def test_criterion_08_threshold_coverage_assertion():
             for seed in range(20):
                 E = random_pointset(modulus, 3, size, seed=derive_seed("acc8", p, seed))
                 report = iosevich_rudnev_check(E)  # raises on any failure
-                assert report.threshold_met and report.covered
+                assert report.threshold_met and report.coverage.covered
 
 
 def test_criterion_09_equidistribution_full_density():

@@ -323,6 +323,7 @@ def test_non_finite_float_never_reaches_a_record(capsys, monkeypatch):
 
 def test_each_result_computed_once(capsys, monkeypatch):
     import ffdist.cli as cli_mod
+    import ffdist.energy as energy_mod
     import ffdist.incidence as incidence_mod
     import ffdist.verify as verify_mod
 
@@ -352,3 +353,8 @@ def test_each_result_computed_once(capsys, monkeypatch):
     # the threshold check's coverage report is the one printed
     assert run_cli(capsys, "coverage", "--p", "5", "--random-points", "20", "--dim", "2")[0] == 0
     assert calls == ["distance_spectrum_general"]
+    calls.clear()
+    # the recursion diagnostic's fold chain also gives the depth-d energy
+    counted(energy_mod, "fold")
+    assert run_cli(capsys, "energy", "--p", "7", "--set", "0,1,3", "--d", "3", "--recursion")[0] == 0
+    assert calls == ["fold"]

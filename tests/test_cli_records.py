@@ -104,6 +104,7 @@ CASES = [
     ("proof-instance-selftest", "proof-instance --selftest", 0, "d5a2c6b42875cad1bb666ef68929240d9ad10cbc9bd43a1bfb5fc5238a8988fc"),
     ("decompose-random", "decompose --p 31 --random 6 --seed 2", 0, "14510d96e7b13873d02bab2aeb6fc3283c3063d8130835aebece7c1d118184b2"),
     ("decompose-greedy-csv", "decompose --p 31 --set 1,2,3,5,8 --strategy greedy --format csv", 0, "01d4c0f78e936abddcc3797591bfe0e77f934b8de22a3b134c8ee06e9328074b"),
+    ("decompose-guard-force", "decompose --p 101 --random 21 --seed 1 --force", 1, "389476ef903b4aad23ef0c973167465a23eef6ee774018e1c44f5b088659691f"),
     ("decompose-selftest", "decompose --selftest", 0, "b8f6edb01007004d784bb28a12ba42e02c394334427466852d29ca3749ee8782"),
     ("scan-csv", "scan --p 7 --n 2 --trials 3 --seed 1", 0, "8b88ffd041415eeb7136b049785859ac2318707c3bd7acb1bd71bd83de1ae640"),
     ("scan-json-dot", "scan --p 7 --n 2 --kind dot --trials 2 --seed 1 --threads 2 --format json", 0, "8828a6bb46c85dde1453fdc59895f67d55ca9fbad5004506ddcb28d5237af8f3"),

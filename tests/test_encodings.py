@@ -7,8 +7,6 @@ from ffdist.encodings import (
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
-    pair_count_dim2,
-    pair_count_dim3,
     pair_counts_dim2,
     pair_counts_dim3,
 )
@@ -55,18 +53,25 @@ def test_multiset_csv_roundtrip():
         WeightedPointSet.from_csv("nope")
 
 
+def test_multiset_csv_rejects_nonpositive_rows():
+    # rows are checked one by one, before repeats of a point are merged
+    for rows in ("0,0,3\n0,0,-2\n", "0,0,0\n", "1,1,2\n0,0,-1\n0,0,2\n"):
+        with pytest.raises(ParseError, match="multiplicity"):
+            WeightedPointSet.from_csv("p=5 d=2\nx1,x2,multiplicity\n" + rows)
+
+
 def test_pair_count_trivial_examples():
     origin = WeightedPointSet(P5, 2, {(0, 0): 1})
-    assert pair_count_dim2(origin, origin, 0) == 1
-    assert pair_count_dim2(origin, origin, 1) == 0
+    assert pair_counts_dim2(origin, origin)[0] == 1
+    assert pair_counts_dim2(origin, origin)[1] == 0
     e10 = WeightedPointSet(P5, 2, {(1, 0): 1})
-    assert pair_count_dim2(e10, e10, 1) == 1
+    assert pair_counts_dim2(e10, e10)[1] == 1
     o3 = WeightedPointSet(P5, 3, {(0, 0, 0): 1})
-    assert pair_count_dim3(o3, o3, 0) == 1
+    assert pair_counts_dim3(o3, o3)[0] == 1
     e110 = WeightedPointSet(P5, 3, {(1, 1, 0): 1})
-    assert pair_count_dim3(e110, e110, 2) == 1
+    assert pair_counts_dim3(e110, e110)[2] == 1
     with pytest.raises(ValueError):
-        pair_count_dim2(origin, o3, 0)
+        pair_counts_dim2(origin, o3)
 
 
 def test_pair_counts_match_double_loop():
@@ -80,12 +85,17 @@ def test_pair_counts_match_double_loop():
         assert pair_counts_dim3(E3, F3) == weighted_pair_counts_dim3(E3, F3)
 
 
-def test_pair_count_guard():
+def test_pair_count_guard(monkeypatch):
+    import ffdist.encodings
+
     rng = SplitMix64(1)
     E = random_multiset(rng, P7, 2)
+    monkeypatch.setattr(ffdist.encodings, "PAIR_COUNT_GUARD", 0)
     with pytest.raises(GuardExceeded):
-        pair_counts_dim2(E, E, guard=0)
-    assert pair_counts_dim2(E, E, guard=0, force=True) == pair_counts_dim2(E, E)
+        pair_counts_dim2(E, E)
+    # the guard is inclusive: exactly len(E)^2 entry pairs still count
+    monkeypatch.setattr(ffdist.encodings, "PAIR_COUNT_GUARD", len(E) * len(E))
+    assert pair_counts_dim2(E, E) == weighted_pair_counts_dim2(E, E)
 
 
 def test_deviation_trivial_example():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import max_collinear_lines
+from oracles import line_key, max_collinear_lines
 from test_set_properties import SETTINGS
 
 from ffdist.encodings import WeightedPointSet
@@ -14,7 +14,6 @@ from ffdist.incidence import (
     build_proof_instance,
     count_incidences,
     format_instance,
-    line_key,
     max_collinear,
     max_collinear_vertical,
     parse_instance,
@@ -97,21 +96,24 @@ def test_strategies_exact_past_int64():
     assert count_incidences(pts, planes, "grouped") == literal
 
 
-def test_max_collinear_examples():
+def test_max_collinear_examples(monkeypatch):
+    import ffdist.incidence
+
     axis = WeightedPointSet.from_points(P7, 3, [(t, 0, 0) for t in (1, 3, 5)])
     assert max_collinear(axis) == 3
     single = WeightedPointSet(P7, 3, {(2, 2, 2): 1})
     assert max_collinear(single) == 1
     two = WeightedPointSet.from_points(P7, 3, [(0, 0, 0), (1, 2, 3)])
     assert max_collinear(two) == 2
+    monkeypatch.setattr(ffdist.incidence, "COLLINEAR_GUARD", 2)
     with pytest.raises(GuardExceeded):
-        max_collinear(axis, guard=2)
-    assert max_collinear(axis, guard=2, force=True) == 3
+        max_collinear(axis)
+    assert max_collinear(axis, force=True) == 3
 
 
 def test_max_collinear_raw_list():
     pts = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]
-    assert max_collinear(pts, modulus=P5) == 3
+    assert max_collinear(WeightedPointSet.from_points(P5, 3, pts)) == 3
 
 
 COLLINEAR_PRIMES = (3, 5, 7, 101, 2147483629)
@@ -146,7 +148,7 @@ def test_max_collinear_matches_line_oracle(case, data):
     expected = max_collinear_lines(pts, modulus)
     weighted = WeightedPointSet(modulus, 3, {pt: data.draw(st.integers(1, 3)) for pt in pts})
     assert max_collinear(weighted) == expected
-    assert max_collinear(_unreduced(data.draw, modulus, pts), modulus=modulus) == expected
+    assert max_collinear(WeightedPointSet.from_points(modulus, 3, _unreduced(data.draw, modulus, pts))) == expected
 
 
 @pytest.mark.parametrize("p", COLLINEAR_PRIMES)
@@ -155,12 +157,12 @@ def test_max_collinear_small_and_vertical(p):
     for pts in ([], [(1, 2, 0)], [(1, 2, 0), (p - 1, 0, 2)], [(1, 2, 0)] * 3):
         expected = max_collinear_lines(pts, modulus)
         assert expected == len(set(pts))
-        assert max_collinear(pts, modulus=modulus) == expected
         assert max_collinear(WeightedPointSet.from_points(modulus, 3, pts)) == expected
     # one vertical line: every direction has its pivot in the Z coordinate
     column = [(2, p - 1, z) for z in range(0, p, max(1, p // 9))]
-    assert max_collinear(column, modulus=modulus) == max_collinear_lines(column, modulus) == len(column)
-    assert max_collinear(column + [(0, 0, 0), (1, 1, 1)], modulus=modulus) == len(column)
+    assert max_collinear(WeightedPointSet.from_points(modulus, 3, column)) == len(column)
+    assert max_collinear_lines(column, modulus) == len(column)
+    assert max_collinear(WeightedPointSet.from_points(modulus, 3, column + [(0, 0, 0), (1, 1, 1)])) == len(column)
 
 
 def test_line_key_canonical():
@@ -280,6 +282,11 @@ def test_instance_dump_parse_errors():
         parse_instance("p=5\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,1\n1,0,0,1,-3\n")
     with pytest.raises(ParseError, match="plane multiplicity"):
         parse_instance("p=5\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,0\n")
+    # a point row is checked before its repeats are merged
+    with pytest.raises(ParseError, match="point multiplicity"):
+        parse_instance("p=5\nPOINTS\n0,0,0,3\n0,0,0,-2\nPLANES\n0,0,1,0,1\n")
+    with pytest.raises(ParseError, match="point multiplicity"):
+        parse_instance("p=5\nPOINTS\n0,0,0,0\nPLANES\n0,0,1,0,1\n")
 
 
 def test_strategy_disagreement_impossible_but_guarded():

@@ -3,7 +3,7 @@ import pytest
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
-from ffdist.sets import FieldSubset, PointSet, materialize_power, parse_subset, random_subset
+from ffdist.sets import FieldSubset, PointSet, parse_subset, random_subset
 from ffdist.spectra import (
     Spectrum,
     cyclic_convolve,
@@ -19,7 +19,14 @@ from ffdist.spectra import (
     support,
 )
 
-from oracles import dist_pair_counts, dist_pair_counts_py, dot_pair_counts, dot_pair_counts_py, sphere_counts
+from oracles import (
+    dist_pair_counts,
+    dist_pair_counts_py,
+    dot_pair_counts,
+    dot_pair_counts_py,
+    materialize_power,
+    sphere_counts,
+)
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -159,7 +166,8 @@ def test_numpy_oracle_matches_python_oracle():
         assert dot_pair_counts(A, n) == dot_pair_counts_py(A, n)
 
 
-def test_distance_spectrum_general():
+def test_distance_spectrum_general(monkeypatch):
+    import ffdist.spectra
     from ffdist.sets import isotropic_line
 
     iso = isotropic_line(P5)
@@ -168,9 +176,10 @@ def test_distance_spectrum_general():
     assert dict(distance_spectrum_general(single).items()) == {0: 1}
     A = S("0,2", P5)
     assert distance_spectrum_general(materialize_power(A, 2)) == distance_spectrum_power(A, 2)
+    monkeypatch.setattr(ffdist.spectra, "GENERAL_SPECTRUM_GUARD", 3)
     with pytest.raises(GuardExceeded):
-        distance_spectrum_general(iso, guard=3)
-    assert distance_spectrum_general(iso, guard=3, force=True).counts[0] == 25
+        distance_spectrum_general(iso)
+    assert distance_spectrum_general(iso, force=True).counts[0] == 25
 
 
 def test_translation_and_reflection_invariance():
