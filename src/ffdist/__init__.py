@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .encodings import (
     WeightedPointSet,
-    deviation_check_dim2,
-    deviation_check_dim3,
+    deviation_check,
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
+    pair_counts,
 )
 from .energy import (
     EnergyValue,

@@ -22,13 +22,10 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .encodings import (
     WeightedPointSet,
-    deviation_check_dim2,
-    deviation_check_dim3,
+    deviation_check,
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
-    pair_counts_dim2,
-    pair_counts_dim3,
 )
 from .energy import (
     EnergyValue,
@@ -50,7 +47,6 @@ from .incidence import (
     max_collinear,
     max_collinear_vertical,
     parse_instance,
-    proof_levels,
     rudnev_diagnostic,
 )
 from .rng import SplitMix64, derive_seed
@@ -300,9 +296,7 @@ def _check_encoding(A: FieldSubset, name: str, d: int) -> tuple[dict, WeightedPo
     if name == "distance-odd":
         E, F = encode_distance_odd(A, d)
         reference = distance_spectrum_power(A, 2 * d + 1)
-        pair_counts = pair_counts_dim2(E, F)
         moment_expected = m * distance_energy(A, d).value
-        deviation = deviation_check_dim2(E, F)
         expected_total = m ** (2 * d + 1)
     else:
         if name == "distance-even":
@@ -313,12 +307,12 @@ def _check_encoding(A: FieldSubset, name: str, d: int) -> tuple[dict, WeightedPo
             E, F = encode_dot(A, d)
             reference = dot_spectrum_power(A, 2 * d)
             moment_expected = m * m * (dot_energy(A, d - 1).value if d > 1 else 1)
-        pair_counts = pair_counts_dim3(E, F)
-        deviation = deviation_check_dim3(E, F)
         expected_total = m ** (2 * d)
+    # the deviation report carries the pair counts it checked
+    deviation = deviation_check(E, F)
     checks = {
         "totals": E.total == expected_total and F.total == expected_total,
-        "pair_counts_match_spectrum": pair_counts == reference.counts,
+        "pair_counts_match_spectrum": deviation.counts == reference.counts,
         "second_moment_identity": E.second_moment() == moment_expected,
         "deviation_bound": deviation.passed,
     }
@@ -359,7 +353,7 @@ def _cmd_deviation_check(args) -> int:
             rng = SplitMix64(derive_seed("deviation", modulus.p, args.seed, trial, dim))
             E = _random_multiset(rng, modulus, dim)
             F = _random_multiset(rng, modulus, dim)
-            report = deviation_check_dim2(E, F) if dim == 2 else deviation_check_dim3(E, F)
+            report = deviation_check(E, F)
             if not report.passed:
                 raise InvariantViolation(
                     f"deviation bound failed for dim {dim}, trial {trial}: "
@@ -417,19 +411,17 @@ def _cmd_incidence(args) -> int:
 
 def _cmd_proof_instance(args) -> int:
     A, source = _resolve_set(args)
-    levels = proof_levels(A, args.d)
-    exponents = levels.exponents()
     if args.all_pairs:
         if args.dump:
             raise UsageError("--dump needs a single --i0/--j0 pair")
-        pairs = [(i, j) for i in exponents for j in exponents]
+        pairs = None
     else:
         if args.i0 is None or args.j0 is None:
             raise UsageError("give --i0 and --j0, or --all-pairs")
         pairs = [(args.i0, args.j0)]
+    levels, built = build_proof_instance(A, args.d, pairs)
     instances = []
-    for i0, j0 in pairs:
-        inst = build_proof_instance(A, args.d, i0, j0)
+    for (i0, j0), inst in built.items():
         # the diagnostic's count is verified both ways and against the carried sum
         diag = rudnev_diagnostic(inst)
         instances.append({
@@ -448,7 +440,7 @@ def _cmd_proof_instance(args) -> int:
         })
         if args.dump:
             _write(args.dump, format_instance(inst))
-    config = {"p": A.modulus.p, "source": source, "d": args.d, "levels": exponents}
+    config = {"p": A.modulus.p, "source": source, "d": args.d, "levels": levels.exponents()}
     _emit(args, config, {"instances": instances})
     return 0
 

@@ -102,41 +102,28 @@ class WeightedPointSet:
         return cls(modulus, dim, entries)
 
 
-def _check_pair(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> None:
-    if E.modulus != F.modulus:
-        raise ValueError("mixed moduli")
-    if E.dim != dim or F.dim != dim:
-        raise ValueError(f"pair count needs two dim-{dim} multisets, got {E.dim} and {F.dim}")
-
-
-def _pair_counts(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> list[int]:
-    """All-lambda weighted counts of sum_{i<dim} e_i*f_i + e_dim + f_dim = lambda.
+def pair_counts(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
+    """All-lambda weighted counts of sum_{i<D} e_i*f_i + e_D + f_D = lambda,
+    with D = E.dim (2 or 3).
 
     A dim-2 point gets a leading 0 coordinate, whose product term is 0, so
     one dim-3 loop counts both forms.
     """
-    _check_pair(E, F, dim)
+    if E.modulus != F.modulus:
+        raise ValueError("mixed moduli")
+    if E.dim != F.dim:
+        raise ValueError(f"pair count needs one dimension, got {E.dim} and {F.dim}")
     if len(E) * len(F) > PAIR_COUNT_GUARD:
         raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {PAIR_COUNT_GUARD}")
     p = E.modulus.p
     out = [0] * p
-    pad = (0,) * (3 - dim)
+    pad = (0,) * (3 - E.dim)
     f_items = [(pad + f, mf) for f, mf in F.entries.items()]
     for e, me in E.entries.items():
         e1, e2, e3 = pad + e
         for (f1, f2, f3), mf in f_items:
             out[(e1 * f1 + e2 * f2 + e3 + f3) % p] += me * mf
     return out
-
-
-def pair_counts_dim2(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
-    """All-lambda weighted counts of e1*f1 + e2 + f2 = lambda."""
-    return _pair_counts(E, F, 2)
-
-
-def pair_counts_dim3(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
-    """All-lambda weighted counts of e1*f1 + e2*f2 + e3 + f3 = lambda."""
-    return _pair_counts(E, F, 3)
 
 
 @dataclass(frozen=True)
@@ -159,12 +146,14 @@ class DeviationReport:
     passed: bool
 
 
-def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> DeviationReport:
-    counts = _pair_counts(E, F, dim)
+def deviation_check(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
+    """Deviation bound in the dimension of E and F: factor sqrt(p) in the
+    plane, p in space; constant-free, must pass."""
+    counts = pair_counts(E, F)
     p = E.modulus.p
     total_product = E.total * F.total
     moment_product = E.second_moment() * F.second_moment()
-    rhs_squared = p ** (dim + 1) * moment_product
+    rhs_squared = p ** (E.dim + 1) * moment_product
     margins = []
     passed = True
     for n in counts:
@@ -174,7 +163,7 @@ def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> Devi
         if margin < 0:
             passed = False
     return DeviationReport(
-        dim=dim,
+        dim=E.dim,
         p=p,
         counts=counts,
         total_product=total_product,
@@ -183,16 +172,6 @@ def _deviation_check(E: WeightedPointSet, F: WeightedPointSet, dim: int) -> Devi
         margins=margins,
         passed=passed,
     )
-
-
-def deviation_check_dim2(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
-    """Plane deviation bound with factor sqrt(p); constant-free, must pass."""
-    return _deviation_check(E, F, 2)
-
-
-def deviation_check_dim3(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
-    """Three-dimensional deviation bound with factor p; constant-free, must pass."""
-    return _deviation_check(E, F, 3)
 
 
 # -- encodings ---------------------------------------------------------------

@@ -205,62 +205,70 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
     )
 
 
-def proof_levels(A: FieldSubset, d: int) -> DyadicLevels:
-    """Dyadic levels of the (d-1)-fold squared-difference spectrum: the
-    levels the proof instance draws its points and planes from."""
-    if d < 2:
-        raise ValueError(f"the decomposition needs d >= 2, got {d}")
-    return dyadic_levels(fold(diff_square_spectrum(A), d - 1))
-
-
 def build_proof_instance(
-    A: FieldSubset, d: int, i0: int, j0: int
-) -> IncidenceInstance:
-    """The point/plane instance whose incidences equal the restricted
-    two-level pair sum of the (d-1)-fold squared-difference spectrum.
+    A: FieldSubset, d: int, pairs: list[tuple[int, int]] | None = None
+) -> tuple[DyadicLevels, dict[tuple[int, int], IncidenceInstance]]:
+    """The dyadic levels of the (d-1)-fold squared-difference spectrum, and
+    for each level pair (i0, j0) the point/plane instance whose incidences
+    equal the restricted two-level pair sum; pairs=None means every pair.
 
     Points: (-2a, e, t1 + a^2 - e^2) over a, e in A, t1 in level i0.
     Planes: b*X + 2c*Y + Z = t2 - b^2 + c^2 over b, c in A, t2 in level j0.
     The carried value is sum over (t1, t2) in the two levels of
     sum_s r(s - t1) * r(s - t2) with r the base squared-difference counts.
+    Each level's points, their k and its planes are built once and shared,
+    read-only, by every instance that uses that level.
     """
-    levels = proof_levels(A, d)
+    if d < 2:
+        raise ValueError(f"the decomposition needs d >= 2, got {d}")
     p = A.modulus.p
     base = diff_square_spectrum(A)
-    P_i = levels.level(i0)
-    P_j = levels.level(j0)
-    if len(P_i) == 0 or len(P_j) == 0:
-        raise ValueError("empty dyadic level")
+    levels = dyadic_levels(fold(base, d - 1))
+    level = dict(levels.levels)
+    if pairs is None:
+        pairs = [(i0, j0) for i0 in level for j0 in level]
+    missing = {i for pair in pairs for i in pair} - level.keys()
+    if missing:
+        raise ValueError(f"no dyadic level {min(missing)}; the levels are {levels.exponents()}")
 
     elements = A.elements()
-    point_entries: dict[tuple[int, ...], int] = {}
-    for a in elements:
-        for e in elements:
-            shift = (a * a - e * e) % p
-            for t1 in P_i:
-                key = (-2 * a % p, e, (t1 + shift) % p)
-                point_entries[key] = point_entries.get(key, 0) + 1
-    points = WeightedPointSet(A.modulus, 3, point_entries)
+    points: dict[int, tuple[WeightedPointSet, int]] = {}
+    for i0 in dict.fromkeys(i0 for i0, _ in pairs):
+        point_entries: dict[tuple[int, ...], int] = {}
+        for a in elements:
+            for e in elements:
+                shift = (a * a - e * e) % p
+                for t1 in level[i0]:
+                    key = (-2 * a % p, e, (t1 + shift) % p)
+                    point_entries[key] = point_entries.get(key, 0) + 1
+        level_points = WeightedPointSet(A.modulus, 3, point_entries)
+        points[i0] = (level_points, max_collinear(level_points))
 
-    plane_list = []
-    for b in elements:
-        for c in elements:
-            const_shift = (c * c - b * b) % p
-            for t2 in P_j:
-                plane_list.append((b, 2 * c % p, 1, (t2 + const_shift) % p))
-    planes = PlaneSet(A.modulus, plane_list)
+    planes: dict[int, PlaneSet] = {}
+    for j0 in dict.fromkeys(j0 for _, j0 in pairs):
+        plane_list = []
+        for b in elements:
+            for c in elements:
+                const_shift = (c * c - b * b) % p
+                for t2 in level[j0]:
+                    plane_list.append((b, 2 * c % p, 1, (t2 + const_shift) % p))
+        planes[j0] = PlaneSet(A.modulus, plane_list)
 
     # Cross-correlation of the base counts: corr[delta] = sum_s r(s)*r(s-delta),
     # so the carried sum is sum over level pairs of corr[t1 - t2].
     reversed_counts = [base.counts[-t % p] for t in range(p)]
     corr = Spectrum(A.modulus, exact_cyclic(base.counts, reversed_counts))
-    expected = 0
-    for t1 in P_i:
-        for t2 in P_j:
-            expected += corr[(t1 - t2) % p]
-
-    k = max_collinear(points)
-    return IncidenceInstance(points=points, planes=planes, k=k, expected_incidences=expected)
+    instances = {}
+    for i0, j0 in pairs:
+        expected = 0
+        for t1 in level[i0]:
+            for t2 in level[j0]:
+                expected += corr[(t1 - t2) % p]
+        level_points, k = points[i0]
+        instances[(i0, j0)] = IncidenceInstance(
+            points=level_points, planes=planes[j0], k=k, expected_incidences=expected
+        )
+    return levels, instances
 
 
 def verify_proof_instance(inst: IncidenceInstance) -> int:

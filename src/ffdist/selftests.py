@@ -12,14 +12,13 @@ from itertools import product as iter_product
 
 from .encodings import (
     WeightedPointSet,
-    deviation_check_dim2,
-    deviation_check_dim3,
+    deviation_check,
     encode_distance_odd,
-    pair_counts_dim2,
+    pair_counts,
 )
 from .energy import distance_energy, energy_bruteforce_oracle, multiplicative_energy
 from .field import PrimeModulus, additive_character
-from .incidence import PlaneSet, build_proof_instance, count_incidences, proof_levels, verify_proof_instance
+from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
 from .rng import SplitMix64
 from .sets import FieldSubset, isotropic_line, parse_subset, random_subset
 from .spectra import (
@@ -114,7 +113,7 @@ def encodings_selftest() -> list[Check]:
     )
     checks.append(("odd encoding second moment", E.second_moment() == 16))
     brute = _brute_counts(A, 3, "distance")
-    checks.append(("odd encoding pair counts", pair_counts_dim2(E, F) == brute))
+    checks.append(("odd encoding pair counts", pair_counts(E, F) == brute))
     rng = SplitMix64(3)
     ok2 = ok3 = True
     for _ in range(5):
@@ -128,8 +127,8 @@ def encodings_selftest() -> list[Check]:
                     entries[pt] = entries.get(pt, 0) + 1 + rng.randbelow(4)
                 sides.append(WeightedPointSet(PrimeModulus(7), dim, entries))
             pairs.append(sides)
-        ok2 = ok2 and deviation_check_dim2(*pairs[0]).passed
-        ok3 = ok3 and deviation_check_dim3(*pairs[1]).passed
+        ok2 = ok2 and deviation_check(*pairs[0]).passed
+        ok3 = ok3 and deviation_check(*pairs[1]).passed
     checks.append(("plane deviation bound", ok2))
     checks.append(("space deviation bound", ok3))
     return checks
@@ -158,11 +157,10 @@ def incidence_selftest() -> list[Check]:
         )
         ok = ok and count_incidences(pts, planes, "direct") == count_incidences(pts, planes, "grouped")
     checks.append(("strategies agree on random instances", ok))
-    A = parse_subset("0,1,3", PrimeModulus(7))
-    i0 = proof_levels(A, 2).exponents()[0]
-    inst = build_proof_instance(A, 2, i0, i0)
+    _, instances = build_proof_instance(parse_subset("0,1,3", PrimeModulus(7)), 2)
     try:
-        verify_proof_instance(inst)
+        for inst in instances.values():
+            verify_proof_instance(inst)
         checks.append(("incidences equal carried pair sum", True))
     except Exception:
         checks.append(("incidences equal carried pair sum", False))

@@ -260,8 +260,3 @@ def parse_set_file(text: str) -> Union[FieldSubset, PointSet]:
 def read_set_file(path) -> Union[FieldSubset, PointSet]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_set_file(fh.read())
-
-
-def write_set_file(path, obj: Union[FieldSubset, PointSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_set_file(obj))

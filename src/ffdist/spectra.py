@@ -181,9 +181,9 @@ def distance_spectrum_general(E: PointSet, force: bool = False) -> Spectrum:
     return Spectrum(E.modulus, [int(c) for c in acc], expected_total=m * m)
 
 
-def support(S: Spectrum, include_zero: bool = True) -> FieldSubset:
-    """The set {t : S[t] > 0}, optionally without t = 0."""
-    return FieldSubset(S.modulus, (t for t, c in enumerate(S.counts) if c and (t or include_zero)))
+def support(S: Spectrum) -> FieldSubset:
+    """The set {t : S[t] > 0}."""
+    return FieldSubset(S.modulus, (t for t, c in enumerate(S.counts) if c))
 
 
 def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:

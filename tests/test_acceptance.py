@@ -12,13 +12,11 @@ from contextlib import contextmanager
 
 from ffdist.cli import run as cli_run
 from ffdist.encodings import (
-    deviation_check_dim2,
-    deviation_check_dim3,
+    deviation_check,
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
-    pair_counts_dim2,
-    pair_counts_dim3,
+    pair_counts,
 )
 from ffdist.energy import (
     distance_energy,
@@ -92,7 +90,7 @@ def test_criterion_02_energy_oracle_equivalence():
         assert elapsed < 10, f"took {elapsed:.1f}s"
 
 
-def _deviation_criterion(dim, check, label):
+def _deviation_criterion(dim, label):
     with criterion(label):
         failures = 0
         for p in (5, 7, 31, 101):
@@ -101,7 +99,8 @@ def _deviation_criterion(dim, check, label):
                 rng = SplitMix64(derive_seed("acc-dev", dim, p, trial))
                 E = random_multiset(rng, modulus, dim)
                 F = random_multiset(rng, modulus, dim)
-                report = check(E, F)
+                report = deviation_check(E, F)
+                assert report.dim == dim
                 assert len(report.margins) == p  # every lambda checked
                 if not report.passed:
                     failures += 1
@@ -109,17 +108,11 @@ def _deviation_criterion(dim, check, label):
 
 
 def test_criterion_03_deviation_bound_plane():
-    _deviation_criterion(
-        2, deviation_check_dim2,
-        "criterion 3: plane deviation bound, 100 random multiset pairs x {5,7,31,101}",
-    )
+    _deviation_criterion(2, "criterion 3: plane deviation bound, 100 random multiset pairs x {5,7,31,101}")
 
 
 def test_criterion_04_deviation_bound_space():
-    _deviation_criterion(
-        3, deviation_check_dim3,
-        "criterion 4: space deviation bound (factor p), same protocol",
-    )
+    _deviation_criterion(3, "criterion 4: space deviation bound (factor p), same protocol")
 
 
 def test_criterion_05_encoding_soundness():
@@ -132,16 +125,16 @@ def test_criterion_05_encoding_soundness():
                     m = len(A)
                     for d in (1, 2):
                         E, F = encode_distance_odd(A, d)
-                        assert pair_counts_dim2(E, F) == dist_pair_counts(A, 2 * d + 1)
+                        assert pair_counts(E, F) == dist_pair_counts(A, 2 * d + 1)
                         assert E.second_moment() == m * distance_energy(A, d).value
 
                         E, F = encode_distance_even(A, d)
-                        assert pair_counts_dim3(E, F) == dist_pair_counts(A, 2 * d)
+                        assert pair_counts(E, F) == dist_pair_counts(A, 2 * d)
                         prev = distance_energy(A, d - 1).value if d > 1 else 1
                         assert E.second_moment() == m * m * prev
 
                         E, F = encode_dot(A, d)
-                        assert pair_counts_dim3(E, F) == dot_pair_counts(A, 2 * d)
+                        assert pair_counts(E, F) == dot_pair_counts(A, 2 * d)
                         prev = dot_energy(A, d - 1).value if d > 1 else 1
                         assert E.second_moment() == m * m * prev
 
@@ -153,11 +146,12 @@ def test_criterion_06_proof_instance_incidence_identity():
             for size in (1, 2, 3, 4):
                 for seed in range(2):
                     A = random_subset(modulus, size, seed=derive_seed("acc6", p, size, seed))
-                    levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
-                    for i0 in levels.exponents():
-                        for j0 in levels.exponents():
-                            inst = build_proof_instance(A, 2, i0, j0)
-                            assert verify_proof_instance(inst) == inst.expected_incidences
+                    levels, instances = build_proof_instance(A, 2)
+                    exps = levels.exponents()
+                    assert levels == dyadic_levels(fold(diff_square_spectrum(A), 1))
+                    assert list(instances) == [(i0, j0) for i0 in exps for j0 in exps]
+                    for inst in instances.values():
+                        assert verify_proof_instance(inst) == inst.expected_incidences
 
 
 def test_criterion_07_isotropic_counterexample():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 from ffdist.cli import run
 from ffdist.errors import InvariantViolation
@@ -349,6 +350,21 @@ def test_each_result_computed_once(capsys, monkeypatch):
         capsys, "proof-instance", "--p", "7", "--set", "0,1,3", "--d", "2", "--i0", "1", "--j0", "1"
     )[0] == 0
     assert calls == ["count_incidences"] * 2
+    calls.clear()
+    # levels [1, 2]: one base spectrum, fold and correlation for all four
+    # pairs, one point set and k per i0 level
+    counted(incidence_mod, "max_collinear")
+    counted(incidence_mod, "diff_square_spectrum")
+    counted(incidence_mod, "fold")
+    counted(incidence_mod, "exact_cyclic")
+    assert run_cli(capsys, "proof-instance", "--p", "13", "--set", "0,1,2,5", "--d", "2", "--all-pairs")[0] == 0
+    assert Counter(calls) == {
+        "diff_square_spectrum": 1,
+        "fold": 1,
+        "exact_cyclic": 1,
+        "max_collinear": 2,
+        "count_incidences": 8,
+    }
     calls.clear()
     # the threshold check's coverage report is the one printed
     assert run_cli(capsys, "coverage", "--p", "5", "--random-points", "20", "--dim", "2")[0] == 0

@@ -101,6 +101,8 @@ CASES = [
     ("proof-instance-csv", "proof-instance --p 11 --random 4 --seed 1 --d 3 --all-pairs --format csv", 0, "f75a9129b80e16c43c08418a5a088b5bba2413d795b33f972bad4218dfec4531"),
     ("proof-instance-dump-all-pairs", "proof-instance --p 7 --set 0,1,3 --d 2 --all-pairs --dump {tmp}/x", 1, "6a079708956139edb9e7d276eeed2945e131708763f754c5f68405d6161096b8"),
     ("proof-instance-no-pair", "proof-instance --p 7 --set 0,1,3 --d 2", 1, "5fd11a174ca480f7ae96e888ac2652151a3031209f8cc8029e4e079368087851"),
+    ("proof-instance-off-diagonal", "proof-instance --p 13 --set 0,1,2,5 --d 2 --i0 2 --j0 1", 0, "d684768321850d01d222636f611814d1239a411b3c2a917f9a857ff31554e23e"),
+    ("proof-instance-missing-level", "proof-instance --p 7 --set 0,1,3 --d 2 --i0 1 --j0 5", 1, "4880dc5826d6488d3386a9674332ef771585c2793f52326dc08062c6537df01a"),
     ("proof-instance-selftest", "proof-instance --selftest", 0, "d5a2c6b42875cad1bb666ef68929240d9ad10cbc9bd43a1bfb5fc5238a8988fc"),
     ("decompose-random", "decompose --p 31 --random 6 --seed 2", 0, "14510d96e7b13873d02bab2aeb6fc3283c3063d8130835aebece7c1d118184b2"),
     ("decompose-greedy-csv", "decompose --p 31 --set 1,2,3,5,8 --strategy greedy --format csv", 0, "01d4c0f78e936abddcc3797591bfe0e77f934b8de22a3b134c8ee06e9328074b"),

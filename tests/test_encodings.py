@@ -2,13 +2,11 @@ import pytest
 
 from ffdist.encodings import (
     WeightedPointSet,
-    deviation_check_dim2,
-    deviation_check_dim3,
+    deviation_check,
     encode_distance_even,
     encode_distance_odd,
     encode_dot,
-    pair_counts_dim2,
-    pair_counts_dim3,
+    pair_counts,
 )
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
@@ -62,16 +60,18 @@ def test_multiset_csv_rejects_nonpositive_rows():
 
 def test_pair_count_trivial_examples():
     origin = WeightedPointSet(P5, 2, {(0, 0): 1})
-    assert pair_counts_dim2(origin, origin)[0] == 1
-    assert pair_counts_dim2(origin, origin)[1] == 0
+    assert pair_counts(origin, origin)[0] == 1
+    assert pair_counts(origin, origin)[1] == 0
     e10 = WeightedPointSet(P5, 2, {(1, 0): 1})
-    assert pair_counts_dim2(e10, e10)[1] == 1
+    assert pair_counts(e10, e10)[1] == 1
     o3 = WeightedPointSet(P5, 3, {(0, 0, 0): 1})
-    assert pair_counts_dim3(o3, o3)[0] == 1
+    assert pair_counts(o3, o3)[0] == 1
     e110 = WeightedPointSet(P5, 3, {(1, 1, 0): 1})
-    assert pair_counts_dim3(e110, e110)[2] == 1
-    with pytest.raises(ValueError):
-        pair_counts_dim2(origin, o3)
+    assert pair_counts(e110, e110)[2] == 1
+    with pytest.raises(ValueError, match="one dimension"):
+        pair_counts(origin, o3)
+    with pytest.raises(ValueError, match="one dimension"):
+        deviation_check(o3, origin)
 
 
 def test_pair_counts_match_double_loop():
@@ -79,10 +79,10 @@ def test_pair_counts_match_double_loop():
     for _ in range(20):
         E2 = random_multiset(rng, P7, 2)
         F2 = random_multiset(rng, P7, 2)
-        assert pair_counts_dim2(E2, F2) == weighted_pair_counts_dim2(E2, F2)
+        assert pair_counts(E2, F2) == weighted_pair_counts_dim2(E2, F2)
         E3 = random_multiset(rng, P7, 3)
         F3 = random_multiset(rng, P7, 3)
-        assert pair_counts_dim3(E3, F3) == weighted_pair_counts_dim3(E3, F3)
+        assert pair_counts(E3, F3) == weighted_pair_counts_dim3(E3, F3)
 
 
 def test_pair_count_guard(monkeypatch):
@@ -92,15 +92,15 @@ def test_pair_count_guard(monkeypatch):
     E = random_multiset(rng, P7, 2)
     monkeypatch.setattr(ffdist.encodings, "PAIR_COUNT_GUARD", 0)
     with pytest.raises(GuardExceeded):
-        pair_counts_dim2(E, E)
+        pair_counts(E, E)
     # the guard is inclusive: exactly len(E)^2 entry pairs still count
     monkeypatch.setattr(ffdist.encodings, "PAIR_COUNT_GUARD", len(E) * len(E))
-    assert pair_counts_dim2(E, E) == weighted_pair_counts_dim2(E, E)
+    assert pair_counts(E, E) == weighted_pair_counts_dim2(E, E)
 
 
 def test_deviation_trivial_example():
     origin = WeightedPointSet(P5, 2, {(0, 0): 1})
-    report = deviation_check_dim2(origin, origin)
+    report = deviation_check(origin, origin)
     assert report.passed
     # at every lambda: (5N - 1)^2 <= 125
     assert report.rhs_squared == 125
@@ -113,11 +113,13 @@ def test_deviation_bounds_random(p):
     rng = SplitMix64(p * 7)
     for _ in range(25):
         E2, F2 = random_multiset(rng, modulus, 2), random_multiset(rng, modulus, 2)
-        r2 = deviation_check_dim2(E2, F2)
+        r2 = deviation_check(E2, F2)
+        assert r2.dim == 2 and r2.rhs_squared == p ** 3 * r2.second_moment_product
         assert r2.passed and min(r2.margins) >= 0
         assert r2.second_moment_product == E2.second_moment() * F2.second_moment()
         E3, F3 = random_multiset(rng, modulus, 3), random_multiset(rng, modulus, 3)
-        r3 = deviation_check_dim3(E3, F3)
+        r3 = deviation_check(E3, F3)
+        assert r3.dim == 3 and r3.rhs_squared == p ** 4 * r3.second_moment_product
         assert r3.passed and min(r3.margins) >= 0
         assert r3.second_moment_product == E3.second_moment() * F3.second_moment()
 
@@ -140,19 +142,19 @@ def test_encoding_soundness_grid(p):
         for d in (1, 2):
             E, F = encode_distance_odd(A, d)
             assert E.total == F.total == m ** (2 * d + 1)
-            assert pair_counts_dim2(E, F) == dist_pair_counts(A, 2 * d + 1)
+            assert pair_counts(E, F) == dist_pair_counts(A, 2 * d + 1)
             assert E.second_moment() == m * distance_energy(A, d).value
             assert F.second_moment() == m * distance_energy(A, d).value
 
             E, F = encode_distance_even(A, d)
             assert E.total == F.total == m ** (2 * d)
-            assert pair_counts_dim3(E, F) == dist_pair_counts(A, 2 * d)
+            assert pair_counts(E, F) == dist_pair_counts(A, 2 * d)
             prev = distance_energy(A, d - 1).value if d > 1 else 1
             assert E.second_moment() == m * m * prev
 
             E, F = encode_dot(A, d)
             assert E.total == F.total == m ** (2 * d)
-            assert pair_counts_dim3(E, F) == dot_pair_counts(A, 2 * d)
+            assert pair_counts(E, F) == dot_pair_counts(A, 2 * d)
             prev = dot_energy(A, d - 1).value if d > 1 else 1
             assert E.second_moment() == m * m * prev
 
@@ -160,17 +162,17 @@ def test_encoding_soundness_grid(p):
 def test_encode_dot_worked_example():
     A = parse_subset("1,2", P5)
     E, F = encode_dot(A, 1)
-    assert pair_counts_dim3(E, F) == dot_pair_counts(A, 2)
+    assert pair_counts(E, F) == dot_pair_counts(A, 2)
 
 
 def test_encoding_deviation_bounds_hold():
     A = random_subset(P7, 3, seed=9)
     E, F = encode_distance_odd(A, 2)
-    assert deviation_check_dim2(E, F).passed
+    assert deviation_check(E, F).passed
     E, F = encode_distance_even(A, 2)
-    assert deviation_check_dim3(E, F).passed
+    assert deviation_check(E, F).passed
     E, F = encode_dot(A, 2)
-    assert deviation_check_dim3(E, F).passed
+    assert deviation_check(E, F).passed
 
 
 def test_encoding_rejects_bad_depth():

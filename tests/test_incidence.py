@@ -195,10 +195,14 @@ def test_rudnev_diagnostic_empty_instance_has_no_ratio():
     assert report.incidences == 0 and report.ratio is None
 
 
+def _one_instance(A, i0, j0):
+    return build_proof_instance(A, 2, [(i0, j0)])[1][(i0, j0)]
+
+
 def test_rudnev_diagnostic_checks_the_carried_sum():
     A = random_subset(P7, 3, seed=1)
     exps = dyadic_levels(fold(diff_square_spectrum(A), 1)).exponents()
-    inst = build_proof_instance(A, 2, exps[0], exps[0])
+    inst = _one_instance(A, exps[0], exps[0])
     assert rudnev_diagnostic(inst).incidences == inst.expected_incidences
     inst.expected_incidences += 1
     with pytest.raises(InvariantViolation, match="carried pair sum"):
@@ -213,21 +217,26 @@ def test_proof_instance_identity_grid(p):
         A = random_subset(modulus, size, seed=rng.next_u64())
         levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
         exps = levels.exponents()
-        for i0 in exps:
-            for j0 in exps:
-                inst = build_proof_instance(A, 2, i0, j0)
-                incidences = verify_proof_instance(inst)
-                assert incidences == inst.expected_incidences
-                # sizes counted with multiplicity
-                assert inst.points.total == len(A) ** 2 * len(levels.level(i0))
-                assert len(inst.planes) == len(A) ** 2 * len(levels.level(j0))
+        built_levels, instances = build_proof_instance(A, 2)
+        assert built_levels == levels
+        assert list(instances) == [(i0, j0) for i0 in exps for j0 in exps]
+        for (i0, j0), inst in instances.items():
+            incidences = verify_proof_instance(inst)
+            assert incidences == inst.expected_incidences
+            # sizes counted with multiplicity
+            assert inst.points.total == len(A) ** 2 * len(levels.level(i0))
+            assert len(inst.planes) == len(A) ** 2 * len(levels.level(j0))
+            # a level's points, k and planes are built once and shared
+            assert inst.points is instances[(i0, exps[0])].points
+            assert inst.k == instances[(i0, exps[0])].k
+            assert inst.planes is instances[(exps[0], j0)].planes
 
 
 def test_proof_instance_structure():
     A = random_subset(P7, 3, seed=1)
     levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
     i0 = levels.exponents()[0]
-    inst = build_proof_instance(A, 2, i0, i0)
+    inst = _one_instance(A, i0, i0)
 
     # projection onto the first two coordinates is exactly -2A x A
     proj = {(x, y) for (x, y, _z) in inst.points.entries}
@@ -251,17 +260,17 @@ def _max_collinear_nonvertical(points: WeightedPointSet) -> int:
 
 def test_proof_instance_rejects_missing_level():
     A = random_subset(P5, 2, seed=0)
-    with pytest.raises(KeyError):
-        build_proof_instance(A, 2, 99, 99)
-    with pytest.raises(ValueError):
-        build_proof_instance(A, 1, 0, 0)
+    with pytest.raises(ValueError, match=r"no dyadic level 99; the levels are \["):
+        build_proof_instance(A, 2, [(99, 99)])
+    with pytest.raises(ValueError, match="needs d >= 2, got 1"):
+        build_proof_instance(A, 1, [(0, 0)])
 
 
 def test_instance_dump_roundtrip():
     A = random_subset(P5, 2, seed=3)
     levels = dyadic_levels(diff_square_spectrum(A))
     i0 = levels.exponents()[0]
-    inst = build_proof_instance(A, 2, i0, i0)
+    inst = _one_instance(A, i0, i0)
     text = format_instance(inst)
     points, planes = parse_instance(text)
     assert points == inst.points

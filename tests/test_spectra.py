@@ -206,7 +206,6 @@ def test_support_and_sumset():
     star7 = S("1,2,3,4,5,6", P7)
     six_fold = fold(product_spectrum(star7), 6)
     assert support(six_fold) == FieldSubset.full(P7)
-    assert support(six_fold, include_zero=False).elements() == [1, 2, 3, 4, 5, 6]
     assert support(Spectrum(P7, [0] * 7)).elements() == []
 
     assert sumset(S("0", P5), S("1,3", P5)) == S("1,3", P5)
