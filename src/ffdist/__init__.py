@@ -11,20 +11,16 @@ __version__ = "0.1.0"
 from .encodings import (
     WeightedPointSet,
     deviation_check,
-    encode_distance_even,
-    encode_distance_odd,
-    encode_dot,
+    encode,
     pair_counts,
 )
 from .energy import (
-    EnergyValue,
     additive_energy,
     distance_energy,
     dot_energy,
     dyadic_levels,
     energy_bruteforce_oracle,
     energy_from_spectrum,
-    multiplicative_energy,
     recursion_diagnostic,
 )
 from .errors import GuardExceeded, InvariantViolation, ParseError
@@ -47,12 +43,12 @@ from .sets import (
 )
 from .spectra import (
     Spectrum,
+    base_spectrum,
     cyclic_convolve,
     diff_square_spectrum,
     distance_spectrum_general,
-    distance_spectrum_power,
-    dot_spectrum_power,
     fold,
+    power_spectrum,
     product_spectrum,
     sumset,
     support,

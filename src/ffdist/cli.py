@@ -20,20 +20,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .encodings import (
-    WeightedPointSet,
-    deviation_check,
-    encode_distance_even,
-    encode_distance_odd,
-    encode_dot,
-)
+from .encodings import WeightedPointSet, deviation_check, encode
 from .energy import (
-    EnergyValue,
     additive_energy,
     distance_energy,
     dot_energy,
     energy_bruteforce_oracle,
-    multiplicative_energy,
+    energy_from_spectrum,
     recursion_diagnostic,
 )
 from .errors import GuardExceeded, InvariantViolation, ParseError
@@ -63,8 +56,7 @@ from .sets import (
 from .spectra import (
     Spectrum,
     distance_spectrum_general,
-    distance_spectrum_power,
-    dot_spectrum_power,
+    power_spectrum,
     self_dot_spectrum,
     spectrum_to_csv,
 )
@@ -139,12 +131,6 @@ def _resolve_points(args) -> tuple[PointSet | None, str | None]:
     return E, source
 
 
-def _power_spectrum(A: FieldSubset, kind: str, n: int) -> Spectrum:
-    if kind == "distance":
-        return distance_spectrum_power(A, n)
-    return dot_spectrum_power(A, n)
-
-
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
@@ -202,7 +188,7 @@ def _cmd_spectrum(args) -> int:
     E, source = _resolve_points(args)
     if E is None:
         A, source = _resolve_set(args)
-        S = _power_spectrum(A, args.kind, args.n)
+        S = power_spectrum(A, args.kind, args.n)
         set_text, size = A.serialize(), len(A) ** args.n
     else:
         S = distance_spectrum_general(E, force=_force(args))
@@ -231,21 +217,19 @@ def _cmd_energy(args) -> int:
     if args.recursion:
         # the diagnostic's fold chain ends at depth d, so E_d is taken from it
         diag = recursion_diagnostic(A, d, kind)
-        value = EnergyValue(diag["energy_d"], kind, d)
+        value = diag["energy_d"]
     elif kind == "distance":
         value = distance_energy(A, d)
-    elif kind == "dot":
-        value = dot_energy(A, d)
     elif kind == "additive":
         value = additive_energy(A)
-    else:
-        value = multiplicative_energy(A)
-    result = {"kind": kind, "d": value.d, "value": str(value.value)}
+    else:  # the multiplicative energy is the dot energy at d = 1
+        value = dot_energy(A, d)
+    result = {"kind": kind, "d": d, "value": str(value)}
     if args.oracle:
-        oracle = energy_bruteforce_oracle(A, value.d, kind, force=_force(args))
-        if oracle.value != value.value:
-            raise InvariantViolation(f"energy fast path {value.value} != brute-force oracle {oracle.value}")
-        result["oracle"] = str(oracle.value)
+        oracle = energy_bruteforce_oracle(A, d, kind, force=_force(args))
+        if oracle != value:
+            raise InvariantViolation(f"energy fast path {value} != brute-force oracle {oracle}")
+        result["oracle"] = str(oracle)
     if args.recursion:
         for key in ("energy_d", "energy_d_minus_1"):
             diag[key] = str(diag[key])
@@ -259,7 +243,7 @@ def _cmd_coverage(args) -> int:
     threshold = None
     if E is None:
         A, source = _resolve_set(args)
-        report = coverage_check(_power_spectrum(A, args.kind, args.n))
+        report = coverage_check(power_spectrum(A, args.kind, args.n))
         config = {"p": A.modulus.p, "source": source, "set": A.serialize(), "kind": args.kind, "n": args.n}
     elif args.isotropic:
         report = coverage_check(distance_spectrum_general(E, force=_force(args)))
@@ -287,31 +271,26 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
-_ENCODINGS = ("distance-odd", "distance-even", "dot")
+# name -> (form, n - 2d) for the power n that the encoding at depth d covers
+_ENCODINGS = {"distance-odd": ("distance", 1), "distance-even": ("distance", 0), "dot": ("dot", 0)}
 
 
 def _check_encoding(A: FieldSubset, name: str, d: int) -> tuple[dict, WeightedPointSet, WeightedPointSet]:
     """Check one encoding exactly; returns its report entry and its E, F."""
+    if d < 1:
+        raise ValueError(f"fold depth must be >= 1, got {d}")
     m = len(A)
-    if name == "distance-odd":
-        E, F = encode_distance_odd(A, d)
-        reference = distance_spectrum_power(A, 2 * d + 1)
-        moment_expected = m * distance_energy(A, d).value
-        expected_total = m ** (2 * d + 1)
-    else:
-        if name == "distance-even":
-            E, F = encode_distance_even(A, d)
-            reference = distance_spectrum_power(A, 2 * d)
-            moment_expected = m * m * (distance_energy(A, d - 1).value if d > 1 else 1)
-        else:
-            E, F = encode_dot(A, d)
-            reference = dot_spectrum_power(A, 2 * d)
-            moment_expected = m * m * (dot_energy(A, d - 1).value if d > 1 else 1)
-        expected_total = m ** (2 * d)
+    kind, offset = _ENCODINGS[name]
+    n = 2 * d + offset
+    k = 2 - n % 2  # the encoder's free coordinates
+    depth = (n - k) // 2
+    E, F = encode(A, kind, n)
+    reference = power_spectrum(A, kind, n)
+    moment_expected = m**k * (energy_from_spectrum(power_spectrum(A, kind, depth)) if depth else 1)
     # the deviation report carries the pair counts it checked
     deviation = deviation_check(E, F)
     checks = {
-        "totals": E.total == expected_total and F.total == expected_total,
+        "totals": E.total == m**n and F.total == m**n,
         "pair_counts_match_spectrum": deviation.counts == reference.counts,
         "second_moment_identity": E.second_moment() == moment_expected,
         "deviation_bound": deviation.passed,
@@ -451,8 +430,8 @@ def _cmd_decompose(args) -> int:
     result = {
         "B": decomposition.B.serialize(),
         "C": decomposition.C.serialize(),
-        "additive_energy_B": str(decomposition.eplus.value),
-        "multiplicative_energy_C": str(decomposition.etimes.value),
+        "additive_energy_B": str(decomposition.eplus),
+        "multiplicative_energy_C": str(decomposition.etimes),
         "max_energy": str(decomposition.max_energy),
         "strategy": decomposition.strategy,
     }

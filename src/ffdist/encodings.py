@@ -1,19 +1,22 @@
-"""Weighted multiset encodings in F_p^2 and F_p^3.
+"""Weighted multisets in F_p^2 and F_p^3, their bilinear pair counts, and
+the one encoder of a form's Cartesian power.
 
-These turn distance and dot-product pair counting over Cartesian powers
-into weighted bilinear pair counts N(E, F, lambda), whose deviation from
-|E||F|/p obeys constant-free inequalities that are checked here in exact
-integer arithmetic.
+encode(A, kind, n) turns distance or dot-product pair counting over A^n
+into a weighted bilinear pair count N(E, F, lambda): in the plane for odd
+n and in F_p^3 for even n, where the point-plane incidence bound applies.
+The deviation of N from |E||F|/p obeys constant-free inequalities, checked
+here in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import GuardExceeded, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset
-from .spectra import Spectrum, diff_square_spectrum, fold, product_spectrum
+from .spectra import Spectrum, base_spectrum, fold
 
 PAIR_COUNT_GUARD = 5_000_000  # on (#E entries) * (#F entries)
 
@@ -174,93 +177,40 @@ def deviation_check(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport
     )
 
 
-# -- encodings ---------------------------------------------------------------
+# -- the encoding --------------------------------------------------------------
 
 
-def _fold_or_unit(S: Spectrum, depth: int) -> Spectrum:
-    if depth == 0:
-        return Spectrum.point_mass(S.modulus, 0, 1)
-    return fold(S, depth)
+def encode(A: FieldSubset, kind: str, n: int) -> tuple[WeightedPointSet, WeightedPointSet]:
+    """Multisets E, F in F_p^(k+1) with N(E, F, lam) = the form-lam pair
+    count of A^n x A^n; both totals are |A|^n.
 
-
-def encode_distance_odd(A: FieldSubset, d: int) -> tuple[WeightedPointSet, WeightedPointSet]:
-    """Plane multisets E, F with N(E, F, lam) = the distance-lam pair count
-    of A^(2d+1) x A^(2d+1).
-
-    E holds (2x, x^2 + s) and F holds (-t, t^2 + s), each with the d-fold
-    squared-difference count of s as multiplicity; totals are |A|^(2d+1).
-    Built through the spectrum fold, never by materializing A^(2d+1).
+    k = 2 - n % 2 coordinates x stay free; the last coordinate s carries
+    the other n - k, weighted by their (n - k)/2-fold pair spectrum (a
+    point mass at 0 when n = k).  Distance: E holds (2x, |x|^2 + s) and F
+    holds (-x, |x|^2 + s).  Dot: E and F both hold (x, s).  Built through
+    the spectrum fold, never by materializing A^n.
     """
-    if d < 1:
-        raise ValueError(f"fold depth must be >= 1, got {d}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    k = 2 - n % 2
+    depth = (n - k) // 2
+    base = base_spectrum(A, kind)  # built at depth 0 too, so an unknown form is rejected
+    carried = fold(base, depth) if depth else Spectrum.point_mass(A.modulus, 0)
     p = A.modulus.p
-    D = fold(diff_square_spectrum(A), d)
+    distance = kind == "distance"
+    e_scale, f_scale = (2, -1) if distance else (1, 1)
     e_entries: dict[tuple[int, ...], int] = {}
     f_entries: dict[tuple[int, ...], int] = {}
-    for x in A:
-        x2 = x * x % p
-        for s, c in D.items():
-            e_key = (2 * x % p, (x2 + s) % p)
-            e_entries[e_key] = e_entries.get(e_key, 0) + c
-            f_key = (-x % p, (x2 + s) % p)
-            f_entries[f_key] = f_entries.get(f_key, 0) + c
-    E = WeightedPointSet(A.modulus, 2, e_entries)
-    F = WeightedPointSet(A.modulus, 2, f_entries)
-    expected = len(A) ** (2 * d + 1)
-    assert E.total == expected and F.total == expected
-    return E, F
-
-
-def encode_distance_even(A: FieldSubset, d: int) -> tuple[WeightedPointSet, WeightedPointSet]:
-    """Space multisets E, F with N(E, F, lam) = the distance-lam pair count
-    of A^(2d) x A^(2d); totals |A|^(2d).
-
-    E holds (2x1, 2x2, x1^2 + x2^2 + s) weighted by the (d-1)-fold
-    squared-difference count of s; d = 1 leaves only the x1^2 + x2^2 part.
-    """
-    if d < 1:
-        raise ValueError(f"fold depth must be >= 1, got {d}")
-    p = A.modulus.p
-    D = _fold_or_unit(diff_square_spectrum(A), d - 1)
-    e_entries: dict[tuple[int, ...], int] = {}
-    f_entries: dict[tuple[int, ...], int] = {}
-    elements = A.elements()
-    for x1 in elements:
-        for x2 in elements:
-            sq = (x1 * x1 + x2 * x2) % p
-            for s, c in D.items():
-                e_key = (2 * x1 % p, 2 * x2 % p, (sq + s) % p)
-                e_entries[e_key] = e_entries.get(e_key, 0) + c
-                f_key = (-x1 % p, -x2 % p, (sq + s) % p)
-                f_entries[f_key] = f_entries.get(f_key, 0) + c
-    E = WeightedPointSet(A.modulus, 3, e_entries)
-    F = WeightedPointSet(A.modulus, 3, f_entries)
-    expected = len(A) ** (2 * d)
-    assert E.total == expected and F.total == expected
-    return E, F
-
-
-def encode_dot(A: FieldSubset, d: int) -> tuple[WeightedPointSet, WeightedPointSet]:
-    """Space multisets E, F with N(E, F, lam) = the dot-product-lam pair
-    count of A^(2d) x A^(2d); totals |A|^(2d).
-
-    Each point of A^(2d) contributes (x1, x2, s) where s collects d-1
-    products of its remaining coordinate pairs, so the multiplicity of
-    (x1, x2, s) is the (d-1)-fold product-count of s.  The bilinear
-    relation then reassembles x1*y1 + x2*y2 plus the two carried sums,
-    which reproduces the full 2d-term dot product at the level of counts.
-    """
-    if d < 1:
-        raise ValueError(f"fold depth must be >= 1, got {d}")
-    M = _fold_or_unit(product_spectrum(A), d - 1)
-    entries: dict[tuple[int, ...], int] = {}
-    for x1 in A:
-        for x2 in A:
-            for s, c in M.items():
-                key = (x1, x2, s)
-                entries[key] = entries.get(key, 0) + c
-    E = WeightedPointSet(A.modulus, 3, entries)
-    F = WeightedPointSet(A.modulus, 3, dict(entries))
-    expected = len(A) ** (2 * d)
-    assert E.total == expected and F.total == expected
+    for x in product(A.elements(), repeat=k):
+        norm = sum(c * c for c in x) if distance else 0
+        e_x = tuple(e_scale * c % p for c in x)
+        f_x = tuple(f_scale * c % p for c in x)
+        for s, mult in carried.items():
+            last = ((norm + s) % p,)
+            e_key, f_key = e_x + last, f_x + last
+            e_entries[e_key] = e_entries.get(e_key, 0) + mult
+            f_entries[f_key] = f_entries.get(f_key, 0) + mult
+    E = WeightedPointSet(A.modulus, k + 1, e_entries)
+    F = WeightedPointSet(A.modulus, k + 1, f_entries)
+    assert E.total == F.total == len(A) ** n
     return E, F

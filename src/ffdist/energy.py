@@ -1,5 +1,6 @@
-"""Energy functionals: d-fold distance and dot-product energies, additive and
-multiplicative energies, the brute-force oracle, dyadic level sets, and the
+"""Energy functionals as plain ints: d-fold distance and dot-product
+energies (the multiplicative energy is the dot energy at d = 1), the
+additive energy, the brute-force oracle, dyadic level sets, and the
 report-only recursion diagnostics.
 """
 
@@ -14,29 +15,14 @@ from itertools import product
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .sets import FieldSubset
-from .spectra import Spectrum, cyclic_convolve, diff_square_spectrum, fold, product_spectrum
+from .spectra import Spectrum, base_spectrum, cyclic_convolve, fold
 
 KINDS = ("distance", "dot", "additive", "multiplicative")
 
 ORACLE_GUARD = 10**9  # on |A|**(4d)
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """An exact energy count with its provenance."""
-
-    value: int
-    kind: str
-    d: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown energy kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("negative energy")
-
-
-def energy_from_spectrum(S: Spectrum, kind: str = "distance", d: int = 1) -> EnergyValue:
+def energy_from_spectrum(S: Spectrum) -> int:
     """sum_t S[t]^2, exactly.
 
     Checks the two forced bounds on any such sum of squared counts:
@@ -48,17 +34,18 @@ def energy_from_spectrum(S: Spectrum, kind: str = "distance", d: int = 1) -> Ene
         raise InvariantViolation("energy below its Cauchy-Schwarz floor")
     if value > S.max_count() * S.total:
         raise InvariantViolation("energy above max*total ceiling")
-    return EnergyValue(value, kind, d)
+    return value
 
 
-def distance_energy(A: FieldSubset, d: int) -> EnergyValue:
+def distance_energy(A: FieldSubset, d: int) -> int:
     """Number of 4d-tuples whose two d-fold sums of squared differences agree."""
-    return energy_from_spectrum(fold(diff_square_spectrum(A), d), "distance", d)
+    return energy_from_spectrum(fold(base_spectrum(A, "distance"), d))
 
 
-def dot_energy(A: FieldSubset, d: int) -> EnergyValue:
-    """Number of 4d-tuples whose two d-fold sums of products agree."""
-    return energy_from_spectrum(fold(product_spectrum(A), d), "dot", d)
+def dot_energy(A: FieldSubset, d: int) -> int:
+    """Number of 4d-tuples whose two d-fold sums of products agree; at d = 1
+    this is the multiplicative energy #{a*b = c*e}."""
+    return energy_from_spectrum(fold(base_spectrum(A, "dot"), d))
 
 
 def _sum_spectrum(A: FieldSubset) -> Spectrum:
@@ -66,17 +53,12 @@ def _sum_spectrum(A: FieldSubset) -> Spectrum:
     return Spectrum(A.modulus, exact_cyclic(ind, ind), expected_total=len(A) ** 2)
 
 
-def additive_energy(A: FieldSubset) -> EnergyValue:
+def additive_energy(A: FieldSubset) -> int:
     """#{(a,b,c,e) in A^4 : a+b = c+e}."""
-    return energy_from_spectrum(_sum_spectrum(A), "additive", 1)
+    return energy_from_spectrum(_sum_spectrum(A))
 
 
-def multiplicative_energy(A: FieldSubset) -> EnergyValue:
-    """#{(a,b,c,e) in A^4 : a*b = c*e}."""
-    return energy_from_spectrum(product_spectrum(A), "multiplicative", 1)
-
-
-def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = False) -> EnergyValue:
+def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = False) -> int:
     """Independent oracle: enumerate the 2d-tuples on each side directly.
 
     Every left tuple's form value is computed by plain field arithmetic, no
@@ -98,11 +80,7 @@ def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = Fa
         for a in elements:
             for b in elements:
                 tally[(a + b) % p] += 1
-    elif kind == "multiplicative":
-        for a in elements:
-            for b in elements:
-                tally[a * b % p] += 1
-    else:
+    else:  # at d = 1 the dot form is the multiplicative one
         for pair_tuple in product(elements, repeat=2 * d):
             acc = 0
             for i in range(d):
@@ -112,8 +90,7 @@ def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = Fa
                 else:
                     acc += a * b
             tally[acc % p] += 1
-    value = sum(c * c for c in tally.values())
-    return EnergyValue(value, kind, d)
+    return sum(c * c for c in tally.values())
 
 
 # -- dyadic level sets ------------------------------------------------------
@@ -177,12 +154,10 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
     """
     if d < 2:
         raise ValueError(f"the recursion needs d >= 2, got {d}")
-    if kind not in ("distance", "dot"):
-        raise ValueError(f"recursion diagnostic covers distance/dot, got {kind!r}")
-    base = diff_square_spectrum(A) if kind == "distance" else product_spectrum(A)
+    base = base_spectrum(A, kind)
     folded = fold(base, d - 1)
-    e_prev = energy_from_spectrum(folded, kind, d - 1).value
-    e_d = energy_from_spectrum(cyclic_convolve(folded, base), kind, d).value
+    e_prev = energy_from_spectrum(folded)
+    e_d = energy_from_spectrum(cyclic_convolve(folded, base))
     m = len(A)
     p = A.modulus.p
     main_term = Fraction(m ** (4 * d), p)

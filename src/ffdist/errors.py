@@ -16,7 +16,8 @@ class GuardExceeded(RuntimeError):
     it: the energy oracle, the general distance spectrum and the
     collinearity count.  Nothing lifts the hard limits: the exhaustive
     decomposition size, the weighted pair count, the collinearity count
-    inside build_proof_instance, and the supply of transform primes.
+    inside build_proof_instance, the planes of a parsed instance dump and
+    the supply of transform primes.
     """
 
 

@@ -110,21 +110,6 @@ class PrimeModulus:
 
     # -- field operations ------------------------------------------------
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return (a + b) % self.p
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return (a - b) % self.p
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return a * b % self.p
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return -a % self.p
-
-    def square(self, a: FieldElement) -> FieldElement:
-        return a * a % self.p
-
     def inv(self, a: FieldElement) -> FieldElement:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse mod {self.p}")

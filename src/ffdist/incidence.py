@@ -21,6 +21,7 @@ from .sets import FieldSubset
 from .spectra import Spectrum, diff_square_spectrum, fold
 
 COLLINEAR_GUARD = 5000
+INSTANCE_PLANE_LIMIT = 1_000_000  # on the planes of a parsed dump, repeats counted
 
 
 class PlaneSet:
@@ -310,6 +311,7 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
     section = None
     point_entries: dict[tuple[int, ...], int] = {}
     plane_list: list[tuple[int, int, int, int]] = []
+    plane_total = 0
     for ln in lines[1:]:
         if ln == "POINTS":
             section = "points"
@@ -333,6 +335,9 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
                 raise ParseError(f"plane row needs a,b,c,e,mult: {ln!r}")
             if parts[4] < 1:
                 raise ParseError(f"plane multiplicity must be >= 1: {ln!r}")
+            plane_total += parts[4]
+            if plane_total > INSTANCE_PLANE_LIMIT:
+                raise GuardExceeded(f"instance dump holds over {INSTANCE_PLANE_LIMIT} planes (hard limit)")
             plane_list.extend([tuple(parts[:4])] * parts[4])
         else:
             raise ParseError(f"row outside POINTS/PLANES sections: {ln!r}")

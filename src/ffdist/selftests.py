@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .encodings import (
-    WeightedPointSet,
-    deviation_check,
-    encode_distance_odd,
-    pair_counts,
-)
-from .energy import distance_energy, energy_bruteforce_oracle, multiplicative_energy
+from .encodings import WeightedPointSet, deviation_check, encode, pair_counts
+from .energy import distance_energy, dot_energy, energy_bruteforce_oracle
 from .field import PrimeModulus, additive_character
 from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
 from .rng import SplitMix64
@@ -24,8 +19,7 @@ from .sets import FieldSubset, isotropic_line, parse_subset, random_subset
 from .spectra import (
     diff_square_spectrum,
     distance_spectrum_general,
-    distance_spectrum_power,
-    dot_spectrum_power,
+    power_spectrum,
     product_spectrum,
     sumset,
     support,
@@ -66,8 +60,7 @@ def spectra_selftest() -> list[Check]:
             S = random_subset(modulus, 1 + rng.randbelow(3), rng.next_u64())
             for n in (1, 2):
                 for kind in ("distance", "dot"):
-                    fast = distance_spectrum_power(S, n) if kind == "distance" else dot_spectrum_power(S, n)
-                    ok = ok and fast.counts == _brute_counts(S, n, kind)
+                    ok = ok and power_spectrum(S, kind, n).counts == _brute_counts(S, n, kind)
     checks.append(("power spectra match pair enumeration (p<=7)", ok))
     iso = isotropic_line(p5)
     checks.append(
@@ -90,7 +83,7 @@ def energy_selftest() -> list[Check]:
     checks = []
     p7 = PrimeModulus(7)
     A = parse_subset("0,1", p7)
-    checks.append(("E_2 of {0,1} mod 7 is 96", distance_energy(A, 2).value == 96))
+    checks.append(("E_2 of {0,1} mod 7 is 96", distance_energy(A, 2) == 96))
     checks.append(
         ("spectrum path matches oracle", distance_energy(A, 2) == energy_bruteforce_oracle(A, 2, "distance"))
     )
@@ -98,7 +91,7 @@ def energy_selftest() -> list[Check]:
     B = parse_subset("1,2", p5)
     checks.append(
         ("multiplicative energy dilation invariant",
-         multiplicative_energy(B).value == multiplicative_energy(B.dilate(3)).value)
+         dot_energy(B, 1) == dot_energy(B.dilate(3), 1))
     )
     return checks
 
@@ -107,7 +100,7 @@ def encodings_selftest() -> list[Check]:
     checks = []
     p5 = PrimeModulus(5)
     A = parse_subset("0,1", p5)
-    E, F = encode_distance_odd(A, 1)
+    E, F = encode(A, "distance", 3)
     checks.append(
         ("odd encoding entries", E.entries == {(0, 0): 2, (0, 1): 2, (2, 1): 2, (2, 2): 2})
     )

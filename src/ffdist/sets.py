@@ -58,24 +58,9 @@ class FieldSubset:
     def __repr__(self) -> str:
         return f"FieldSubset(p={self.modulus.p}, {{{self.serialize()}}})"
 
-    def union(self, other: "FieldSubset") -> "FieldSubset":
-        self._check_same(other)
-        return FieldSubset(self.modulus, self._elements + other._elements)
-
-    def intersection(self, other: "FieldSubset") -> "FieldSubset":
-        self._check_same(other)
-        return FieldSubset(self.modulus, set(self._elements).intersection(other._elements))
-
     def difference(self, other: "FieldSubset") -> "FieldSubset":
         self._check_same(other)
         return FieldSubset(self.modulus, set(self._elements).difference(other._elements))
-
-    def complement(self) -> "FieldSubset":
-        return FieldSubset(self.modulus, set(range(self.modulus.p)).difference(self._elements))
-
-    def translate(self, c: int) -> "FieldSubset":
-        """The shifted set A + c."""
-        return FieldSubset(self.modulus, (x + c for x in self))
 
     def dilate(self, c: int) -> "FieldSubset":
         """The dilated set c * A; requires c != 0."""

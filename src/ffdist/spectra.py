@@ -3,7 +3,8 @@
 A Spectrum maps each t in F_p to an exact non-negative integer count.
 The squared-difference and product base spectra, their d-fold additive
 convolutions, and the distance / dot-product spectra of Cartesian powers
-all live here, together with supports and sumsets.
+all live here, together with supports and sumsets.  base_spectrum is the
+one place that maps a form ("distance" or "dot") to its base spectrum.
 """
 
 from __future__ import annotations
@@ -135,18 +136,21 @@ def fold(S: Spectrum, d: int) -> Spectrum:
     return result
 
 
-def distance_spectrum_power(A: FieldSubset, n: int) -> Spectrum:
-    """Pair counts of each distance over A^n x A^n, via the fold shortcut."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return fold(diff_square_spectrum(A), n)
+def base_spectrum(A: FieldSubset, kind: str) -> Spectrum:
+    """The pair spectrum of the form on F_p: squared differences for
+    "distance", products for "dot"."""
+    if kind == "distance":
+        return diff_square_spectrum(A)
+    if kind == "dot":
+        return product_spectrum(A)
+    raise ValueError(f"unknown form {kind!r}; expected 'distance' or 'dot'")
 
 
-def dot_spectrum_power(A: FieldSubset, n: int) -> Spectrum:
-    """Pair counts of each dot product over A^n x A^n."""
+def power_spectrum(A: FieldSubset, kind: str, n: int) -> Spectrum:
+    """Pair counts of each form value over A^n x A^n, via the fold shortcut."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return fold(product_spectrum(A), n)
+    return fold(base_spectrum(A, kind), n)
 
 
 def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:

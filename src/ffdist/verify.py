@@ -9,14 +9,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
-from .energy import (
-    EnergyValue,
-    additive_energy,
-    distance_energy,
-    dot_energy,
-    multiplicative_energy,
-    report_float,
-)
+from .energy import additive_energy, distance_energy, dot_energy, report_float
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
 from .rng import derive_seed
@@ -25,9 +18,8 @@ from .spectra import (
     Spectrum,
     diff_square_spectrum,
     distance_spectrum_general,
-    distance_spectrum_power,
-    dot_spectrum_power,
     fold,
+    power_spectrum,
     sumset,
     support,
 )
@@ -58,10 +50,6 @@ class CoverageReport:
     @property
     def max_rel_deviation(self) -> float:
         return self.deviation_num / self.deviation_den
-
-    def deviation_at_most(self, num: int, den: int) -> bool:
-        """Exact comparison deviation <= num/den."""
-        return self.deviation_num * den <= num * self.deviation_den
 
 
 def coverage_check(S: Spectrum) -> CoverageReport:
@@ -147,13 +135,13 @@ class Decomposition:
 
     B: FieldSubset
     C: FieldSubset
-    eplus: EnergyValue
-    etimes: EnergyValue
+    eplus: int
+    etimes: int
     strategy: str
 
     @property
     def max_energy(self) -> int:
-        return max(self.eplus.value, self.etimes.value)
+        return max(self.eplus, self.etimes)
 
 
 def _pair_value_tables(elements: list[int], p: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -237,8 +225,8 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
 
     B = FieldSubset(A.modulus, b_set)
     C = A.difference(B)
-    eplus = additive_energy(B) if len(B) else EnergyValue(0, "additive", 1)
-    etimes = multiplicative_energy(C) if len(C) else EnergyValue(0, "multiplicative", 1)
+    eplus = additive_energy(B) if len(B) else 0
+    etimes = dot_energy(C, 1) if len(C) else 0  # the multiplicative energy
     return Decomposition(B=B, C=C, eplus=eplus, etimes=etimes, strategy=strategy)
 
 
@@ -289,13 +277,13 @@ def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> 
     if strategy is None:
         strategy = "exhaustive" if m <= EXHAUSTIVE_DECOMPOSE_GUARD else "greedy"
     decomposition = balog_wooley_decompose(A, strategy)
-    e_dist = distance_energy(decomposition.B, d) if len(decomposition.B) else EnergyValue(0, "distance", d)
-    e_dot = dot_energy(decomposition.C, d) if len(decomposition.C) else EnergyValue(0, "dot", d)
+    e_dist = distance_energy(decomposition.B, d) if len(decomposition.B) else 0
+    e_dot = dot_energy(decomposition.C, d) if len(decomposition.C) else 0
     # m <= p^(1/2 + 1/k), k = 5*2^(d-1) - 2  <=>  m^(2k) <= p^(k+2)
     k = 5 * 2 ** (d - 1) - 2
     exponent = 4 * d - 2 + 1 / (5 * 2.0 ** (d - 3))
     bound_shape = report_float(lambda: d**4 * math.log(m) ** 4 * m**exponent) if m > 1 else 0.0
-    max_energy = max(e_dist.value, e_dot.value)
+    max_energy = max(e_dist, e_dot)
     return {
         "p": p,
         "d": d,
@@ -303,10 +291,10 @@ def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> 
         "strategy": strategy,
         "B": decomposition.B.serialize(),
         "C": decomposition.C.serialize(),
-        "eplus": decomposition.eplus.value,
-        "etimes": decomposition.etimes.value,
-        "distance_energy_B": e_dist.value,
-        "dot_energy_C": e_dot.value,
+        "eplus": decomposition.eplus,
+        "etimes": decomposition.etimes,
+        "distance_energy_B": e_dist,
+        "dot_energy_C": e_dot,
         "max_energy": max_energy,
         "bound_shape": bound_shape,
         "ratio": report_float(lambda: max_energy / bound_shape) if bound_shape else None,
@@ -351,12 +339,9 @@ class ScanTable:
 
 def _scan_cell(modulus: PrimeModulus, n: int, kind: str, seed: int, m: int, trial: int) -> tuple[bool, bool, int]:
     A = random_subset(modulus, m, derive_seed("scan", seed, m, trial))
-    if kind == "distance":
-        S = distance_spectrum_power(A, n)
-        relevant = S.counts
-    else:
-        S = dot_spectrum_power(A, n)
-        relevant = S.counts[1:]
+    S = power_spectrum(A, kind, n)
+    # for the dot form, coverage concerns the nonzero values only
+    relevant = S.counts if kind == "distance" else S.counts[1:]
     covered = all(c > 0 for c in relevant)
     zero_attained = S.counts[0] > 0
     return covered, zero_attained, min(relevant)

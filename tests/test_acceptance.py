@@ -11,13 +11,7 @@ import time
 from contextlib import contextmanager
 
 from ffdist.cli import run as cli_run
-from ffdist.encodings import (
-    deviation_check,
-    encode_distance_even,
-    encode_distance_odd,
-    encode_dot,
-    pair_counts,
-)
+from ffdist.encodings import deviation_check, encode, pair_counts
 from ffdist.energy import (
     distance_energy,
     dot_energy,
@@ -29,11 +23,10 @@ from ffdist.incidence import build_proof_instance, verify_proof_instance
 from ffdist.rng import SplitMix64, derive_seed
 from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
 from ffdist.spectra import (
-    distance_spectrum_general,
-    distance_spectrum_power,
     diff_square_spectrum,
-    dot_spectrum_power,
+    distance_spectrum_general,
     fold,
+    power_spectrum,
     support,
 )
 from ffdist.verify import (
@@ -66,8 +59,8 @@ def test_criterion_01_spectrum_oracle_equivalence():
                 for seed in range(20):
                     A = random_subset(modulus, size, seed=derive_seed("acc1", p, size, seed))
                     for n in (1, 2, 3):
-                        assert distance_spectrum_power(A, n).counts == dist_pair_counts(A, n)
-                        assert dot_spectrum_power(A, n).counts == dot_pair_counts(A, n)
+                        assert power_spectrum(A, "distance", n).counts == dist_pair_counts(A, n)
+                        assert power_spectrum(A, "dot", n).counts == dot_pair_counts(A, n)
         elapsed = time.time() - start
         assert elapsed < 30, f"took {elapsed:.1f}s"
 
@@ -76,8 +69,8 @@ def test_criterion_02_energy_oracle_equivalence():
     with criterion("criterion 2: energy oracle equivalence (p<=13, |A|<=3, d<=2)"):
         start = time.time()
         fixed = parse_subset("0,1", PrimeModulus(7))
-        assert distance_energy(fixed, 2).value == 96
-        assert energy_bruteforce_oracle(fixed, 2, "distance").value == 96
+        assert distance_energy(fixed, 2)== 96
+        assert energy_bruteforce_oracle(fixed, 2, "distance")== 96
         for p in (5, 7, 11, 13):
             modulus = PrimeModulus(p)
             for size in (1, 2, 3):
@@ -124,18 +117,18 @@ def test_criterion_05_encoding_soundness():
                     A = random_subset(modulus, size, seed=derive_seed("acc5", p, size, seed))
                     m = len(A)
                     for d in (1, 2):
-                        E, F = encode_distance_odd(A, d)
+                        E, F = encode(A, "distance", 2 * d + 1)
                         assert pair_counts(E, F) == dist_pair_counts(A, 2 * d + 1)
-                        assert E.second_moment() == m * distance_energy(A, d).value
+                        assert E.second_moment() == m * distance_energy(A, d)
 
-                        E, F = encode_distance_even(A, d)
+                        E, F = encode(A, "distance", 2 * d)
                         assert pair_counts(E, F) == dist_pair_counts(A, 2 * d)
-                        prev = distance_energy(A, d - 1).value if d > 1 else 1
+                        prev = distance_energy(A, d - 1) if d > 1 else 1
                         assert E.second_moment() == m * m * prev
 
-                        E, F = encode_dot(A, d)
+                        E, F = encode(A, "dot", 2 * d)
                         assert pair_counts(E, F) == dot_pair_counts(A, 2 * d)
-                        prev = dot_energy(A, d - 1).value if d > 1 else 1
+                        prev = dot_energy(A, d - 1) if d > 1 else 1
                         assert E.second_moment() == m * m * prev
 
 
@@ -180,7 +173,7 @@ def test_criterion_09_equidistribution_full_density():
     with criterion("criterion 9: A = F_p, n = 3 equidistribution within 2/p, exactly"):
         for p in (3, 5, 7, 11, 13):
             modulus = PrimeModulus(p)
-            S = distance_spectrum_power(FieldSubset.full(modulus), 3)
+            S = power_spectrum(FieldSubset.full(modulus), "distance", 3)
             total = p**6
             assert S.total == total
             for count in S.counts:
@@ -215,8 +208,8 @@ def test_criterion_11_decomposition():
                 gr = balog_wooley_decompose(A, "greedy")
                 assert gr.max_energy >= ex.max_energy
                 for result in (ex, gr):
-                    assert result.B.union(result.C) == A
-                    assert len(result.B.intersection(result.C)) == 0
+                    assert FieldSubset(modulus, result.B.elements() + result.C.elements()) == A
+                    assert set(result.B).isdisjoint(result.C)
                 again = balog_wooley_decompose(A, "exhaustive")
                 assert again.B == ex.B and again.C == ex.C
 
@@ -226,7 +219,7 @@ def test_criterion_12_performance_and_spot_check():
         modulus = PrimeModulus(9973)
         A = random_subset(modulus, 3000, seed=2026)
         start = time.time()
-        S = distance_spectrum_power(A, 8)
+        S = power_spectrum(A, "distance", 8)
         energy = sum(c * c for c in S.counts)
         elapsed = time.time() - start
         assert S.total == 3000**16
@@ -236,7 +229,7 @@ def test_criterion_12_performance_and_spot_check():
         small = random_subset(PrimeModulus(499), 60, seed=7)
         base = dist_pair_counts(small, 1)
         naive = cyclic_schoolbook(cyclic_schoolbook(base, base), base)
-        assert distance_spectrum_power(small, 3).counts == naive
+        assert power_spectrum(small, "distance", 3).counts == naive
 
 
 def test_criterion_13_cli_determinism(capsys, tmp_path):

@@ -277,6 +277,15 @@ def test_instance_file_roundtrip_between_subcommands(capsys, tmp_path):
     )[0] == 1
 
 
+def test_instance_file_plane_limit_exits_one(capsys, tmp_path):
+    dump = tmp_path / "huge.txt"
+    dump.write_text("p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n", encoding="utf-8")
+    for extra in ((), ("--force",)):  # a hard limit: --force does not lift it
+        code, out, err = run_cli(capsys, "incidence", "--instance-file", str(dump), *extra)
+        assert code == 1 and out == ""
+        assert "hard limit" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ffdist", "spectrum", "--p", "7", "--set", "0,1,3"],

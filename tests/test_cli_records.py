@@ -29,6 +29,7 @@ FIXTURES = {
     "a.set": "p=7 d=1\n0\n1\n3\n",
     "pts.set": "p=7 d=2\n0,0\n1,2\n3,5\n4,4\n6,1\n",
     "inst.txt": "p=5\nPOINTS\n0,0,0,2\n1,2,3,1\n4,4,1,1\nPLANES\n1,0,0,0,1\n0,1,1,3,2\n1,1,1,0,1\n",
+    "huge.txt": "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n",
 }
 
 # (id, argv with {tmp} for the case directory, exit code, sha256)
@@ -93,6 +94,7 @@ CASES = [
     ("incidence-random", "incidence --p 7 --random-points 20 --random-planes 25 --seed 2", 0, "0f3070c5940f0f6b4e54082c7e500489b0f97346c90f54e7448abceb3b71d672"),
     ("incidence-file", "incidence --instance-file {tmp}/inst.txt", 0, "2a72a1899ed1b0e7366b2c94f5a732aaea93939832e4570ce5711dc3cab83f53"),
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
+    ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),
     ("incidence-empty", "incidence --p 5 --random-points 0 --random-planes 0", 0, "7a5d8a11bffd9dedcc7dd114c05f97a17b5cf1daf0e283ca73a08826bf07bf5e"),
     ("incidence-no-p", "incidence", 1, "1542df3775efe8f0ec53dbccd02e850461d5db2f7492706ea19ee68aa326973f"),
     ("incidence-selftest", "incidence --selftest", 0, "d5a2c6b42875cad1bb666ef68929240d9ad10cbc9bd43a1bfb5fc5238a8988fc"),

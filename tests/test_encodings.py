@@ -1,18 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ffdist.encodings import (
-    WeightedPointSet,
-    deviation_check,
-    encode_distance_even,
-    encode_distance_odd,
-    encode_dot,
-    pair_counts,
-)
+from ffdist.encodings import WeightedPointSet, deviation_check, encode, pair_counts
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
-from ffdist.sets import parse_subset, random_subset
+from ffdist.sets import FieldSubset, parse_subset, random_subset
 from ffdist.energy import distance_energy, dot_energy
+from ffdist.spectra import power_spectrum
 
 from oracles import (
     dist_pair_counts,
@@ -20,6 +16,7 @@ from oracles import (
     weighted_pair_counts_dim2,
     weighted_pair_counts_dim3,
 )
+from test_set_properties import SETTINGS
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -124,11 +121,13 @@ def test_deviation_bounds_random(p):
         assert r3.second_moment_product == E3.second_moment() * F3.second_moment()
 
 
-def test_encode_distance_odd_worked_example():
+def test_odd_distance_encoding_worked_example():
     A = parse_subset("0,1", P5)
-    E, F = encode_distance_odd(A, 1)
+    E, F = encode(A, "distance", 3)
+    assert E.dim == F.dim == 2
     assert E.entries == {(0, 0): 2, (0, 1): 2, (2, 1): 2, (2, 2): 2}
-    assert E.second_moment() == 16 == len(A) * distance_energy(A, 1).value
+    assert F.entries == {(0, 0): 2, (0, 1): 2, (4, 1): 2, (4, 2): 2}
+    assert E.second_moment() == 16 == len(A) * distance_energy(A, 1)
     assert E.total == 2**3
 
 
@@ -140,43 +139,68 @@ def test_encoding_soundness_grid(p):
         A = random_subset(modulus, size, seed=rng.next_u64())
         m = len(A)
         for d in (1, 2):
-            E, F = encode_distance_odd(A, d)
+            E, F = encode(A, "distance", 2 * d + 1)
+            assert E.dim == 2
             assert E.total == F.total == m ** (2 * d + 1)
             assert pair_counts(E, F) == dist_pair_counts(A, 2 * d + 1)
-            assert E.second_moment() == m * distance_energy(A, d).value
-            assert F.second_moment() == m * distance_energy(A, d).value
+            assert E.second_moment() == m * distance_energy(A, d)
+            assert F.second_moment() == m * distance_energy(A, d)
 
-            E, F = encode_distance_even(A, d)
+            E, F = encode(A, "distance", 2 * d)
+            assert E.dim == 3
             assert E.total == F.total == m ** (2 * d)
             assert pair_counts(E, F) == dist_pair_counts(A, 2 * d)
-            prev = distance_energy(A, d - 1).value if d > 1 else 1
+            prev = distance_energy(A, d - 1) if d > 1 else 1
             assert E.second_moment() == m * m * prev
 
-            E, F = encode_dot(A, d)
+            E, F = encode(A, "dot", 2 * d)
+            assert E.dim == 3
             assert E.total == F.total == m ** (2 * d)
             assert pair_counts(E, F) == dot_pair_counts(A, 2 * d)
-            prev = dot_energy(A, d - 1).value if d > 1 else 1
+            prev = dot_energy(A, d - 1) if d > 1 else 1
             assert E.second_moment() == m * m * prev
 
 
-def test_encode_dot_worked_example():
+def test_dot_encoding_worked_example():
     A = parse_subset("1,2", P5)
-    E, F = encode_dot(A, 1)
+    E, F = encode(A, "dot", 2)
+    assert E == F
+    assert E.entries == {(x1, x2, 0): 1 for x1 in (1, 2) for x2 in (1, 2)}
     assert pair_counts(E, F) == dot_pair_counts(A, 2)
 
 
 def test_encoding_deviation_bounds_hold():
     A = random_subset(P7, 3, seed=9)
-    E, F = encode_distance_odd(A, 2)
-    assert deviation_check(E, F).passed
-    E, F = encode_distance_even(A, 2)
-    assert deviation_check(E, F).passed
-    E, F = encode_dot(A, 2)
-    assert deviation_check(E, F).passed
+    for kind, n in (("distance", 5), ("distance", 4), ("dot", 4), ("dot", 3)):
+        E, F = encode(A, kind, n)
+        assert deviation_check(E, F).passed
 
 
 def test_encoding_rejects_bad_depth():
     A = parse_subset("0,1", P5)
-    for builder in (encode_distance_odd, encode_distance_even, encode_dot):
+    for kind in ("distance", "dot"):
         with pytest.raises(ValueError):
-            builder(A, 0)
+            encode(A, kind, 0)
+
+
+@SETTINGS
+@given(
+    st.sampled_from((5, 7, 11, 13)),
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+    st.sampled_from(("distance", "dot")),
+    st.integers(min_value=1, max_value=5),
+)
+def test_encode_reproduces_the_folded_spectrum(p, xs, kind, n):
+    # n = 1 and 2 are depth 0 (a point mass carried); odd n with the dot
+    # form is reachable only through encode
+    A = FieldSubset(PrimeModulus(p), xs)
+    E, F = encode(A, kind, n)
+    assert E.dim == F.dim == 3 - n % 2
+    assert pair_counts(E, F) == power_spectrum(A, kind, n).counts
+
+
+def test_encode_rejects_unknown_form():
+    A = parse_subset("0,1", P5)
+    for n in (1, 2, 3):  # depth 0 included
+        with pytest.raises(ValueError, match="unknown form"):
+            encode(A, "sideways", n)

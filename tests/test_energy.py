@@ -3,14 +3,12 @@ import json
 import pytest
 
 from ffdist.energy import (
-    EnergyValue,
     additive_energy,
     distance_energy,
     dot_energy,
     dyadic_levels,
     energy_bruteforce_oracle,
     energy_from_spectrum,
-    multiplicative_energy,
     recursion_diagnostic,
 )
 from ffdist.errors import GuardExceeded
@@ -28,18 +26,21 @@ P7 = PrimeModulus(7)
 def test_energy_examples():
     A = parse_subset("0,1", P7)
     S2 = fold(diff_square_spectrum(A), 2)
-    assert energy_from_spectrum(S2).value == 4**2 + 8**2 + 4**2 == 96
-    assert energy_from_spectrum(Spectrum.point_mass(P7, 3, 9)).value == 81
-    assert distance_energy(A, 1).value == 8
-    assert distance_energy(A, 2).value == 96
+    assert energy_from_spectrum(S2) == 4**2 + 8**2 + 4**2 == 96
+    assert energy_from_spectrum(Spectrum.point_mass(P7, 3, 9)) == 81
+    assert distance_energy(A, 1) == 8
+    assert distance_energy(A, 2) == 96
 
 
 def test_named_energies():
     A = parse_subset("0,1", P5)
-    assert additive_energy(A).value == 6
-    assert multiplicative_energy(A).value == quadruple_energy(A, "multiplicative")
+    assert additive_energy(A) == 6
+    # the multiplicative energy is the dot energy at d = 1
+    assert dot_energy(A, 1) == quadruple_energy(A, "multiplicative")
     B = parse_subset("1,2", P5)
-    assert dot_energy(B, 1).value == multiplicative_energy(B).value
+    assert dot_energy(B, 1) == quadruple_energy(B, "multiplicative")
+    for value in (additive_energy(A), dot_energy(B, 1), distance_energy(B, 2)):
+        assert type(value) is int
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -52,32 +53,29 @@ def test_oracle_equivalence(p):
             for kind in ("distance", "dot"):
                 fast = distance_energy(A, d) if kind == "distance" else dot_energy(A, d)
                 assert fast == energy_bruteforce_oracle(A, d, kind)
-        assert additive_energy(A).value == energy_bruteforce_oracle(A, 1, "additive").value
-        assert (
-            multiplicative_energy(A).value
-            == energy_bruteforce_oracle(A, 1, "multiplicative").value
-        )
+        assert additive_energy(A) == energy_bruteforce_oracle(A, 1, "additive")
+        assert dot_energy(A, 1) == energy_bruteforce_oracle(A, 1, "multiplicative")
 
 
 def test_oracle_against_literal_tuples():
     A = parse_subset("0,1", P7)
     for kind in ("distance", "dot"):
         for d in (1, 2):
-            assert energy_bruteforce_oracle(A, d, kind).value == energy_by_tuples(A, d, kind)
+            assert energy_bruteforce_oracle(A, d, kind) == energy_by_tuples(A, d, kind)
     B = parse_subset("1,2,4", P5)
-    assert energy_bruteforce_oracle(B, 1, "additive").value == quadruple_energy(B, "additive")
+    assert energy_bruteforce_oracle(B, 1, "additive") == quadruple_energy(B, "additive")
 
 
 def test_singleton_energy_is_one():
     A = parse_subset("3", P7)
-    for kind, value in (
-        ("distance", distance_energy(A, 3)),
-        ("dot", dot_energy(A, 3)),
-        ("additive", additive_energy(A)),
-        ("multiplicative", multiplicative_energy(A)),
+    for kind, d, value in (
+        ("distance", 3, distance_energy(A, 3)),
+        ("dot", 3, dot_energy(A, 3)),
+        ("additive", 1, additive_energy(A)),
+        ("multiplicative", 1, dot_energy(A, 1)),
     ):
-        assert value.value == 1, kind
-        assert energy_bruteforce_oracle(A, value.d, kind).value == 1
+        assert value == 1, kind
+        assert energy_bruteforce_oracle(A, d, kind) == 1
 
 
 def test_oracle_guard(monkeypatch):
@@ -98,10 +96,9 @@ def test_monotonicity_under_subsets():
         if len(B) == 0:
             continue
         for d in (1, 2):
-            assert distance_energy(B, d).value <= distance_energy(A, d).value
-            assert dot_energy(B, d).value <= dot_energy(A, d).value
-        assert additive_energy(B).value <= additive_energy(A).value
-        assert multiplicative_energy(B).value <= multiplicative_energy(A).value
+            assert distance_energy(B, d) <= distance_energy(A, d)
+            assert dot_energy(B, d) <= dot_energy(A, d)
+        assert additive_energy(B) <= additive_energy(A)
 
 
 def test_cauchy_schwarz_floor_exact():
@@ -111,7 +108,7 @@ def test_cauchy_schwarz_floor_exact():
         for _ in range(10):
             A = random_subset(modulus, 1 + rng.randbelow(p), seed=rng.next_u64())
             for d in (1, 2):
-                E = distance_energy(A, d).value
+                E = distance_energy(A, d)
                 assert p * E >= len(A) ** (4 * d)
 
 
@@ -120,8 +117,8 @@ def test_dilation_invariance():
     for _ in range(10):
         A = random_subset(PrimeModulus(31), 1 + rng.randbelow(30), seed=rng.next_u64())
         c = 1 + rng.randbelow(30)
-        assert additive_energy(A.dilate(c)).value == additive_energy(A).value
-        assert multiplicative_energy(A.dilate(c)).value == multiplicative_energy(A).value
+        assert additive_energy(A.dilate(c)) == additive_energy(A)
+        assert dot_energy(A.dilate(c), 1) == dot_energy(A, 1)
 
 
 def test_dyadic_levels_examples():
@@ -156,15 +153,15 @@ def test_dyadic_levels_partition_support():
 def test_recursion_diagnostic():
     A = random_subset(PrimeModulus(11), 5, seed=2)
     report = recursion_diagnostic(A, 2)
-    assert report["energy_d"] == distance_energy(A, 2).value
-    assert report["energy_d_minus_1"] == distance_energy(A, 1).value
+    assert report["energy_d"] == distance_energy(A, 2)
+    assert report["energy_d_minus_1"] == distance_energy(A, 1)
     assert report["ratio_recursive"] is not None and report["ratio_recursive"] > 0
     for p in (11, 13):
         full = FieldSubset.full(PrimeModulus(p))
         rep = recursion_diagnostic(full, 2)
         assert rep["ratio_main_term"] > 0  # reported, never asserted against a constant
     dot_report = recursion_diagnostic(A, 2, kind="dot")
-    assert dot_report["energy_d"] == dot_energy(A, 2).value
+    assert dot_report["energy_d"] == dot_energy(A, 2)
     assert set(dot_report) == set(report)
     with pytest.raises(ValueError):
         recursion_diagnostic(A, 1)
@@ -174,7 +171,7 @@ def test_recursion_diagnostic_overflowing_floats_are_none():
     # at d = 100 the bound shapes pass the double range; the energies stay exact
     A = random_subset(PrimeModulus(101), 50, seed=0)
     report = recursion_diagnostic(A, 100)
-    assert report["energy_d"] == distance_energy(A, 100).value
+    assert report["energy_d"] == distance_energy(A, 100)
     for key in ("main_term", "recursive_term", "recursive_rhs", "closed_form_rhs",
                 "ratio_recursive", "ratio_closed_form"):
         assert report[key] is None, key
@@ -183,9 +180,11 @@ def test_recursion_diagnostic_overflowing_floats_are_none():
 
 
 def test_energy_value_validation():
-    with pytest.raises(ValueError):
-        EnergyValue(1, "sideways", 1)
-    with pytest.raises(ValueError):
-        EnergyValue(-1, "distance", 1)
-    with pytest.raises(ValueError):
-        energy_bruteforce_oracle(parse_subset("1", P5), 2, "additive")
+    A = parse_subset("1", P5)
+    with pytest.raises(ValueError, match="unknown energy kind"):
+        energy_bruteforce_oracle(A, 1, "sideways")
+    with pytest.raises(ValueError, match="unknown form"):
+        recursion_diagnostic(A, 2, kind="additive")
+    for kind in ("additive", "multiplicative"):
+        with pytest.raises(ValueError, match="no fold depth"):
+            energy_bruteforce_oracle(A, 2, kind)

@@ -298,6 +298,21 @@ def test_instance_dump_parse_errors():
         parse_instance("p=5\nPOINTS\n0,0,0,0\nPLANES\n0,0,1,0,1\n")
 
 
+def test_instance_dump_plane_limit(monkeypatch):
+    import ffdist.incidence
+
+    # a 10^12 multiplicity fails on its own row, before the plane list grows
+    huge = "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n"
+    with pytest.raises(GuardExceeded, match="hard limit"):
+        parse_instance(huge)
+    # the limit is on the running total over rows, and inclusive
+    monkeypatch.setattr(ffdist.incidence, "INSTANCE_PLANE_LIMIT", 3)
+    _, planes = parse_instance("p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,2\n0,1,0,0,1\n")
+    assert len(planes) == 3
+    with pytest.raises(GuardExceeded, match="over 3 planes"):
+        parse_instance("p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,2\n0,1,0,0,2\n")
+
+
 def test_strategy_disagreement_impossible_but_guarded():
     # rudnev_diagnostic runs both strategies; equal by construction
     rng = SplitMix64(8)

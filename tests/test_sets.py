@@ -56,10 +56,8 @@ def test_parse_serialize_roundtrip():
 def test_subset_operations():
     A = parse_subset("1,2,4", P7)
     assert len(A) == 3 and 2 in A and 3 not in A
-    assert A.translate(3).elements() == [0, 4, 5]
     assert A.dilate(2).elements() == [1, 2, 4]  # {2,4,8=1}
-    assert A.union(parse_subset("0", P7)).elements() == [0, 1, 2, 4]
-    assert A.complement().elements() == [0, 3, 5, 6]
+    assert A.difference(parse_subset("2,3", P7)).elements() == [1, 4]
     with pytest.raises(ValueError):
         A.dilate(0)
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
@@ -6,12 +8,12 @@ from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, PointSet, parse_subset, random_subset
 from ffdist.spectra import (
     Spectrum,
+    base_spectrum,
     cyclic_convolve,
     diff_square_spectrum,
     distance_spectrum_general,
-    distance_spectrum_power,
-    dot_spectrum_power,
     fold,
+    power_spectrum,
     product_spectrum,
     spectrum_from_csv,
     spectrum_to_csv,
@@ -27,6 +29,7 @@ from oracles import (
     materialize_power,
     sphere_counts,
 )
+from test_set_properties import SETTINGS
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -68,7 +71,7 @@ def test_product_log_domain_path_agrees():
     for seed, with_zero in ((1, False), (2, True)):
         A = random_subset(modulus, 35, seed=seed)
         if with_zero:
-            A = A.union(S("0", modulus))
+            A = FieldSubset(modulus, A.elements() + [0])
         assert product_spectrum(A).counts == dot_pair_counts(A, 1)
 
 
@@ -107,16 +110,16 @@ def test_fold_matches_iterated_convolution():
         assert fold(X, d) == iterated
 
 
-def test_distance_spectrum_power_examples():
+def test_distance_power_examples():
     A = S("0,1", P5)
-    assert dict(distance_spectrum_power(A, 3).items()) == {0: 8, 1: 24, 2: 24, 3: 8}
+    assert dict(power_spectrum(A, "distance", 3).items()) == {0: 8, 1: 24, 2: 24, 3: 8}
     for p in (3, 5):
         modulus = PrimeModulus(p)
         spheres = sphere_counts(p, 3)
-        Sp = distance_spectrum_power(FieldSubset.full(modulus), 3)
+        Sp = power_spectrum(FieldSubset.full(modulus), "distance", 3)
         assert Sp.counts == [p**3 * s for s in spheres]
         assert Sp.counts[0] == p**3 * p**2
-    assert dict(distance_spectrum_power(S("2", P7), 4).items()) == {0: 1}
+    assert dict(power_spectrum(S("2", P7), "distance", 4).items()) == {0: 1}
 
 
 def test_zero_sphere_size_three_dims():
@@ -124,11 +127,25 @@ def test_zero_sphere_size_three_dims():
         assert sphere_counts(p, 3)[0] == p * p
 
 
-def test_dot_spectrum_power_examples():
-    assert dict(dot_spectrum_power(S("1", P5), 2).items()) == {2: 1}
+def test_dot_power_examples():
+    assert dict(power_spectrum(S("1", P5), "dot", 2).items()) == {2: 1}
     A = S("1,2", P5)
-    assert dot_spectrum_power(A, 1) == product_spectrum(A)
-    assert dot_spectrum_power(A, 2).counts == dot_pair_counts(A, 2)
+    assert power_spectrum(A, "dot", 1) == product_spectrum(A)
+    assert power_spectrum(A, "dot", 2).counts == dot_pair_counts(A, 2)
+
+
+def test_form_is_a_parameter():
+    A = S("0,1,3", P7)
+    assert base_spectrum(A, "distance") == diff_square_spectrum(A)
+    assert base_spectrum(A, "dot") == product_spectrum(A)
+    assert power_spectrum(A, "distance", 1) == diff_square_spectrum(A)
+    for kind in ("sideways", "additive", "Distance"):
+        with pytest.raises(ValueError, match="unknown form"):
+            base_spectrum(A, kind)
+        with pytest.raises(ValueError, match="unknown form"):
+            power_spectrum(A, kind, 2)
+    with pytest.raises(ValueError, match="dimension"):
+        power_spectrum(A, "dot", 0)
 
 
 def test_self_dot_spectrum():
@@ -155,8 +172,8 @@ def test_power_spectra_match_bruteforce(p):
     for size in range(1, min(4, p) + 1):
         A = random_subset(modulus, size, seed=rng.next_u64())
         for n in (1, 2, 3):
-            assert distance_spectrum_power(A, n).counts == dist_pair_counts(A, n)
-            assert dot_spectrum_power(A, n).counts == dot_pair_counts(A, n)
+            assert power_spectrum(A, "distance", n).counts == dist_pair_counts(A, n)
+            assert power_spectrum(A, "dot", n).counts == dot_pair_counts(A, n)
 
 
 def test_numpy_oracle_matches_python_oracle():
@@ -175,7 +192,7 @@ def test_distance_spectrum_general(monkeypatch):
     single = PointSet(P7, 3, [(1, 2, 3)])
     assert dict(distance_spectrum_general(single).items()) == {0: 1}
     A = S("0,2", P5)
-    assert distance_spectrum_general(materialize_power(A, 2)) == distance_spectrum_power(A, 2)
+    assert distance_spectrum_general(materialize_power(A, 2)) == power_spectrum(A, "distance", 2)
     monkeypatch.setattr(ffdist.spectra, "GENERAL_SPECTRUM_GUARD", 3)
     with pytest.raises(GuardExceeded):
         distance_spectrum_general(iso)
@@ -189,7 +206,8 @@ def test_translation_and_reflection_invariance():
         for _ in range(5):
             A = random_subset(modulus, 1 + rng.randbelow(p - 1), seed=rng.next_u64())
             D = diff_square_spectrum(A)
-            assert D == diff_square_spectrum(A.translate(rng.randbelow(p)))
+            c = rng.randbelow(p)
+            assert D == diff_square_spectrum(FieldSubset(modulus, (x + c for x in A)))
     from ffdist.sets import random_pointset
 
     E = random_pointset(P7, 2, 9, seed=6)
@@ -230,7 +248,7 @@ def test_support_sumset_identity_powers():
 
 
 def test_spectrum_csv_roundtrip():
-    Sp = distance_spectrum_power(S("0,1,3", P7), 2)
+    Sp = power_spectrum(S("0,1,3", P7), "distance", 2)
     text = spectrum_to_csv(Sp)
     assert text.splitlines()[0] == "p=7"
     assert text.splitlines()[1] == "lambda,count"
@@ -253,7 +271,7 @@ def test_spectrum_csv_rejects_repeated_lambda():
 def test_power_vs_general_medium_scale():
     # independent cross-check at a size where the transform path is live
     A = random_subset(PrimeModulus(601), 50, seed=8)
-    assert distance_spectrum_power(A, 2) == distance_spectrum_general(materialize_power(A, 2))
+    assert power_spectrum(A, "distance", 2) == distance_spectrum_general(materialize_power(A, 2))
 
 
 def test_fold_exponentiation_consistency_deep():
@@ -275,3 +293,21 @@ def test_spectrum_invariants():
 
     with pytest.raises(InvariantViolation):
         Spectrum(P5, [1, 0, 0, 0, 0], expected_total=2)
+
+
+@SETTINGS
+@given(
+    st.sampled_from((5, 13, 101, 521)),
+    st.lists(st.integers(min_value=-2000, max_value=2000), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=4),
+)
+def test_distance_dilation_law(p, xs, c, n):
+    # (c*a - c*b)^2 = c^2 (a - b)^2, so dilating A by c moves the count of t to c^2 t
+    modulus = PrimeModulus(p)
+    if c % p == 0:
+        c += 1
+    A = FieldSubset(modulus, xs)
+    before = power_spectrum(A, "distance", n)
+    after = power_spectrum(A.dilate(c), "distance", n)
+    assert all(after[c * c * t] == before[t] for t in range(p))

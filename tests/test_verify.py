@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from ffdist.energy import additive_energy, distance_energy, dot_energy, multiplicative_energy
+from ffdist.energy import additive_energy, distance_energy, dot_energy
 from ffdist.errors import GuardExceeded
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
-from ffdist.spectra import Spectrum, distance_spectrum_general, distance_spectrum_power
+from ffdist.spectra import Spectrum, distance_spectrum_general, power_spectrum
 from ffdist.verify import (
     _size_hypothesis_holds,
     balog_wooley_decompose,
@@ -35,10 +35,9 @@ def test_coverage_isotropic():
 def test_coverage_full_field_cube():
     for p in (3, 5, 7):
         modulus = PrimeModulus(p)
-        S = distance_spectrum_power(FieldSubset.full(modulus), 3)
+        S = power_spectrum(FieldSubset.full(modulus), "distance", 3)
         report = coverage_check(S)
         assert report.covered
-        assert report.deviation_at_most(2, p)  # exact comparison against 2/p
         assert Fraction(report.deviation_num, report.deviation_den) <= Fraction(2, p)
 
 
@@ -89,7 +88,7 @@ def test_decompose_singleton():
     result = balog_wooley_decompose(parse_subset("1", P5))
     assert result.max_energy == 1
     assert len(result.B) + len(result.C) == 1
-    assert result.B.intersection(result.C).elements() == []
+    assert set(result.B).isdisjoint(result.C)
 
 
 def test_decompose_exhaustive_beats_greedy():
@@ -102,19 +101,19 @@ def test_decompose_exhaustive_beats_greedy():
             gr = balog_wooley_decompose(A, "greedy")
             assert gr.max_energy >= ex.max_energy
             for result in (ex, gr):
-                assert result.B.union(result.C) == A
-                assert result.B.intersection(result.C).elements() == []
+                assert set(result.B) | set(result.C) == set(A)
+                assert set(result.B).isdisjoint(result.C)
 
 
 def test_decompose_energies_are_consistent():
     A = random_subset(PrimeModulus(31), 6, seed=11)
     result = balog_wooley_decompose(A)
     if len(result.B):
-        assert result.eplus.value == additive_energy(result.B).value
-        assert result.eplus.value <= additive_energy(A).value
+        assert result.eplus == additive_energy(result.B)
+        assert result.eplus <= additive_energy(A)
     if len(result.C):
-        assert result.etimes.value == multiplicative_energy(result.C).value
-        assert result.etimes.value <= multiplicative_energy(A).value
+        assert result.etimes == dot_energy(result.C, 1)
+        assert result.etimes <= dot_energy(A, 1)
 
 
 def test_decompose_deterministic_tiebreak():
@@ -137,9 +136,9 @@ def test_theorem_last_report():
     B = parse_subset(report["B"], PrimeModulus(101)) if report["B"] else None
     C = parse_subset(report["C"], PrimeModulus(101)) if report["C"] else None
     if B is not None:
-        assert report["distance_energy_B"] == distance_energy(B, 2).value
+        assert report["distance_energy_B"] == distance_energy(B, 2)
     if C is not None:
-        assert report["dot_energy_C"] == dot_energy(C, 2).value
+        assert report["dot_energy_C"] == dot_energy(C, 2)
     assert report["ratio"] is not None
     assert report["size_hypothesis_holds"]  # 10 <= 101^(1/2 + 1/8)
 
