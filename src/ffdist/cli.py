@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -117,7 +118,7 @@ def _resolve_points(args) -> tuple[PointSet | None, str | None]:
         E, source = read_set_file(args.points_file), f"points:{args.points_file}"
         if isinstance(E, FieldSubset):
             raise UsageError(f"{args.points_file} holds a subset, not a point set")
-    elif getattr(args, "random_points", None):  # only coverage takes --random-points
+    elif getattr(args, "random_points", None) is not None:  # only coverage takes --random-points
         modulus = _modulus(args, "--random-points needs --p")
         E = random_pointset(modulus, args.dim, args.random_points, args.seed)
         source = f"random-points:n={args.random_points},dim={args.dim},seed={args.seed}"
@@ -375,13 +376,13 @@ def _cmd_incidence(args) -> int:
         p = modulus.p
         rng = SplitMix64(derive_seed("incidence", p, args.seed))
         coords = [tuple(rng.randbelow(p) for _ in range(3)) for _ in range(args.random_points)]
-        points = WeightedPointSet.from_points(modulus, 3, coords)
+        points = WeightedPointSet(modulus, 3, Counter(coords))
         planes_list = []
         while len(planes_list) < args.random_planes:
             normal = tuple(rng.randbelow(p) for _ in range(3))
             if normal != (0, 0, 0):
                 planes_list.append(normal + (rng.randbelow(p),))
-        planes = PlaneSet(modulus, planes_list)
+        planes = PlaneSet(modulus, Counter(planes_list))
         source = f"random:points={args.random_points},planes={args.random_planes},seed={args.seed}"
     inst = IncidenceInstance(points=points, planes=planes, k=max_collinear(points, force=_force(args)))
     _emit(args, {"p": points.modulus.p, "source": source}, _rudnev_result(rudnev_diagnostic(inst)))
@@ -407,19 +408,19 @@ def _cmd_proof_instance(args) -> int:
             "i0": i0,
             "j0": j0,
             "points_total": str(inst.points.total),
-            "planes_total": str(len(inst.planes)),
+            "planes_total": str(inst.planes.total),
             "carried_pair_sum": str(inst.expected_incidences),
             "incidences": str(diag.incidences),
             "identity_holds": True,
             "k": inst.k,
             "max_vertical": max_collinear_vertical(inst.points),
-            "level_i0_size": len(levels.level(i0)),
-            "level_j0_size": len(levels.level(j0)),
+            "level_i0_size": len(levels[i0]),
+            "level_j0_size": len(levels[j0]),
             "diagnostic": _rudnev_result(diag),
         })
         if args.dump:
             _write(args.dump, format_instance(inst))
-    config = {"p": A.modulus.p, "source": source, "d": args.d, "levels": levels.exponents()}
+    config = {"p": A.modulus.p, "source": source, "d": args.d, "levels": list(levels)}
     _emit(args, config, {"instances": instances})
     return 0
 
@@ -469,6 +470,17 @@ def _cmd_theorem_report(args) -> int:
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count option: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 class _Command(NamedTuple):
@@ -544,13 +556,14 @@ _COMMANDS = {
     ),
     "deviation-check": _Command(
         _cmd_deviation_check, "exact deviation bounds on random multisets", ["encodings"],
-        (_P, _arg("--random-multisets", type=int, default=100, metavar="N"), _SEED,
+        (_P, _arg("--random-multisets", type=_non_negative_int, default=100, metavar="N"), _SEED,
          _arg("--dim", choices=["2", "3", "both"], default="both")),
     ),
     "incidence": _Command(
         _cmd_incidence, "point-plane incidence counting and diagnostic", ["incidence"],
         (_P, _arg("--instance-file", help="POINTS/PLANES dump to load"),
-         _arg("--random-points", type=int, default=20), _arg("--random-planes", type=int, default=20), _SEED),
+         _arg("--random-points", type=_non_negative_int, default=20),
+         _arg("--random-planes", type=_non_negative_int, default=20), _SEED),
     ),
     "proof-instance": _Command(
         _cmd_proof_instance, "the dyadic-level point/plane instance", ["incidence"],

@@ -43,14 +43,6 @@ class WeightedPointSet:
         self.entries = canonical
         self.total = sum(canonical.values())
 
-    @classmethod
-    def from_points(cls, modulus: PrimeModulus, dim: int, points) -> "WeightedPointSet":
-        entries: dict[tuple[int, ...], int] = {}
-        for pt in points:
-            key = tuple(pt)
-            entries[key] = entries.get(key, 0) + 1
-        return cls(modulus, dim, entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

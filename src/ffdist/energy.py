@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -96,37 +95,20 @@ def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = Fa
 # -- dyadic level sets ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DyadicLevels:
-    """Partition of a spectrum's support by floor(log2(count))."""
-
-    levels: tuple[tuple[int, FieldSubset], ...]
-
-    def level(self, i: int) -> FieldSubset:
-        for j, subset in self.levels:
-            if j == i:
-                return subset
-        raise KeyError(f"no dyadic level {i}")
-
-    def exponents(self) -> list[int]:
-        return [i for i, _ in self.levels]
-
-
-def dyadic_levels(S: Spectrum) -> DyadicLevels:
-    """Level sets P_i = {t : 2^i <= S[t] < 2^(i+1)}; they partition the support."""
+def dyadic_levels(S: Spectrum) -> dict[int, FieldSubset]:
+    """Level sets P_i = {t : 2^i <= S[t] < 2^(i+1)} by ascending exponent i;
+    they partition the support."""
     buckets: dict[int, list[int]] = {}
     for t, c in S.items():
         buckets.setdefault(c.bit_length() - 1, []).append(t)
-    levels = tuple(
-        (i, FieldSubset(S.modulus, buckets[i])) for i in sorted(buckets)
-    )
-    for i, subset in levels:
+    levels = {i: FieldSubset(S.modulus, buckets[i]) for i in sorted(buckets)}
+    for i, subset in levels.items():
         weight = sum(S.counts[t] for t in subset)
         sq_weight = sum(S.counts[t] ** 2 for t in subset)
         size = len(subset)
         if (1 << i) * size > 2 * weight or (1 << (2 * i)) * size > 4 * sq_weight:
             raise InvariantViolation(f"dyadic level {i} violates its mass bounds")
-    return DyadicLevels(levels)
+    return levels
 
 
 # -- recursion diagnostics ---------------------------------------------------

@@ -14,43 +14,47 @@ import numpy as np
 
 from .convolution import exact_cyclic
 from .encodings import WeightedPointSet
-from .energy import DyadicLevels, dyadic_levels
+from .energy import dyadic_levels
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset
 from .spectra import Spectrum, diff_square_spectrum, fold
 
 COLLINEAR_GUARD = 5000
-INSTANCE_PLANE_LIMIT = 1_000_000  # on the planes of a parsed dump, repeats counted
+# on planes.total of a parsed dump, so the direct strategy's int64 tally
+# stays far below 2^63
+INSTANCE_PLANE_LIMIT = 1_000_000
 
 
 class PlaneSet:
-    """Affine planes a*X + b*Y + c*Z = e in F_p^3; repeats carry multiplicity."""
+    """A multiset of affine planes a*X + b*Y + c*Z = e in F_p^3 with exact
+    multiplicities, keyed (a, b, c, e)."""
 
-    __slots__ = ("modulus", "planes")
+    __slots__ = ("modulus", "entries", "total")
 
-    def __init__(self, modulus: PrimeModulus, planes) -> None:
+    def __init__(self, modulus: PrimeModulus, entries: dict[tuple[int, int, int, int], int]) -> None:
         p = modulus.p
-        canonical = []
-        for a, b, c, e in planes:
-            a, b, c, e = a % p, b % p, c % p, e % p
+        canonical: dict[tuple[int, int, int, int], int] = {}
+        for plane, mult in entries.items():
+            a, b, c, e = (x % p for x in plane)
             if a == 0 and b == 0 and c == 0:
                 raise ValueError("plane with zero normal vector")
-            canonical.append((a, b, c, e))
+            if mult < 1:
+                raise ValueError(f"multiplicity of {plane} must be >= 1, got {mult}")
+            key = (a, b, c, e)
+            canonical[key] = canonical.get(key, 0) + mult
         self.modulus = modulus
-        self.planes: list[tuple[int, int, int, int]] = canonical
+        self.entries = canonical
+        self.total = sum(canonical.values())
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.planes)
-
-    def grouped(self) -> dict[tuple[int, int, int], Counter]:
-        """normal -> Counter(constant -> multiplicity)."""
-        groups: dict[tuple[int, int, int], Counter] = {}
-        for a, b, c, e in self.planes:
-            groups.setdefault((a, b, c), Counter())[e] += 1
+    def grouped(self) -> dict[tuple[int, int, int], dict[int, int]]:
+        """normal -> {constant -> multiplicity}."""
+        groups: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (a, b, c, e), mult in self.entries.items():
+            groups.setdefault((a, b, c), {})[e] = mult
         return groups
 
 
@@ -78,9 +82,10 @@ def count_incidences(
     """Multiplicity-weighted number of (point, plane) pairs with the point
     on the plane.
 
-    strategy "direct" tests every plane against the whole point array;
-    "grouped" histograms the points by their value under each plane normal
-    and joins on the constants.  Both are exact and must agree.
+    strategy "direct" tests every distinct plane against the whole point
+    array and weights it by its multiplicity; "grouped" histograms the
+    points by their value under each plane normal and joins on the
+    constants.  Both are exact and must agree.
     """
     if points.modulus != planes.modulus:
         raise ValueError("mixed moduli")
@@ -88,12 +93,14 @@ def count_incidences(
         raise ValueError("incidence points live in F_p^3")
     p = points.modulus.p
     if strategy == "direct":
-        # hits[i] = number of planes through point i; every product of two
-        # residues is below p^2 < 2^62, so int64 is exact
+        # hits[i] = number of planes through point i, at most planes.total;
+        # every product of two residues is below p^2 < 2^62, so int64 is exact
+        if planes.total >= 1 << 63:
+            raise GuardExceeded(f"{planes.total} planes overflow the direct strategy's int64 tally")
         x, y, z = np.array(list(points.entries), dtype=np.int64).reshape(-1, 3).T
         hits = np.zeros(len(x), dtype=np.int64)
-        for a, b, c, e in planes:
-            hits += (a * x % p + b * y % p + c * z % p) % p == e
+        for (a, b, c, e), mult in planes.entries.items():
+            hits[(a * x % p + b * y % p + c * z % p) % p == e] += mult
         # multiplicities may exceed int64, so weight them as Python ints
         return sum(h * mult for h, mult in zip(hits.tolist(), points.entries.values()))
     if strategy == "grouped":
@@ -184,7 +191,7 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
     count = verify_proof_instance(inst)
     p = inst.points.modulus.p
     n_r = inst.points.total
-    n_s = len(inst.planes)
+    n_s = inst.planes.total
     swapped = n_r > n_s
     r, s = (n_s, n_r) if swapped else (n_r, n_s)
     note = "roles swapped: |R| > |S|, bound applied to the transposed instance" if swapped else ""
@@ -208,7 +215,7 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
 
 def build_proof_instance(
     A: FieldSubset, d: int, pairs: list[tuple[int, int]] | None = None
-) -> tuple[DyadicLevels, dict[tuple[int, int], IncidenceInstance]]:
+) -> tuple[dict[int, FieldSubset], dict[tuple[int, int], IncidenceInstance]]:
     """The dyadic levels of the (d-1)-fold squared-difference spectrum, and
     for each level pair (i0, j0) the point/plane instance whose incidences
     equal the restricted two-level pair sum; pairs=None means every pair.
@@ -224,13 +231,12 @@ def build_proof_instance(
         raise ValueError(f"the decomposition needs d >= 2, got {d}")
     p = A.modulus.p
     base = diff_square_spectrum(A)
-    levels = dyadic_levels(fold(base, d - 1))
-    level = dict(levels.levels)
+    level = dyadic_levels(fold(base, d - 1))
     if pairs is None:
         pairs = [(i0, j0) for i0 in level for j0 in level]
     missing = {i for pair in pairs for i in pair} - level.keys()
     if missing:
-        raise ValueError(f"no dyadic level {min(missing)}; the levels are {levels.exponents()}")
+        raise ValueError(f"no dyadic level {min(missing)}; the levels are {list(level)}")
 
     elements = A.elements()
     points: dict[int, tuple[WeightedPointSet, int]] = {}
@@ -247,13 +253,14 @@ def build_proof_instance(
 
     planes: dict[int, PlaneSet] = {}
     for j0 in dict.fromkeys(j0 for _, j0 in pairs):
-        plane_list = []
+        plane_entries: dict[tuple[int, int, int, int], int] = {}
         for b in elements:
             for c in elements:
                 const_shift = (c * c - b * b) % p
                 for t2 in level[j0]:
-                    plane_list.append((b, 2 * c % p, 1, (t2 + const_shift) % p))
-        planes[j0] = PlaneSet(A.modulus, plane_list)
+                    key = (b, 2 * c % p, 1, (t2 + const_shift) % p)
+                    plane_entries[key] = plane_entries.get(key, 0) + 1
+        planes[j0] = PlaneSet(A.modulus, plane_entries)
 
     # Cross-correlation of the base counts: corr[delta] = sum_s r(s)*r(s-delta),
     # so the carried sum is sum over level pairs of corr[t1 - t2].
@@ -269,7 +276,7 @@ def build_proof_instance(
         instances[(i0, j0)] = IncidenceInstance(
             points=level_points, planes=planes[j0], k=k, expected_incidences=expected
         )
-    return levels, instances
+    return level, instances
 
 
 def verify_proof_instance(inst: IncidenceInstance) -> int:
@@ -298,7 +305,7 @@ def format_instance(inst: IncidenceInstance) -> str:
     for pt in sorted(inst.points.entries):
         lines.append(",".join(str(c) for c in pt) + f",{inst.points.entries[pt]}")
     lines.append("PLANES")
-    for plane, mult in sorted(Counter(inst.planes.planes).items()):
+    for plane, mult in sorted(inst.planes.entries.items()):
         lines.append(",".join(str(c) for c in plane) + f",{mult}")
     return "\n".join(lines) + "\n"
 
@@ -310,7 +317,7 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
     modulus = PrimeModulus(int(lines[0][2:]))
     section = None
     point_entries: dict[tuple[int, ...], int] = {}
-    plane_list: list[tuple[int, int, int, int]] = []
+    plane_entries: dict[tuple[int, ...], int] = {}
     plane_total = 0
     for ln in lines[1:]:
         if ln == "POINTS":
@@ -338,9 +345,10 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
             plane_total += parts[4]
             if plane_total > INSTANCE_PLANE_LIMIT:
                 raise GuardExceeded(f"instance dump holds over {INSTANCE_PLANE_LIMIT} planes (hard limit)")
-            plane_list.extend([tuple(parts[:4])] * parts[4])
+            key = tuple(parts[:4])
+            plane_entries[key] = plane_entries.get(key, 0) + parts[4]
         else:
             raise ParseError(f"row outside POINTS/PLANES sections: {ln!r}")
-    if not point_entries or not plane_list:
+    if not point_entries or not plane_entries:
         raise ParseError("instance dump needs both POINTS and PLANES rows")
-    return WeightedPointSet(modulus, 3, point_entries), PlaneSet(modulus, plane_list)
+    return WeightedPointSet(modulus, 3, point_entries), PlaneSet(modulus, plane_entries)

@@ -8,6 +8,7 @@ give a fast standalone smoke signal.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as iter_product
 
 from .encodings import WeightedPointSet, deviation_check, encode, pair_counts
@@ -131,22 +132,22 @@ def incidence_selftest() -> list[Check]:
     checks = []
     p5 = PrimeModulus(5)
     origin = WeightedPointSet(p5, 3, {(0, 0, 0): 1})
-    z0 = PlaneSet(p5, [(0, 0, 1, 0)])
-    z1 = PlaneSet(p5, [(0, 0, 1, 1)])
+    z0 = PlaneSet(p5, {(0, 0, 1, 0): 1})
+    z1 = PlaneSet(p5, {(0, 0, 1, 1): 1})
     checks.append(("origin on Z=0", count_incidences(origin, z0) == 1))
     checks.append(("origin off Z=1", count_incidences(origin, z1) == 0))
     rng = SplitMix64(5)
     ok = True
     for _ in range(5):
-        pts = WeightedPointSet.from_points(
-            p5, 3, [tuple(rng.randbelow(5) for _ in range(3)) for _ in range(12)]
+        pts = WeightedPointSet(
+            p5, 3, Counter(tuple(rng.randbelow(5) for _ in range(3)) for _ in range(12))
         )
         planes = PlaneSet(
             p5,
-            [
+            Counter(
                 (1 + rng.randbelow(4), rng.randbelow(5), rng.randbelow(5), rng.randbelow(5))
                 for _ in range(12)
-            ],
+            ),
         )
         ok = ok and count_incidences(pts, planes, "direct") == count_incidences(pts, planes, "grouped")
     checks.append(("strategies agree on random instances", ok))

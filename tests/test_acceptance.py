@@ -140,7 +140,7 @@ def test_criterion_06_proof_instance_incidence_identity():
                 for seed in range(2):
                     A = random_subset(modulus, size, seed=derive_seed("acc6", p, size, seed))
                     levels, instances = build_proof_instance(A, 2)
-                    exps = levels.exponents()
+                    exps = list(levels)
                     assert levels == dyadic_levels(fold(diff_square_spectrum(A), 1))
                     assert list(instances) == [(i0, j0) for i0 in exps for j0 in exps]
                     for inst in instances.values():

@@ -286,6 +286,29 @@ def test_instance_file_plane_limit_exits_one(capsys, tmp_path):
         assert "hard limit" in err
 
 
+def test_negative_counts_are_usage_errors(capsys):
+    for argv in (
+        ("deviation-check", "--p", "7", "--random-multisets", "-1"),
+        ("incidence", "--p", "7", "--random-points", "-1"),
+        ("incidence", "--p", "7", "--random-planes", "-3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"argument {argv[3]}: must be >= 0, got {argv[4]}" in err
+    # a non-integer count keeps argparse's wording
+    code, _, err = run_cli(capsys, "incidence", "--p", "7", "--random-planes", "x")
+    assert code == 1 and "argument --random-planes: invalid int value: 'x'" in err
+    # zero is a count too
+    code, out, _ = run_cli(capsys, "deviation-check", "--p", "7", "--random-multisets", "0")
+    assert code == 0 and record_of(out)["result"]["trials"] == 0
+
+
+def test_zero_random_points_is_a_size_error(capsys):
+    code, out, err = run_cli(capsys, "coverage", "--p", "7", "--random-points", "0")
+    assert code == 1 and out == ""
+    assert "point count must satisfy 1 <= n" in err and "no set given" not in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ffdist", "spectrum", "--p", "7", "--set", "0,1,3"],

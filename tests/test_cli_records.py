@@ -79,6 +79,7 @@ CASES = [
     ("coverage-random-points-met", "coverage --p 5 --random-points 100 --dim 3 --seed 1", 0, "c6b8ec555f644b09d527e379a8edb22c5e768cccedb722ea7cd50adfdb84b164"),
     ("coverage-random-points-below", "coverage --p 7 --random-points 10 --dim 2 --seed 2 --format csv", 0, "a04776e7bcf869e65220d76a9f958993040c31ef355b6ba77f6b9eab7f4c34e5"),
     ("coverage-random-points-n2", "coverage --p 5 --random-points 10 --n 2", 1, "7ad60dd7aef5dbc87446a38e5f5afebac8056db819c3b1689b19e3dc4cb383f9"),
+    ("coverage-random-points-zero", "coverage --p 7 --random-points 0", 1, "5785918be1c4d67c5893cea9c572f8d34dc5dfa69afb8bb6d632cc6fae66429a"),
     ("coverage-random-points-no-p", "coverage --random-points 10", 1, "4dc705bb3c8cc1ff86a78f1e232e17142cd355f2106a6151046f3b7853d4369f"),
     ("coverage-isotropic-no-p", "coverage --isotropic", 1, "dca1383572e08ad2a3beb24c4039443f98946c348da018f35b8613a759676ad9"),
     ("coverage-points-file-subset", "coverage --points-file {tmp}/a.set", 1, "899850d0413ea6bc3c6107819f5cd53b700142ba977a161b94aac15d98241edc"),
@@ -89,6 +90,7 @@ CASES = [
     ("encode-check-selftest", "encode-check --selftest", 0, "cf7f3044a616948815b68453b4edcd4e7e01f4addd32f13055da9e80a6b9c4c6"),
     ("deviation-check", "deviation-check --p 7 --random-multisets 30 --seed 3", 0, "5b974cb7f68efd18819926b2e4a1e0b2b057e830c1fa62f148428b75abecfcc2"),
     ("deviation-check-dim2-csv", "deviation-check --p 11 --random-multisets 5 --seed 1 --dim 2 --format csv", 0, "c4ee97240629708321e0cdf8546fbf5f50fd4a7a0f063979fa8d7d676b23312f"),
+    ("deviation-check-negative", "deviation-check --p 7 --random-multisets -1", 1, "3416881e3ec23b80f051cb175eeb7595de42564219de96c5e4c5ac5523e67647"),
     ("deviation-check-no-p", "deviation-check", 1, "b8b982ec49a95757cd3cb9507e7da466a130e3c4483176d9df75f3158b1d2c38"),
     ("deviation-check-selftest", "deviation-check --selftest", 0, "cf7f3044a616948815b68453b4edcd4e7e01f4addd32f13055da9e80a6b9c4c6"),
     ("incidence-random", "incidence --p 7 --random-points 20 --random-planes 25 --seed 2", 0, "0f3070c5940f0f6b4e54082c7e500489b0f97346c90f54e7448abceb3b71d672"),
@@ -96,6 +98,8 @@ CASES = [
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
     ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),
     ("incidence-empty", "incidence --p 5 --random-points 0 --random-planes 0", 0, "7a5d8a11bffd9dedcc7dd114c05f97a17b5cf1daf0e283ca73a08826bf07bf5e"),
+    ("incidence-negative-points", "incidence --p 7 --random-points -1 --random-planes -3", 1, "44837fedddbdde9e2c4d55ae3b789864a43d7dbf269b60012566f4c5b6620d2c"),
+    ("incidence-negative-planes", "incidence --p 7 --random-planes -3", 1, "17448f377b3be610c4293acd4a400f19fc5fa4012ee0114fa15808bcbcb33e6c"),
     ("incidence-no-p", "incidence", 1, "1542df3775efe8f0ec53dbccd02e850461d5db2f7492706ea19ee68aa326973f"),
     ("incidence-selftest", "incidence --selftest", 0, "d5a2c6b42875cad1bb666ef68929240d9ad10cbc9bd43a1bfb5fc5238a8988fc"),
     ("proof-instance-all-pairs", "proof-instance --p 7 --set 0,1,3 --d 2 --all-pairs", 0, "96588ec6902ecfa9e3f3269fb7970c2994b34c2130cb5df4413a11db386e4b90"),

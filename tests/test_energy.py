@@ -124,16 +124,16 @@ def test_dilation_invariance():
 def test_dyadic_levels_examples():
     S = Spectrum(P5, [3, 2, 2, 2, 0])
     levels = dyadic_levels(S)
-    assert levels.exponents() == [1]
-    assert levels.level(1).elements() == [0, 1, 2, 3]
+    assert list(levels) == [1]
+    assert levels[1].elements() == [0, 1, 2, 3]
 
     D3 = fold(diff_square_spectrum(parse_subset("0,1", P5)), 3)
     levels = dyadic_levels(D3)
-    assert levels.exponents() == [3, 4]
-    assert levels.level(3).elements() == [0, 3]
-    assert levels.level(4).elements() == [1, 2]
+    assert list(levels) == [3, 4]
+    assert levels[3].elements() == [0, 3]
+    assert levels[4].elements() == [1, 2]
 
-    assert dyadic_levels(Spectrum(P5, [0] * 5)).levels == ()
+    assert dyadic_levels(Spectrum(P5, [0] * 5)) == {}
 
 
 def test_dyadic_levels_partition_support():
@@ -141,8 +141,9 @@ def test_dyadic_levels_partition_support():
     for _ in range(5):
         S = Spectrum(PrimeModulus(13), [rng.randbelow(40) for _ in range(13)])
         levels = dyadic_levels(S)
+        assert list(levels) == sorted(levels)
         seen = set()
-        for i, subset in levels.levels:
+        for i, subset in levels.items():
             for t in subset:
                 assert t not in seen
                 seen.add(t)

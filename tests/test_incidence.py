@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from ffdist.energy import dyadic_levels
 from ffdist.errors import GuardExceeded, InvariantViolation
 from ffdist.field import PrimeModulus
 from ffdist.incidence import (
+    INSTANCE_PLANE_LIMIT,
     IncidenceInstance,
     PlaneSet,
     build_proof_instance,
@@ -29,8 +32,8 @@ P7 = PrimeModulus(7)
 
 
 def random_points(rng, modulus, n):
-    return WeightedPointSet.from_points(
-        modulus, 3, [tuple(rng.randbelow(modulus.p) for _ in range(3)) for _ in range(n)]
+    return WeightedPointSet(
+        modulus, 3, Counter(tuple(rng.randbelow(modulus.p) for _ in range(3)) for _ in range(n))
     )
 
 
@@ -41,20 +44,32 @@ def random_planes(rng, modulus, n):
         if normal == (0, 0, 0):
             continue
         planes.append(normal + (rng.randbelow(modulus.p),))
-    return PlaneSet(modulus, planes)
+    return PlaneSet(modulus, Counter(planes))
 
 
 def test_count_incidences_trivial():
     origin = WeightedPointSet(P5, 3, {(0, 0, 0): 1})
-    assert count_incidences(origin, PlaneSet(P5, [(0, 0, 1, 0)])) == 1
-    assert count_incidences(origin, PlaneSet(P5, [(0, 0, 1, 1)])) == 0
+    assert count_incidences(origin, PlaneSet(P5, {(0, 0, 1, 0): 1})) == 1
+    assert count_incidences(origin, PlaneSet(P5, {(0, 0, 1, 1): 1})) == 0
     with pytest.raises(ValueError):
-        PlaneSet(P5, [(0, 0, 0, 1)])
+        PlaneSet(P5, {(0, 0, 0, 1): 1})
+
+
+def test_planeset_is_a_multiset():
+    # canonicalised mod p, repeats merged after reduction
+    planes = PlaneSet(P5, {(0, 0, 1, 0): 2, (5, -5, 6, 10): 3, (1, 1, 1, 1): 1})
+    assert planes.entries == {(0, 0, 1, 0): 5, (1, 1, 1, 1): 1}
+    assert len(planes) == 2 and planes.total == 6
+    with pytest.raises(ValueError, match="zero normal"):
+        PlaneSet(P5, {(5, 0, -5, 1): 1})
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match="multiplicity"):
+            PlaneSet(P5, {(0, 0, 1, 0): mult})
 
 
 def test_multiplicity_weighting():
     pts = WeightedPointSet(P5, 3, {(0, 0, 0): 3, (1, 1, 0): 2})
-    planes = PlaneSet(P5, [(0, 0, 1, 0), (0, 0, 1, 0)])  # Z=0 twice
+    planes = PlaneSet(P5, Counter([(0, 0, 1, 0), (0, 0, 1, 0)]))  # Z=0 twice
     assert count_incidences(pts, planes, "direct") == 10
     assert count_incidences(pts, planes, "grouped") == 10
 
@@ -84,13 +99,13 @@ def test_strategies_exact_past_int64():
         for x, y, z in list(entries)[::2]:  # through every other point
             plane_list.append((a, b, c, (a * x + b * y + c * z) % p))
         plane_list.append((a, b, c, p - 1))
-    planes = PlaneSet(modulus, plane_list)
     literal = sum(
         mult
         for (x, y, z), mult in entries.items()
-        for a, b, c, e in planes
+        for a, b, c, e in plane_list
         if (a * x + b * y + c * z) % p == e
     )
+    planes = PlaneSet(modulus, Counter(plane_list))
     assert literal >= 3 * 3 * 2**64
     assert count_incidences(pts, planes, "direct") == literal
     assert count_incidences(pts, planes, "grouped") == literal
@@ -99,11 +114,11 @@ def test_strategies_exact_past_int64():
 def test_max_collinear_examples(monkeypatch):
     import ffdist.incidence
 
-    axis = WeightedPointSet.from_points(P7, 3, [(t, 0, 0) for t in (1, 3, 5)])
+    axis = WeightedPointSet(P7, 3, Counter((t, 0, 0) for t in (1, 3, 5)))
     assert max_collinear(axis) == 3
     single = WeightedPointSet(P7, 3, {(2, 2, 2): 1})
     assert max_collinear(single) == 1
-    two = WeightedPointSet.from_points(P7, 3, [(0, 0, 0), (1, 2, 3)])
+    two = WeightedPointSet(P7, 3, {(0, 0, 0): 1, (1, 2, 3): 1})
     assert max_collinear(two) == 2
     monkeypatch.setattr(ffdist.incidence, "COLLINEAR_GUARD", 2)
     with pytest.raises(GuardExceeded):
@@ -113,7 +128,7 @@ def test_max_collinear_examples(monkeypatch):
 
 def test_max_collinear_raw_list():
     pts = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]
-    assert max_collinear(WeightedPointSet.from_points(P5, 3, pts)) == 3
+    assert max_collinear(WeightedPointSet(P5, 3, Counter(pts))) == 3
 
 
 COLLINEAR_PRIMES = (3, 5, 7, 101, 2147483629)
@@ -148,7 +163,7 @@ def test_max_collinear_matches_line_oracle(case, data):
     expected = max_collinear_lines(pts, modulus)
     weighted = WeightedPointSet(modulus, 3, {pt: data.draw(st.integers(1, 3)) for pt in pts})
     assert max_collinear(weighted) == expected
-    assert max_collinear(WeightedPointSet.from_points(modulus, 3, _unreduced(data.draw, modulus, pts))) == expected
+    assert max_collinear(WeightedPointSet(modulus, 3, Counter(_unreduced(data.draw, modulus, pts)))) == expected
 
 
 @pytest.mark.parametrize("p", COLLINEAR_PRIMES)
@@ -157,12 +172,12 @@ def test_max_collinear_small_and_vertical(p):
     for pts in ([], [(1, 2, 0)], [(1, 2, 0), (p - 1, 0, 2)], [(1, 2, 0)] * 3):
         expected = max_collinear_lines(pts, modulus)
         assert expected == len(set(pts))
-        assert max_collinear(WeightedPointSet.from_points(modulus, 3, pts)) == expected
+        assert max_collinear(WeightedPointSet(modulus, 3, Counter(pts))) == expected
     # one vertical line: every direction has its pivot in the Z coordinate
     column = [(2, p - 1, z) for z in range(0, p, max(1, p // 9))]
-    assert max_collinear(WeightedPointSet.from_points(modulus, 3, column)) == len(column)
+    assert max_collinear(WeightedPointSet(modulus, 3, Counter(column))) == len(column)
     assert max_collinear_lines(column, modulus) == len(column)
-    assert max_collinear(WeightedPointSet.from_points(modulus, 3, column + [(0, 0, 0), (1, 1, 1)])) == len(column)
+    assert max_collinear(WeightedPointSet(modulus, 3, Counter(column + [(0, 0, 0), (1, 1, 1)]))) == len(column)
 
 
 def test_line_key_canonical():
@@ -190,7 +205,7 @@ def test_rudnev_diagnostic_and_swap():
 
 
 def test_rudnev_diagnostic_empty_instance_has_no_ratio():
-    inst = IncidenceInstance(points=WeightedPointSet(P5, 3, {}), planes=PlaneSet(P5, []), k=0)
+    inst = IncidenceInstance(points=WeightedPointSet(P5, 3, {}), planes=PlaneSet(P5, {}), k=0)
     report = rudnev_diagnostic(inst)
     assert report.incidences == 0 and report.ratio is None
 
@@ -201,7 +216,7 @@ def _one_instance(A, i0, j0):
 
 def test_rudnev_diagnostic_checks_the_carried_sum():
     A = random_subset(P7, 3, seed=1)
-    exps = dyadic_levels(fold(diff_square_spectrum(A), 1)).exponents()
+    exps = list(dyadic_levels(fold(diff_square_spectrum(A), 1)))
     inst = _one_instance(A, exps[0], exps[0])
     assert rudnev_diagnostic(inst).incidences == inst.expected_incidences
     inst.expected_incidences += 1
@@ -216,7 +231,7 @@ def test_proof_instance_identity_grid(p):
     for size in (2, 3, 4):
         A = random_subset(modulus, size, seed=rng.next_u64())
         levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
-        exps = levels.exponents()
+        exps = list(levels)
         built_levels, instances = build_proof_instance(A, 2)
         assert built_levels == levels
         assert list(instances) == [(i0, j0) for i0 in exps for j0 in exps]
@@ -224,8 +239,8 @@ def test_proof_instance_identity_grid(p):
             incidences = verify_proof_instance(inst)
             assert incidences == inst.expected_incidences
             # sizes counted with multiplicity
-            assert inst.points.total == len(A) ** 2 * len(levels.level(i0))
-            assert len(inst.planes) == len(A) ** 2 * len(levels.level(j0))
+            assert inst.points.total == len(A) ** 2 * len(levels[i0])
+            assert inst.planes.total == len(A) ** 2 * len(levels[j0])
             # a level's points, k and planes are built once and shared
             assert inst.points is instances[(i0, exps[0])].points
             assert inst.k == instances[(i0, exps[0])].k
@@ -235,7 +250,7 @@ def test_proof_instance_identity_grid(p):
 def test_proof_instance_structure():
     A = random_subset(P7, 3, seed=1)
     levels = dyadic_levels(fold(diff_square_spectrum(A), 1))
-    i0 = levels.exponents()[0]
+    i0 = list(levels)[0]
     inst = _one_instance(A, i0, i0)
 
     # projection onto the first two coordinates is exactly -2A x A
@@ -245,13 +260,13 @@ def test_proof_instance_structure():
 
     # vertical lines carry at most |level| points; the plane normals have
     # Z-coefficient 1, so no plane contains a vertical line
-    assert max_collinear_vertical(inst.points) <= len(levels.level(i0))
-    assert all(c == 1 for (_a, _b, c, _e) in inst.planes)
+    assert max_collinear_vertical(inst.points) <= len(levels[i0])
+    assert all(c == 1 for (_a, _b, c, _e) in inst.planes.entries)
 
     # non-vertical lines carry at most |A| points
     assert _max_collinear_nonvertical(inst.points) <= len(A)
 
-    assert inst.k <= max(len(A), len(levels.level(i0)))
+    assert inst.k <= max(len(A), len(levels[i0]))
 
 
 def _max_collinear_nonvertical(points: WeightedPointSet) -> int:
@@ -269,12 +284,12 @@ def test_proof_instance_rejects_missing_level():
 def test_instance_dump_roundtrip():
     A = random_subset(P5, 2, seed=3)
     levels = dyadic_levels(diff_square_spectrum(A))
-    i0 = levels.exponents()[0]
+    i0 = list(levels)[0]
     inst = _one_instance(A, i0, i0)
     text = format_instance(inst)
     points, planes = parse_instance(text)
     assert points == inst.points
-    assert sorted(planes.planes) == sorted(inst.planes.planes)
+    assert planes.entries == inst.planes.entries
     assert count_incidences(points, planes) == inst.expected_incidences
 
 
@@ -301,16 +316,63 @@ def test_instance_dump_parse_errors():
 def test_instance_dump_plane_limit(monkeypatch):
     import ffdist.incidence
 
-    # a 10^12 multiplicity fails on its own row, before the plane list grows
+    # a 10^12 multiplicity fails on its own row
     huge = "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n"
     with pytest.raises(GuardExceeded, match="hard limit"):
         parse_instance(huge)
     # the limit is on the running total over rows, and inclusive
     monkeypatch.setattr(ffdist.incidence, "INSTANCE_PLANE_LIMIT", 3)
     _, planes = parse_instance("p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,2\n0,1,0,0,1\n")
-    assert len(planes) == 3
+    assert planes.total == 3
     with pytest.raises(GuardExceeded, match="over 3 planes"):
         parse_instance("p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,2\n0,1,0,0,2\n")
+
+
+def test_instance_dump_one_plane_at_the_limit():
+    # one distinct plane, Z = 1, repeated INSTANCE_PLANE_LIMIT times
+    text = "p=5\nPOINTS\n0,0,1,3\n2,4,1,2\n1,1,0,7\nPLANES\n0,0,1,1,1000000\n"
+    points, planes = parse_instance(text)
+    assert len(planes) == 1 and planes.total == 10**6 == INSTANCE_PLANE_LIMIT
+    assert count_incidences(points, planes, "direct") == 10**6 * 5
+    assert count_incidences(points, planes, "grouped") == 10**6 * 5
+
+
+def test_direct_tally_guard():
+    # hits[i] <= planes.total, so the direct int64 tally is exact below 2^63
+    pts = WeightedPointSet(P5, 3, {(0, 0, 1): 2, (1, 1, 0): 1})
+    below = PlaneSet(P5, {(0, 0, 1, 1): 2**63 - 1})
+    assert count_incidences(pts, below, "direct") == count_incidences(pts, below, "grouped") == 2**64 - 2
+    at = PlaneSet(P5, {(0, 0, 1, 1): 2**63})
+    with pytest.raises(GuardExceeded, match="int64"):
+        count_incidences(pts, at, "direct")
+    assert count_incidences(pts, at, "grouped") == 2**64
+
+
+@st.composite
+def repeated_instances(draw):
+    """Points and planes of F_p^3 as raw lists with repeats and
+    unreduced coordinates, so both multisets merge entries."""
+    p = draw(st.sampled_from((3, 5, 7, 101)))
+    coord = st.integers(min_value=-2 * p, max_value=3 * p)
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12))
+    normal = st.tuples(coord, coord, coord).filter(lambda v: any(c % p for c in v))
+    planes = draw(st.lists(st.tuples(normal, coord).map(lambda ne: ne[0] + (ne[1],)), min_size=1, max_size=8))
+    points += draw(st.lists(st.sampled_from(points), max_size=6))
+    planes += draw(st.lists(st.sampled_from(planes), max_size=6))
+    modulus = PrimeModulus(p)
+    pts = WeightedPointSet(modulus, 3, Counter(points))
+    return IncidenceInstance(points=pts, planes=PlaneSet(modulus, Counter(planes)), k=0)
+
+
+@SETTINGS
+@given(repeated_instances())
+def test_instance_dump_roundtrip_property(inst):
+    points, planes = parse_instance(format_instance(inst))
+    assert points.entries == inst.points.entries
+    assert planes.entries == inst.planes.entries
+    expected = count_incidences(inst.points, inst.planes, "grouped")
+    assert count_incidences(points, planes, "direct") == expected
+    assert count_incidences(points, planes, "grouped") == expected
 
 
 def test_strategy_disagreement_impossible_but_guarded():

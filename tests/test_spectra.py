@@ -257,6 +257,14 @@ def test_spectrum_csv_roundtrip():
         spectrum_from_csv("lambda,count\n0,1\n")
 
 
+@SETTINGS
+@given(st.sampled_from((5, 13, 101, 521)), st.data())
+def test_spectrum_csv_roundtrip_property(p, data):
+    counts = data.draw(st.lists(st.integers(min_value=0, max_value=2**70), min_size=p, max_size=p))
+    Sp = Spectrum(PrimeModulus(p), counts)
+    assert spectrum_from_csv(spectrum_to_csv(Sp)) == Sp
+
+
 def test_spectrum_csv_rejects_lambda_out_of_range():
     for row in ("-1,7", "5,7"):
         with pytest.raises(ParseError, match="outside"):
@@ -311,3 +319,18 @@ def test_distance_dilation_law(p, xs, c, n):
     before = power_spectrum(A, "distance", n)
     after = power_spectrum(A.dilate(c), "distance", n)
     assert all(after[c * c * t] == before[t] for t in range(p))
+
+
+@SETTINGS
+@given(
+    st.sampled_from((5, 13, 101, 521)),
+    st.lists(st.integers(min_value=-2000, max_value=2000), min_size=1, max_size=30),
+    st.integers(min_value=-2000, max_value=2000),
+    st.integers(min_value=1, max_value=4),
+)
+def test_distance_translation_invariance(p, xs, c, n):
+    # (a + c) - (b + c) = a - b, so translating A leaves every distance count
+    modulus = PrimeModulus(p)
+    A = FieldSubset(modulus, xs)
+    shifted = FieldSubset(modulus, (x + c for x in xs))
+    assert power_spectrum(shifted, "distance", n) == power_spectrum(A, "distance", n)
