@@ -11,6 +11,14 @@ products never overflow), where N is the power-of-two transform length.
 Such primes exist in bulk for every N up to 2**25, which covers all
 desk-scale moduli; beyond that the transform raises GuardExceeded rather
 than falling back to an O(n^2) loop.
+
+Each (q, N) keeps one table of roots gen^0 .. gen^(N/2-1), where gen has
+order N mod q.  The forward transform is decimation in frequency (natural
+order in, bit-reversed order out) and the backward one is decimation in
+time (bit-reversed in, natural out), so no permutation is ever applied
+(Gentleman & Sande, 1966).  The backward pass reuses the forward roots, so
+its entry t holds N times the inverse transform at -t mod N: the inverse
+is that index reversal plus one scaling by N^-1.
 """
 
 from __future__ import annotations
@@ -24,9 +32,7 @@ from .field import is_prime, power_table, primitive_root
 _MAX_NTT_PRIME = 3_037_000_499
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
-_pool_cursor: dict[int, int] = {}  # N -> next candidate multiplier to test
-_twiddle_cache: dict[tuple[int, int, bool], list[np.ndarray]] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
+_root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
 
 
 def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
@@ -47,17 +53,17 @@ def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
 
     residues = []
     for q, gen in primes:
-        fa = _ntt(np.array([x % q for x in a] + pad, dtype=np.int64), q, gen, inverse=False)
-        if a is b:
-            fb = fa
-        else:
-            fb = _ntt(np.array([x % q for x in b] + pad, dtype=np.int64), q, gen, inverse=False)
-        lin = _ntt(fa * fb % q, q, gen, inverse=True)
-        # Wrap the linear convolution back to cyclic length n.
-        wrapped = lin[:n].copy()
-        tail = lin[n : 2 * n - 1]
-        wrapped[: len(tail)] = (wrapped[: len(tail)] + tail) % q
-        residues.append(wrapped)
+        roots = _root_cache.get((q, size))
+        if roots is None:
+            roots = _root_cache[q, size] = power_table(gen, size // 2, q)
+        fa = _forward(np.array([x % q for x in a] + pad, dtype=np.int64), q, roots)
+        fb = fa if a is b else _forward(np.array([x % q for x in b] + pad, dtype=np.int64), q, roots)
+        y = _backward(fa * fb % q, q, roots)
+        # y[t] is size times the linear convolution at -t mod size.  Read the
+        # first 2n entries at -t (entry 2n-1 is zero since size >= 2n), wrap
+        # them to cyclic length n, then divide by size.
+        lin = np.concatenate((y[:1], y[: -2 * n : -1]))
+        residues.append((lin[:n] + lin[n:]) % q * pow(size, q - 2, q) % q)
 
     return _crt_combine(residues, [q for q, _ in primes])
 
@@ -65,80 +71,55 @@ def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     """Primes q = 1 (mod size) whose product exceeds bound, with generators."""
     pool = _prime_pool.setdefault(size, [])
-    cursor = _pool_cursor.setdefault(size, (_MAX_NTT_PRIME - 1) // size)
     chosen: list[tuple[int, int]] = []
     product = 1
-    idx = 0
     while product < bound:
-        while idx >= len(pool):
-            if cursor < 1:
+        if len(chosen) == len(pool):
+            # Scan q = k*size + 1 downward from just below the last pooled prime.
+            k = (pool[-1][0] - 1) // size - 1 if pool else (_MAX_NTT_PRIME - 1) // size
+            while k >= 1 and not is_prime(k * size + 1):
+                k -= 1
+            if k < 1:
                 raise GuardExceeded(
                     f"not enough transform-friendly primes below 2**31.5 for "
                     f"length {size} and output bound of {bound.bit_length()} bits"
                 )
-            q = cursor * size + 1
-            cursor -= 1
-            if is_prime(q):
-                pool.append((q, _order_n_generator(q, size)))
-        _pool_cursor[size] = cursor
-        q, gen = pool[idx]
+            q = k * size + 1
+            pool.append((q, pow(primitive_root(q), (q - 1) // size, q)))
+        q, gen = pool[len(chosen)]
         chosen.append((q, gen))
         product *= q
-        idx += 1
     return chosen
 
 
-def _order_n_generator(q: int, n: int) -> int:
-    """An element of exact multiplicative order n mod q (n | q-1)."""
-    g = primitive_root(q)
-    return pow(g, (q - 1) // n, q)
+def _forward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
+    """In-place decimation in frequency: natural order in, bit-reversed out."""
+    size = a.size
+    h = size // 2
+    while h:
+        m = a.reshape(-1, 2 * h)
+        lo, hi = m[:, :h], m[:, h:]
+        # |lo - hi| * w < q*q, and % by q > 0 lands in [0, q) for either sign.
+        t = (lo - hi) * roots[:: size // (2 * h)] % q
+        lo += hi
+        lo %= q
+        hi[...] = t
+        h //= 2
+    return a
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    cached = _bitrev_cache.get(n)
-    if cached is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.int64)
-        rev = np.zeros(n, dtype=np.int64)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        cached = _bitrev_cache[n] = rev
-    return cached
-
-
-def _stage_twiddles(q: int, n: int, gen: int, inverse: bool) -> list[np.ndarray]:
-    key = (q, n, inverse)
-    cached = _twiddle_cache.get(key)
-    if cached is None:
-        root = pow(gen, q - 2, q) if inverse else gen
-        stages = []
-        length = 2
-        while length <= n:
-            w = pow(root, n // length, q)
-            stages.append(power_table(w, length // 2, q))
-            length *= 2
-        cached = _twiddle_cache[key] = stages
-    return cached
-
-
-def _ntt(values: np.ndarray, q: int, gen: int, inverse: bool) -> np.ndarray:
-    """Iterative radix-2 transform; gen has order len(values) mod q."""
-    n = values.size
-    a = values[_bit_reverse_indices(n)].copy()
-    stages = _stage_twiddles(q, n, gen, inverse)
-    length = 2
-    for ws in stages:
-        m = a.reshape(-1, length)
-        lo = m[:, : length // 2]
-        hi = m[:, length // 2 :]
-        t = hi * ws % q
+def _backward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
+    """In-place decimation in time with the forward roots: bit-reversed in, natural out."""
+    size = a.size
+    h = 1
+    while h < size:
+        m = a.reshape(-1, 2 * h)
+        lo, hi = m[:, :h], m[:, h:]
+        t = hi * roots[:: size // (2 * h)] % q
         hi[...] = (lo - t) % q
-        lo[...] = (lo + t) % q
-        length *= 2
-    if inverse:
-        n_inv = pow(n, q - 2, q)
-        a = a * n_inv % q
+        lo += t
+        lo %= q
+        h *= 2
     return a
 
 

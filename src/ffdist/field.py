@@ -86,7 +86,7 @@ class PrimeModulus:
     anywhere downstream.
     """
 
-    __slots__ = ("p", "_i_cached", "_i_known")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -96,8 +96,6 @@ class PrimeModulus:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self._i_cached: int | None = None
-        self._i_known = False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeModulus) and other.p == self.p
@@ -132,16 +130,11 @@ class PrimeModulus:
 
     def sqrt_of_minus_one(self) -> FieldElement | None:
         """Some i with i*i = -1 when p = 1 (mod 4), else None."""
-        if not self._i_known:
-            if self.p % 4 == 3:
-                self._i_cached = None
-            else:
-                n = self.smallest_nonresidue()
-                i = pow(n, (self.p - 1) // 4, self.p)
-                assert i * i % self.p == self.p - 1
-                self._i_cached = i
-            self._i_known = True
-        return self._i_cached
+        if self.p % 4 == 3:
+            return None
+        i = pow(self.smallest_nonresidue(), (self.p - 1) // 4, self.p)
+        assert i * i % self.p == self.p - 1
+        return i
 
 
 def additive_character(modulus: PrimeModulus, x: int) -> complex:

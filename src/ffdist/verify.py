@@ -202,6 +202,7 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
                 best_key = key
                 best_mask = mask
         b_set = [elements[i] for i in range(m) if best_mask >> i & 1]
+        searched = best_key[0]
     elif strategy == "greedy":
         in_b = [True] * m
         current = _current_max(in_b, sums, prods, scratch, touched)
@@ -220,6 +221,7 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
             in_b[best_move] = not in_b[best_move]
             current = best_value
         b_set = [elements[i] for i in range(m) if in_b[i]]
+        searched = current
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -227,6 +229,12 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
     C = A.difference(B)
     eplus = additive_energy(B) if len(B) else 0
     etimes = dot_energy(C, 1) if len(C) else 0  # the multiplicative energy
+    # The search's pair tables and the spectrum-based energies are
+    # independent algorithms; they must agree on the chosen partition.
+    if max(eplus, etimes) != searched:
+        raise InvariantViolation(
+            f"decomposition energies max(E+, Ex) = {max(eplus, etimes)} disagree with the search's {searched}"
+        )
     return Decomposition(B=B, C=C, eplus=eplus, etimes=etimes, strategy=strategy)
 
 
@@ -366,6 +374,8 @@ def threshold_scan(
         raise ValueError(f"scan kind must be distance or dot, got {kind!r}")
     if trials < 1:
         raise ValueError("need at least one trial per cardinality")
+    if max_m is not None and max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
     p = modulus.p
     top = p if max_m is None else min(p, max_m)
     rows = []

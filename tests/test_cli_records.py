@@ -117,6 +117,7 @@ CASES = [
     ("scan-csv", "scan --p 7 --n 2 --trials 3 --seed 1", 0, "8b88ffd041415eeb7136b049785859ac2318707c3bd7acb1bd71bd83de1ae640"),
     ("scan-json-dot", "scan --p 7 --n 2 --kind dot --trials 2 --seed 1 --threads 2 --format json", 0, "8828a6bb46c85dde1453fdc59895f67d55ca9fbad5004506ddcb28d5237af8f3"),
     ("scan-csv-out", "scan --p 7 --n 2 --trials 3 --seed 1 --max-m 4 --out {tmp}/scan.csv", 0, "07c31122508ac297bd605b7ca3b1b35e5f50c63bee65c897f52c8ec13e7565a3"),
+    ("scan-max-m-zero", "scan --p 7 --max-m 0", 1, "a48a5a84522ec56651a29600b8dd2014f6765eb4abaf067ce62bea6cd8baa098"),
     ("scan-no-p", "scan", 1, "1831d02b6619bf04094c839a03ce8f39dca5d52635aa7605a4c93828b3d97581"),
     ("scan-selftest", "scan --selftest", 0, "8343c32c97ff058b0573fe22dd9e4e56ce815ed0c88ff4d9625623d9891a6624"),
     ("theorem-report", "theorem-report --p 101 --random 8 --seed 4 --d 2", 0, "aba9e901f0e1fa880b58450a2806d2e78a032054187273946a3b6ed316a9cf4e"),

@@ -1,10 +1,17 @@
-import pytest
+import random
 
-from ffdist.convolution import _primes_for, exact_cyclic
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ffdist.convolution import _backward, _forward, _primes_for, exact_cyclic
 from ffdist.errors import GuardExceeded
+from ffdist.field import power_table
 from ffdist.rng import SplitMix64
 
 from oracles import cyclic_schoolbook
+from test_set_properties import SETTINGS
 
 
 def _random_list(rng, n, bits):
@@ -60,11 +67,44 @@ def test_self_convolution_square():
 
 
 def test_auto_switch_boundary():
-    rng = SplitMix64(3)
-    for n in (512, 513):
-        a = [rng.randbelow(9) for _ in range(n)]
-        b = [rng.randbelow(9) for _ in range(n)]
+    # The transform length doubles from n to n + 1 in each pair (512 -> 1024
+    # from 256 to 257); 100-bit entries need several primes on both sides.
+    rng = random.Random(3)
+    for n in (128, 129, 256, 257, 512, 513):
+        a = [rng.getrandbits(100) for _ in range(n)]
+        b = [rng.getrandbits(100) for _ in range(n)]
         assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
+        assert exact_cyclic(a, a) == cyclic_schoolbook(a, a)
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=1100),
+    bits=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32),
+    square=st.booleans(),
+)
+def test_exact_cyclic_matches_schoolbook(n, bits, seed, square):
+    # Up to 400-bit coefficients need up to ~27 primes, so the CRT path and
+    # every prime's transform are exercised; square=True takes the a-is-b path.
+    rng = random.Random(seed)
+    a = [rng.getrandbits(bits) for _ in range(n)]
+    b = a if square else [rng.getrandbits(bits) for _ in range(n)]
+    assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
+
+
+def test_round_trip_every_prime():
+    # Backward after forward, read at -t, is N * x mod q for every prime of
+    # one multi-prime run.
+    size = 1 << 10
+    primes = _primes_for(size, 1 << 200)
+    assert len(primes) >= 3
+    rng = np.random.default_rng(7)
+    for q, gen in primes:
+        roots = power_table(gen, size // 2, q)
+        x = rng.integers(0, q, size, dtype=np.int64)
+        y = _backward(_forward(x.copy(), q, roots), q, roots)
+        assert (y[-np.arange(size) % size] == x * size % q).all()
 
 
 def test_zero_inputs():

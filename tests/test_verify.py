@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ffdist.energy import additive_energy, distance_energy, dot_energy
-from ffdist.errors import GuardExceeded
+from ffdist.cli import run
+from ffdist.errors import GuardExceeded, InvariantViolation
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
@@ -116,6 +117,19 @@ def test_decompose_energies_are_consistent():
         assert result.etimes <= dot_energy(A, 1)
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+def test_decompose_cross_checks_reported_energy(monkeypatch, capsys, strategy):
+    # Both strategies pick B = 3 elements with E+(B) = 15 > Ex(C) = 6, so an
+    # E+ one too large moves max(E+, Ex) away from the search's value.
+    A = parse_subset("1,2,3,5,8", PrimeModulus(31))
+    assert balog_wooley_decompose(A, strategy).eplus == 15
+    monkeypatch.setattr("ffdist.verify.additive_energy", lambda B: additive_energy(B) + 1)
+    with pytest.raises(InvariantViolation, match="disagree with the search"):
+        balog_wooley_decompose(A, strategy)
+    assert run(["decompose", "--p", "31", "--set", "1,2,3,5,8", "--strategy", strategy]) == 2
+    assert "disagree with the search" in capsys.readouterr().err
+
+
 def test_decompose_deterministic_tiebreak():
     A = random_subset(PrimeModulus(31), 7, seed=5)
     first = balog_wooley_decompose(A)
@@ -213,3 +227,11 @@ def test_threshold_scan_thread_invariance():
 def test_threshold_scan_max_m():
     table = threshold_scan(PrimeModulus(13), 2, "distance", trials=2, seed=0, max_m=4)
     assert [row.m for row in table.rows] == [1, 2, 3, 4]
+    above = threshold_scan(PrimeModulus(5), 2, "distance", trials=2, seed=0, max_m=9)
+    assert [row.m for row in above.rows] == [1, 2, 3, 4, 5]  # clamped to p
+
+
+@pytest.mark.parametrize("max_m", [0, -2])
+def test_threshold_scan_rejects_nonpositive_max_m(max_m):
+    with pytest.raises(ValueError, match=f"max_m must be >= 1, got {max_m}"):
+        threshold_scan(P7, 2, "distance", trials=1, seed=0, max_m=max_m)
