@@ -1,24 +1,21 @@
 """Exact cyclic convolution of non-negative integer sequences.
 
-One engine serves every length: number-theoretic transforms modulo
-several 31-bit primes, recombined by remaindering (CRT).  The prime pool
-is grown until its product exceeds an a-priori bound on the output
-coefficients, which makes the reconstruction exact, not approximate.
-The O(n^2) schoolbook sum is kept only as the test suite's oracle.
+exact_cyclic picks its tier from the length n and the bound sum(a)*sum(b),
+which no output coefficient or partial sum exceeds, the inputs being
+non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
 
-The transform needs primes q = 1 (mod N) below 2**31.5 (so numpy int64
-products never overflow), where N is the power-of-two transform length.
-Such primes exist in bulk for every N up to 2**25, which covers all
-desk-scale moduli; beyond that the transform raises GuardExceeded rather
-than falling back to an O(n^2) loop.
-
-Each (q, N) keeps one table of roots gen^0 .. gen^(N/2-1), where gen has
-order N mod q.  The forward transform is decimation in frequency (natural
-order in, bit-reversed order out) and the backward one is decimation in
-time (bit-reversed in, natural out), so no permutation is ever applied
-(Gentleman & Sande, 1966).  The backward pass reuses the forward roots, so
-its entry t holds N times the inverse transform at -t mod N: the inverse
-is that index reversal plus one scaling by N^-1.
+* int64 tier, when the bound is below 2**63 and n <= _DIRECT_MAX_LEN:
+  np.convolve plus the cyclic wrap, exact since nothing can overflow.  Its
+  cost is O(n^2); the cutoff is measured against the transforms (README).
+* transform tier, otherwise: number-theoretic transforms modulo primes
+  q = 1 (mod N) below 2**31.5, N the power-of-two length, recombined by CRT
+  once their product exceeds the bound (GuardExceeded past N = 2**25).
+  Entries below 2**63 reach each prime as one int64 array % q; larger ones
+  are written once as uint32 limbs, reduced per prime by Horner's rule.
+  One root table per (q, N); the forward pass is decimation in frequency
+  (natural in, bit-reversed out), the backward one decimation in time on
+  the same roots (Gentleman & Sande, 1966), so nothing is permuted and
+  backward entry t is N times the inverse at -t mod N.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ from .field import is_prime, power_table, primitive_root
 
 # Largest q with q*q < 2**63, keeping int64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
+_DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
 _root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
@@ -40,32 +38,68 @@ def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
     n = len(a)
     if len(b) != n:
         raise ValueError(f"length mismatch: {n} vs {len(b)}")
-    total_a, total_b = sum(a), sum(b)
-    if total_a == 0 or total_b == 0:
+    bound = sum(a) * sum(b)
+    if bound == 0:
         return [0] * n
-    # Every output coefficient is a sub-sum of all products, so this bounds
-    # both the linear coefficients and their cyclic wrap-around sums.
-    bound = total_a * total_b + 1
+    if bound < 1 << 63 and n <= _DIRECT_MAX_LEN:
+        return _direct_cyclic(a, b)
+    return _ntt_cyclic(a, b, bound)
 
+
+def _direct_cyclic(a: list[int], b: list[int]) -> list[int]:
+    """The int64 tier; exact while sum(a)*sum(b) < 2**63."""
+    n = len(a)
+    x = np.array(a, dtype=np.int64)
+    lin = np.convolve(x, x if a is b else np.array(b, dtype=np.int64))
+    lin[: n - 1] += lin[n:]
+    return lin[:n].tolist()
+
+
+def _ntt_cyclic(a: list[int], b: list[int], bound: int) -> list[int]:
+    """The transform tier; exact for any bound >= every output coefficient."""
+    n = len(a)
     size = 1 << (2 * n - 1).bit_length()
-    primes = _primes_for(size, bound)
-    pad = [0] * (size - n)
-
+    primes = _primes_for(size, bound + 1)
+    src_a = _digits(a)
+    src_b = src_a if a is b else _digits(b)
     residues = []
     for q, gen in primes:
         roots = _root_cache.get((q, size))
         if roots is None:
             roots = _root_cache[q, size] = power_table(gen, size // 2, q)
-        fa = _forward(np.array([x % q for x in a] + pad, dtype=np.int64), q, roots)
-        fb = fa if a is b else _forward(np.array([x % q for x in b] + pad, dtype=np.int64), q, roots)
+        fa = _forward(_residue_row(src_a, q, size), q, roots)
+        fb = fa if a is b else _forward(_residue_row(src_b, q, size), q, roots)
         y = _backward(fa * fb % q, q, roots)
-        # y[t] is size times the linear convolution at -t mod size.  Read the
-        # first 2n entries at -t (entry 2n-1 is zero since size >= 2n), wrap
-        # them to cyclic length n, then divide by size.
+        # y[t] is size times the linear convolution at -t mod size: read the
+        # first 2n entries at -t (entry 2n-1 is 0), wrap to length n, scale.
         lin = np.concatenate((y[:1], y[: -2 * n : -1]))
         residues.append((lin[:n] + lin[n:]) % q * pow(size, q - 2, q) % q)
-
     return _crt_combine(residues, [q for q, _ in primes])
+
+
+def _digits(a: list[int]) -> np.ndarray:
+    """a as one int64 array if it fits, else as n x k little-endian uint32 limbs."""
+    top = max(a)
+    if top < 1 << 63:
+        return np.array(a, dtype=np.int64)
+    width = (top.bit_length() + 31) // 32
+    raw = b"".join(x.to_bytes(4 * width, "little") for x in a)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(a), width)
+
+
+def _residue_row(src: np.ndarray, q: int, size: int) -> np.ndarray:
+    """The entries of src (from _digits) mod q, zero-padded to length size."""
+    row = np.zeros(size, dtype=np.int64)
+    r = row[: len(src)]
+    if src.ndim == 1:
+        np.remainder(src, q, out=r)
+        return row
+    # Horner from the top limb, exact in int64: r*radix + limb is at most
+    # (q-1)**2 + 2**32 - 1 < 2**63 for every q <= _MAX_NTT_PRIME.
+    radix = (1 << 32) % q
+    for limb in src.T[::-1]:
+        r[:] = (r * radix + limb) % q
+    return row
 
 
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:

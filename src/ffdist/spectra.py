@@ -27,9 +27,8 @@ class Spectrum:
     def __init__(self, modulus: PrimeModulus, counts: list[int], expected_total: int | None = None):
         if len(counts) != modulus.p:
             raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
-        for c in counts:
-            if c < 0:
-                raise ValueError("negative count")
+        if min(counts) < 0:
+            raise ValueError("negative count")
         self.modulus = modulus
         self.counts = counts
         self.total = sum(counts)
@@ -74,14 +73,12 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
     m = len(A)
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
-    # #{(a,b): a-b = delta} is the cyclic autocorrelation of the
-    # indicator; push each difference count onto its square.
-    counts = [0] * p
+    # #{(a,b): a-b = delta} is the indicator's cyclic autocorrelation; push
+    # each count (at most m < 2^31, so int64 is exact) onto its square.
     diff_counts = exact_cyclic(A.indicator(), A.dilate(-1).indicator())
-    for delta, c in enumerate(diff_counts):
-        if c:
-            counts[delta * delta % p] += c
-    return Spectrum(A.modulus, counts, expected_total=m * m)
+    counts = np.zeros(p, dtype=np.int64)
+    np.add.at(counts, np.arange(p, dtype=np.int64) ** 2 % p, diff_counts)
+    return Spectrum(A.modulus, counts.tolist(), expected_total=m * m)
 
 
 def product_spectrum(A: FieldSubset) -> Spectrum:
@@ -91,23 +88,18 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
     # Discrete logs turn products into sums: convolve the indicator of
-    # A\{0} over Z_{p-1}, then map exponents back.
+    # A\{0} over Z_{p-1} (entry k is [g^k in A]), then map exponents back.
     powers = power_table(primitive_root(p), p - 1, p)
-    log = np.zeros(p, dtype=np.int64)
-    log[powers] = np.arange(p - 1)
-    ind = [0] * (p - 1)
-    nonzero = 0
-    for a in A:
-        if a:
-            ind[log[a]] = 1
-            nonzero += 1
+    member = np.zeros(p, dtype=np.int64)
+    member[np.fromiter(A, dtype=np.int64, count=m)] = 1
+    ind = member[powers].tolist()
     conv = exact_cyclic(ind, ind)
     # every count is at most m^2 < 2^62, so int64 holds it exactly
     counts = np.zeros(p, dtype=np.int64)
     counts[powers] = conv
     counts = counts.tolist()
-    if 0 in A:
-        counts[0] += 2 * nonzero + 1
+    if 0 in A:  # (0, b) and (a, 0): 2m - 1 pairs
+        counts[0] += 2 * m - 1
     return Spectrum(A.modulus, counts, expected_total=m * m)
 
 
@@ -161,9 +153,8 @@ def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
     these counts per value.
     """
     p = A.modulus.p
-    counts = [0] * p
-    for a in A:
-        counts[a * a % p] += 1
+    x = np.fromiter(A, dtype=np.int64, count=len(A))
+    counts = np.bincount(x * x % p, minlength=p).tolist()
     return fold(Spectrum(A.modulus, counts, expected_total=len(A)), n)
 
 

@@ -68,10 +68,13 @@ def dot_pair_counts(A: FieldSubset, n: int) -> list[int]:
 
 
 def cyclic_schoolbook(a: list[int], b: list[int]) -> list[int]:
-    """out[t] = sum_u a[u] * b[(t-u) mod n] by the O(n^2) double loop."""
+    """out[t] = sum_u a[u] * b[(t-u) mod n] by the O(n^2) double loop
+    (rows with a[u] = 0 add nothing and are skipped)."""
     n = len(a)
     out = [0] * n
     for u in range(n):
+        if not a[u]:
+            continue
         for v in range(n):
             out[(u + v) % n] += a[u] * b[v]
     return out

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffdist.convolution import _backward, _forward, _primes_for, exact_cyclic
+from ffdist import convolution
+from ffdist.convolution import (
+    _DIRECT_MAX_LEN,
+    _backward,
+    _digits,
+    _direct_cyclic,
+    _forward,
+    _ntt_cyclic,
+    _primes_for,
+    _residue_row,
+    exact_cyclic,
+)
 from ffdist.errors import GuardExceeded
 from ffdist.field import power_table
 from ffdist.rng import SplitMix64
@@ -118,3 +129,117 @@ def test_transform_primes_exhausted_is_guard():
     # prime picker directly keeps this from allocating the transform.
     with pytest.raises(GuardExceeded, match="transform-friendly primes"):
         _primes_for(1 << 25, 1 << 4000)
+
+
+# (sum a, sum b) pairs around the int64 tier's bound, or (sum a, None) for a
+# squaring: the first two multiply to exactly 2**63 - 1 and 2**63.
+_TOTALS = [
+    (7 * 73 * 127, (2**63 - 1) // (7 * 73 * 127)),
+    (2**20, 2**43),
+    (3_037_000_499, None),
+    (3_037_000_500, None),
+    (40, 55),
+    (2**90, 2**80),
+]
+
+
+def _spread(rng, n, total, nonzero):
+    """A length-n list of non-negative entries summing to total, held in at
+    most nonzero random positions."""
+    out = [0] * n
+    cuts = [0, *sorted(rng.randrange(total + 1) for _ in range(nonzero - 1)), total]
+    for i, lo, hi in zip(rng.sample(range(n), nonzero), cuts, cuts[1:]):
+        out[i] = hi - lo
+    return out
+
+
+def test_totals_straddle_the_int64_bound():
+    products = [ta * (ta if tb is None else tb) for ta, tb in _TOTALS[:4]]
+    assert products[:2] == [2**63 - 1, 2**63]
+    assert products[2] < 2**63 < products[3]
+
+
+@SETTINGS
+@given(
+    n=st.one_of(
+        st.sampled_from([1, 2, 7, 17, 211, 520, 997, _DIRECT_MAX_LEN, _DIRECT_MAX_LEN + 1]),
+        st.integers(min_value=1, max_value=600),
+    ),
+    totals=st.sampled_from(_TOTALS),
+    nonzero=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_tiers_agree_with_schoolbook(n, totals, nonzero, seed):
+    # Sparse entries keep the schoolbook oracle cheap on both sides of the
+    # length cutoff; the int64 tier is checked wherever its bound holds.
+    rng = random.Random(seed)
+    total_a, total_b = totals
+    a = _spread(rng, n, total_a, min(n, nonzero))
+    b = a if total_b is None else _spread(rng, n, total_b, min(n, nonzero))
+    bound = sum(a) * sum(b)
+    want = cyclic_schoolbook(a, b)
+    assert _ntt_cyclic(a, b, bound) == want
+    if bound < 2**63:
+        assert _direct_cyclic(a, b) == want
+    assert exact_cyclic(a, b) == want
+
+
+@pytest.mark.parametrize("total_a, total_b", _TOTALS[:2])
+def test_int64_bound_edge_point_masses(total_a, total_b):
+    # All mass on one output coefficient: at 2**63 an int64 product would wrap.
+    a, b = [0] * 211, [0] * 211
+    a[200], b[30] = total_a, total_b
+    want = [0] * 211
+    want[19] = total_a * total_b
+    assert exact_cyclic(a, b) == want
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    real = convolution._forward
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(convolution, "_forward", counted)
+    return calls
+
+
+def test_tier_is_chosen_from_bound_and_length(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    rng = random.Random(4)
+    # scan-shaped: length-211 0/1 indicators stay off the transforms
+    ind = [rng.getrandbits(1) for _ in range(211)]
+    exact_cyclic(ind, [rng.getrandbits(1) for _ in range(211)])
+    exact_cyclic(ind, ind)
+    assert not calls
+    # the same length with sum(a) * sum(b) = 2**63 takes them
+    a, b = [0] * 211, [0] * 211
+    a[0], b[0] = 2**20, 2**43
+    exact_cyclic(a, b)
+    assert calls
+    # and so does a length above the cutoff, whatever the bound
+    calls.clear()
+    exact_cyclic([1] * (_DIRECT_MAX_LEN + 1), [1] * (_DIRECT_MAX_LEN + 1))
+    assert calls
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    bits=st.integers(min_value=1, max_value=2000),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_residue_rows_match_python_mod(n, bits, seed):
+    # Every prime of a multi-prime run, plus the largest prime the pool can
+    # hold, where Horner's r * (2**32 mod q) + limb comes closest to 2**63.
+    rng = random.Random(seed)
+    a = [rng.getrandbits(bits) for _ in range(n)]
+    a[rng.randrange(n)] |= 1 << (bits - 1)
+    primes = [q for q, _ in _primes_for(1 << 10, 1 << 200) + _primes_for(2, 2)]
+    src = _digits(a)
+    for q in primes:
+        row = _residue_row(src, q, n + 5)
+        assert row[:n].tolist() == [x % q for x in a]
+        assert not row[n:].any()
