@@ -9,7 +9,6 @@ theorem-level verification harnesses, all in exact integer arithmetic.
 __version__ = "0.1.0"
 
 from .encodings import (
-    WeightedPointSet,
     deviation_check,
     encode,
     pair_counts,
@@ -35,7 +34,7 @@ from .incidence import (
 )
 from .sets import (
     FieldSubset,
-    PointSet,
+    WeightedPointSet,
     isotropic_line,
     parse_subset,
     random_pointset,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .encodings import WeightedPointSet, deviation_check, encode
+from .encodings import deviation_check, encode
 from .energy import (
     additive_energy,
     distance_energy,
@@ -47,7 +47,7 @@ from .rng import SplitMix64, derive_seed
 from .selftests import run_suites
 from .sets import (
     FieldSubset,
-    PointSet,
+    WeightedPointSet,
     isotropic_line,
     parse_subset,
     random_pointset,
@@ -109,7 +109,7 @@ def _resolve_set(args) -> tuple[FieldSubset, str]:
     raise UsageError("no set given: use --set, --set-file, or --random")
 
 
-def _resolve_points(args) -> tuple[PointSet | None, str | None]:
+def _resolve_points(args) -> tuple[WeightedPointSet | None, str | None]:
     """The point set named by --isotropic, --points-file or --random-points,
     with its source; (None, None) when the input is a subset of F_p."""
     if args.isotropic:

@@ -1,5 +1,5 @@
-"""Weighted multisets in F_p^2 and F_p^3, their bilinear pair counts, and
-the one encoder of a form's Cartesian power.
+"""Guarded bilinear pair counts of weighted multisets, their deviation
+bounds in F_p^2 and F_p^3, and the one encoder of a form's Cartesian power.
 
 encode(A, kind, n) turns distance or dot-product pair counting over A^n
 into a weighted bilinear pair count N(E, F, lambda): in the plane for odd
@@ -13,112 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GuardExceeded, ParseError
-from .field import PrimeModulus
-from .sets import FieldSubset
+from .errors import GuardExceeded
+from .sets import FieldSubset, WeightedPointSet, bilinear_counts
 from .spectra import Spectrum, base_spectrum, fold
 
 PAIR_COUNT_GUARD = 5_000_000  # on (#E entries) * (#F entries)
 
 
-class WeightedPointSet:
-    """A multiset of points in F_p^2 or F_p^3 with exact multiplicities."""
-
-    __slots__ = ("modulus", "dim", "entries", "total")
-
-    def __init__(self, modulus: PrimeModulus, dim: int, entries: dict[tuple[int, ...], int]):
-        if dim not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {dim}")
-        p = modulus.p
-        canonical: dict[tuple[int, ...], int] = {}
-        for pt, mult in entries.items():
-            if len(pt) != dim:
-                raise ValueError(f"point {pt} does not have {dim} coordinates")
-            if mult < 1:
-                raise ValueError(f"multiplicity of {pt} must be >= 1, got {mult}")
-            key = tuple(c % p for c in pt)
-            canonical[key] = canonical.get(key, 0) + mult
-        self.modulus = modulus
-        self.dim = dim
-        self.entries = canonical
-        self.total = sum(canonical.values())
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightedPointSet)
-            and other.modulus == self.modulus
-            and other.dim == self.dim
-            and other.entries == self.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"WeightedPointSet(p={self.modulus.p}, dim={self.dim}, distinct={len(self.entries)}, total={self.total})"
-
-    def second_moment(self) -> int:
-        """Sum of squared multiplicities over distinct points."""
-        return sum(m * m for m in self.entries.values())
-
-    def to_csv(self) -> str:
-        lines = [f"p={self.modulus.p} d={self.dim}"]
-        header = ",".join(f"x{i+1}" for i in range(self.dim)) + ",multiplicity"
-        lines.append(header)
-        for pt in sorted(self.entries):
-            lines.append(",".join(str(c) for c in pt) + f",{self.entries[pt]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "WeightedPointSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ParseError("multiset CSV needs a header and at least one row")
-        head = lines[0].split()
-        try:
-            fields = dict(part.split("=", 1) for part in head)
-            modulus = PrimeModulus(int(fields["p"]))
-            dim = int(fields["d"])
-        except (ValueError, KeyError):
-            raise ParseError(f"bad multiset header {lines[0]!r}") from None
-        entries: dict[tuple[int, ...], int] = {}
-        for ln in lines[2:]:
-            parts = ln.split(",")
-            if len(parts) != dim + 1:
-                raise ParseError(f"malformed multiset row {ln!r}")
-            try:
-                pt = tuple(int(c) for c in parts[:-1])
-                mult = int(parts[-1])
-            except ValueError:
-                raise ParseError(f"malformed multiset row {ln!r}") from None
-            if mult < 1:
-                raise ParseError(f"multiplicity must be >= 1: {ln!r}")
-            entries[pt] = entries.get(pt, 0) + mult
-        return cls(modulus, dim, entries)
-
-
 def pair_counts(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
     """All-lambda weighted counts of sum_{i<D} e_i*f_i + e_D + f_D = lambda,
-    with D = E.dim (2 or 3).
-
-    A dim-2 point gets a leading 0 coordinate, whose product term is 0, so
-    one dim-3 loop counts both forms.
-    """
+    with D = E.dim - 1 and coordinates indexed from 0."""
     if E.modulus != F.modulus:
         raise ValueError("mixed moduli")
     if E.dim != F.dim:
         raise ValueError(f"pair count needs one dimension, got {E.dim} and {F.dim}")
     if len(E) * len(F) > PAIR_COUNT_GUARD:
         raise GuardExceeded(f"{len(E)} x {len(F)} entry pairs exceed guard {PAIR_COUNT_GUARD}")
-    p = E.modulus.p
-    out = [0] * p
-    pad = (0,) * (3 - E.dim)
-    f_items = [(pad + f, mf) for f, mf in F.entries.items()]
-    for e, me in E.entries.items():
-        e1, e2, e3 = pad + e
-        for (f1, f2, f3), mf in f_items:
-            out[(e1 * f1 + e2 * f2 + e3 + f3) % p] += me * mf
-    return out
+    return bilinear_counts(E, F)
 
 
 @dataclass(frozen=True)
@@ -144,19 +55,14 @@ class DeviationReport:
 def deviation_check(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport:
     """Deviation bound in the dimension of E and F: factor sqrt(p) in the
     plane, p in space; constant-free, must pass."""
+    if E.dim not in (2, 3):
+        raise ValueError(f"the deviation bound is stated in dimension 2 or 3, got {E.dim}")
     counts = pair_counts(E, F)
     p = E.modulus.p
     total_product = E.total * F.total
     moment_product = E.second_moment() * F.second_moment()
     rhs_squared = p ** (E.dim + 1) * moment_product
-    margins = []
-    passed = True
-    for n in counts:
-        lhs_squared = (p * n - total_product) ** 2
-        margin = rhs_squared - lhs_squared
-        margins.append(margin)
-        if margin < 0:
-            passed = False
+    margins = [rhs_squared - (p * n - total_product) ** 2 for n in counts]
     return DeviationReport(
         dim=E.dim,
         p=p,
@@ -165,7 +71,7 @@ def deviation_check(E: WeightedPointSet, F: WeightedPointSet) -> DeviationReport
         second_moment_product=moment_product,
         rhs_squared=rhs_squared,
         margins=margins,
-        passed=passed,
+        passed=min(margins) >= 0,
     )
 
 

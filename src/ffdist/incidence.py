@@ -13,11 +13,10 @@ from math import sqrt
 import numpy as np
 
 from .convolution import exact_cyclic
-from .encodings import WeightedPointSet
 from .energy import dyadic_levels
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus
-from .sets import FieldSubset
+from .sets import FieldSubset, WeightedPointSet
 from .spectra import Spectrum, diff_square_spectrum, fold
 
 COLLINEAR_GUARD = 5000
@@ -33,19 +32,10 @@ class PlaneSet:
     __slots__ = ("modulus", "entries", "total")
 
     def __init__(self, modulus: PrimeModulus, entries: dict[tuple[int, int, int, int], int]) -> None:
-        p = modulus.p
-        canonical: dict[tuple[int, int, int, int], int] = {}
-        for plane, mult in entries.items():
-            a, b, c, e = (x % p for x in plane)
-            if a == 0 and b == 0 and c == 0:
-                raise ValueError("plane with zero normal vector")
-            if mult < 1:
-                raise ValueError(f"multiplicity of {plane} must be >= 1, got {mult}")
-            key = (a, b, c, e)
-            canonical[key] = canonical.get(key, 0) + mult
-        self.modulus = modulus
-        self.entries = canonical
-        self.total = sum(canonical.values())
+        planes = WeightedPointSet(modulus, 4, entries)
+        if any(plane[:3] == (0, 0, 0) for plane in planes.entries):
+            raise ValueError("plane with zero normal vector")
+        self.modulus, self.entries, self.total = modulus, planes.entries, planes.total
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,6 +108,8 @@ def count_incidences(
 def max_collinear(points: WeightedPointSet, force: bool = False) -> int:
     """Largest number of distinct points on a single line of F_p^3;
     multiplicities do not inflate the count."""
+    if points.dim != 3:
+        raise ValueError("incidence points live in F_p^3")
     pts = list(points.entries)
     n = len(pts)
     if n > COLLINEAR_GUARD and not force:
@@ -160,10 +152,9 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 def max_collinear_vertical(points: WeightedPointSet) -> int:
     """Largest distinct-point count on a line in the Z direction."""
-    columns: Counter = Counter()
-    for (x, y, _z) in points.entries:
-        columns[(x, y)] += 1
-    return max(columns.values()) if columns else 0
+    if points.dim != 3:
+        raise ValueError("incidence points live in F_p^3")
+    return max(Counter(pt[:2] for pt in points.entries).values(), default=0)
 
 
 @dataclass

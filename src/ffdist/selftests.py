@@ -11,12 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 
-from .encodings import WeightedPointSet, deviation_check, encode, pair_counts
+from .encodings import deviation_check, encode, pair_counts
 from .energy import distance_energy, dot_energy, energy_bruteforce_oracle
 from .field import PrimeModulus, additive_character
 from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
 from .rng import SplitMix64
-from .sets import FieldSubset, isotropic_line, parse_subset, random_subset
+from .sets import FieldSubset, WeightedPointSet, isotropic_line, parse_subset, random_subset
 from .spectra import (
     diff_square_spectrum,
     distance_spectrum_general,

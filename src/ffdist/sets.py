@@ -1,9 +1,12 @@
-"""Subsets of F_p and point sets in F_p^d: parsing, construction, seeded sampling."""
+"""Subsets of F_p and point multisets of F_p^d (a point set has unit multiplicities):
+parsing, construction, seeded sampling, and the one exact bilinear pair counter."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import ParseError
 from .field import PrimeModulus
@@ -77,43 +80,144 @@ class FieldSubset:
             raise ValueError("mixed moduli")
 
 
-class PointSet:
-    """Distinct points of F_p^d with canonical coordinates, kept sorted."""
+class WeightedPointSet:
+    """A multiset of points in F_p^d with exact multiplicities; a point set
+    is the special case with every multiplicity 1."""
 
-    __slots__ = ("modulus", "dim", "points")
+    __slots__ = ("modulus", "dim", "entries", "total")
 
-    def __init__(self, modulus: PrimeModulus, dim: int, points: Iterable[Sequence[int]]):
+    def __init__(self, modulus: PrimeModulus, dim: int, entries: dict[tuple[int, ...], int]):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         p = modulus.p
-        canonical = {tuple(c % p for c in pt) for pt in points}
-        for pt in canonical:
+        canonical: dict[tuple[int, ...], int] = {}
+        for pt, mult in entries.items():
             if len(pt) != dim:
                 raise ValueError(f"point {pt} does not have {dim} coordinates")
+            if mult < 1:
+                raise ValueError(f"multiplicity of {pt} must be >= 1, got {mult}")
+            key = tuple(c % p for c in pt)
+            canonical[key] = canonical.get(key, 0) + mult
         self.modulus = modulus
         self.dim = dim
-        self.points: tuple[tuple[int, ...], ...] = tuple(sorted(canonical))
+        self.entries = canonical
+        self.total = sum(canonical.values())
+
+    @classmethod
+    def of_points(cls, modulus: PrimeModulus, dim: int, points: Iterable[Sequence[int]]) -> "WeightedPointSet":
+        """The distinct points, each with multiplicity 1; points equal mod p
+        count once."""
+        return cls(modulus, dim, dict.fromkeys((tuple(c % modulus.p for c in pt) for pt in points), 1))
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.points)
-
-    def __contains__(self, pt) -> bool:
-        p = self.modulus.p
-        return tuple(c % p for c in pt) in set(self.points)
+        return len(self.entries)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, PointSet)
+            isinstance(other, WeightedPointSet)
             and other.modulus == self.modulus
             and other.dim == self.dim
-            and other.points == self.points
+            and other.entries == self.entries
         )
 
     def __repr__(self) -> str:
-        return f"PointSet(p={self.modulus.p}, dim={self.dim}, n={len(self)})"
+        return f"WeightedPointSet(p={self.modulus.p}, dim={self.dim}, distinct={len(self.entries)}, total={self.total})"
+
+    def second_moment(self) -> int:
+        """Sum of squared multiplicities over distinct points."""
+        return sum(m * m for m in self.entries.values())
+
+    def to_csv(self) -> str:
+        lines = [f"p={self.modulus.p} d={self.dim}"]
+        header = ",".join(f"x{i+1}" for i in range(self.dim)) + ",multiplicity"
+        lines.append(header)
+        for pt in sorted(self.entries):
+            lines.append(",".join(str(c) for c in pt) + f",{self.entries[pt]}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> "WeightedPointSet":
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if len(lines) < 2:
+            raise ParseError("multiset CSV needs a header and at least one row")
+        head = lines[0].split()
+        try:
+            fields = dict(part.split("=", 1) for part in head)
+            modulus = PrimeModulus(int(fields["p"]))
+            dim = int(fields["d"])
+        except (ValueError, KeyError):
+            raise ParseError(f"bad multiset header {lines[0]!r}") from None
+        if dim < 1:
+            raise ParseError(f"multiset dimension must be >= 1, got d={dim}")
+        entries: dict[tuple[int, ...], int] = {}
+        for ln in lines[2:]:
+            parts = ln.split(",")
+            if len(parts) != dim + 1:
+                raise ParseError(f"malformed multiset row {ln!r}")
+            try:
+                pt = tuple(int(c) for c in parts[:-1])
+                mult = int(parts[-1])
+            except ValueError:
+                raise ParseError(f"malformed multiset row {ln!r}") from None
+            if mult < 1:
+                raise ParseError(f"multiplicity must be >= 1: {ln!r}")
+            entries[pt] = entries.get(pt, 0) + mult
+        return cls(modulus, dim, entries)
+
+
+# -- the bilinear pair counter ---------------------------------------------------
+#
+# Multiplicities may exceed int64, so both sides are split into b-bit limbs.
+# For each distinct e, np.bincount tallies F's limb weights by the value of
+# the form; it sums in float64, exact while |F| * 2^b < 2^53.  Each tally
+# times an E limb is added into an int64 accumulator, one per limb pair,
+# exact while |E| * |F| * 2^(2b) < 2^63.  Python ints form only at the end.
+
+# elements in one block's (rows of E) x F and (rows of E) x F_p arrays; at
+# 2^16 they stay in cache, and 2^21 ran twice as slow
+_BLOCK = 1 << 16
+
+
+def _limb_bits(n_e: int, n_f: int) -> int:
+    """The widest limb b with n_f * 2^b < 2^53 and n_e * n_f * 2^(2b) < 2^63."""
+    return min(53 - n_f.bit_length(), (63 - (n_e * n_f).bit_length()) // 2)
+
+
+def _limbs(mults: list[int], b: int) -> np.ndarray:
+    """Row j holds bits [b*j, b*(j+1)) of each multiplicity; at least one row."""
+    mask, top = (1 << b) - 1, max(mults, default=1).bit_length()
+    return np.array([[m >> s & mask for m in mults] for s in range(0, top, b)], dtype=np.int64)
+
+
+def bilinear_counts(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
+    """out[lam] = sum of m_E(e) * m_F(f) over the pairs with
+    sum_{i<D} e_i*f_i + e_D + f_D = lam (mod p), where D = dim - 1.
+
+    E and F share the modulus and the dimension.  E is taken in blocks of
+    rows, so no |E| x |F| array is ever formed.
+    """
+    p, D = E.modulus.p, E.dim - 1
+    e_pts = np.array(list(E.entries), dtype=np.int64).reshape(len(E), E.dim)
+    f_pts = np.array(list(F.entries), dtype=np.int64).reshape(len(F), F.dim)
+    b = _limb_bits(len(E), len(F))
+    e_limbs = _limbs(list(E.entries.values()), b)
+    f_limbs = _limbs(list(F.entries.values()), b).astype(np.float64)
+    acc = np.zeros((len(e_limbs), len(f_limbs), p), dtype=np.int64)
+    rows = max(1, _BLOCK // max(len(F), p))
+    for lo in range(0, len(E), rows):
+        e = e_pts[lo:lo + rows]
+        n = len(e)
+        # every product of two residues is below 2^62; reduce each before summing
+        v = e[:, D, None] + f_pts[None, :, D]
+        for i in range(D):
+            v += e[:, i, None] * f_pts[None, :, i] % p
+        # row r tallies into slots [r*p, (r+1)*p)
+        v = (v % p + p * np.arange(n, dtype=np.int64)[:, None]).ravel()
+        for k, weights in enumerate(f_limbs):
+            tally = np.bincount(v, weights=np.tile(weights, n), minlength=n * p)
+            acc[:, k] += e_limbs[:, lo:lo + rows] @ tally.astype(np.int64).reshape(n, p)
+    j, k = np.indices(acc.shape[:2])
+    return (acc.astype(object) << (b * (j + k)).astype(object)[..., None]).sum(axis=(0, 1)).tolist()
 
 
 def parse_subset(text: str, modulus: PrimeModulus) -> FieldSubset:
@@ -156,8 +260,8 @@ def random_subset(modulus: PrimeModulus, n: int, seed: int) -> FieldSubset:
     return FieldSubset(modulus, sample_distinct(rng, p, n))
 
 
-def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> PointSet:
-    """Uniform n-subset of F_p^d; requires p**d to fit in 64 bits."""
+def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> WeightedPointSet:
+    """Uniform n-subset of F_p^d, unit multiplicities; requires p**d to fit in 64 bits."""
     p = modulus.p
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -167,18 +271,13 @@ def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> Point
     if not 1 <= n <= universe:
         raise ValueError(f"point count must satisfy 1 <= n <= {universe}, got {n}")
     rng = SplitMix64(derive_seed("pointset", p, dim, n, seed))
-    indices = sample_distinct(rng, universe, n)
-    points = []
-    for idx in indices:
-        coords = []
-        for _ in range(dim):
-            coords.append(idx % p)
-            idx //= p
-        points.append(tuple(reversed(coords)))
-    return PointSet(modulus, dim, points)
+    # the base-p digits of each index, most significant first
+    indices = np.array(sample_distinct(rng, universe, n), dtype=np.int64)
+    points = indices[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64) % p
+    return WeightedPointSet.of_points(modulus, dim, points.tolist())
 
 
-def isotropic_line(modulus: PrimeModulus) -> PointSet:
+def isotropic_line(modulus: PrimeModulus) -> WeightedPointSet:
     """The p points (x, i*x) with i*i = -1; every pairwise distance is 0.
 
     Only exists when p = 1 (mod 4).
@@ -187,26 +286,29 @@ def isotropic_line(modulus: PrimeModulus) -> PointSet:
     if i is None:
         raise ValueError(f"p = {modulus.p} = 3 (mod 4): no square root of -1 exists")
     p = modulus.p
-    return PointSet(modulus, 2, [(x, i * x % p) for x in range(p)])
+    return WeightedPointSet.of_points(modulus, 2, [(x, i * x % p) for x in range(p)])
 
 
 # -- set file format -----------------------------------------------------
 #
 # UTF-8 text.  First line: "p=<prime> d=<dim>".  Then one element (d=1) or
-# one comma-separated tuple (d>=2) per line.
+# one comma-separated tuple (d>=2) per line; a tuple file reads as a
+# multiset with unit multiplicities.
 
 
-def format_set_file(obj: Union[FieldSubset, PointSet]) -> str:
+def format_set_file(obj: Union[FieldSubset, WeightedPointSet]) -> str:
     if isinstance(obj, FieldSubset):
         lines = [f"p={obj.modulus.p} d=1"]
         lines.extend(str(x) for x in obj)
     else:
+        if obj.total != len(obj):
+            raise ValueError("a set file holds distinct points: multiplicities above 1 do not fit")
         lines = [f"p={obj.modulus.p} d={obj.dim}"]
-        lines.extend(",".join(str(c) for c in pt) for pt in obj)
+        lines.extend(",".join(str(c) for c in pt) for pt in sorted(obj.entries))
     return "\n".join(lines) + "\n"
 
 
-def parse_set_file(text: str) -> Union[FieldSubset, PointSet]:
+def parse_set_file(text: str) -> Union[FieldSubset, WeightedPointSet]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty set file")
@@ -239,9 +341,9 @@ def parse_set_file(text: str) -> Union[FieldSubset, PointSet]:
             raise ParseError(f"line {lineno}: malformed tuple {ln!r}") from None
     if not points:
         raise ParseError("set file lists no points")
-    return PointSet(modulus, d, points)
+    return WeightedPointSet.of_points(modulus, d, points)
 
 
-def read_set_file(path) -> Union[FieldSubset, PointSet]:
+def read_set_file(path) -> Union[FieldSubset, WeightedPointSet]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_set_file(fh.read())

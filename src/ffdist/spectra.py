@@ -2,9 +2,10 @@
 
 A Spectrum maps each t in F_p to an exact non-negative integer count.
 The squared-difference and product base spectra, their d-fold additive
-convolutions, and the distance / dot-product spectra of Cartesian powers
-all live here, together with supports and sumsets.  base_spectrum is the
-one place that maps a form ("distance" or "dot") to its base spectrum.
+convolutions, the distance / dot-product spectra of Cartesian powers and
+the distance spectrum of a general point set (a bilinear pair count of
+its lifts) all live here, together with supports and sumsets.
+base_spectrum is the one place that maps a form to its base spectrum.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus, power_table, primitive_root
-from .sets import FieldSubset, PointSet
+from .sets import FieldSubset, WeightedPointSet, bilinear_counts
 
 GENERAL_SPECTRUM_GUARD = 100_000
 
@@ -158,22 +159,22 @@ def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
     return fold(Spectrum(A.modulus, counts, expected_total=len(A)), n)
 
 
-def distance_spectrum_general(E: PointSet, force: bool = False) -> Spectrum:
-    """Pair counts of each distance over E x E by full enumeration.
+def distance_spectrum_general(E: WeightedPointSet, force: bool = False) -> Spectrum:
+    """Weighted pair counts of each distance over E x E.
 
-    Quadratic in |E|; guarded, with force=True overriding the guard.
+    |x - y|^2 = (-2x).y + |x|^2 + |y|^2, so this is the bilinear count of
+    the lifts (-2x, |x|^2) and (y, |y|^2).  Quadratic in |E|; guarded,
+    with force=True overriding the guard.
     """
     m = len(E)
     if m > GENERAL_SPECTRUM_GUARD and not force:
         raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {GENERAL_SPECTRUM_GUARD}")
-    p = E.modulus.p
-    pts = np.array(E.points, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for i in range(m):
-        d = (pts - pts[i]) % p
-        vals = (d * d % p).sum(axis=1) % p
-        acc += np.bincount(vals, minlength=p)
-    return Spectrum(E.modulus, [int(c) for c in acc], expected_total=m * m)
+    norms = [(x, sum(c * c for c in x)) for x in E.entries]
+    lifts = [
+        WeightedPointSet(E.modulus, E.dim + 1, {(*(s * c for c in x), n): E.entries[x] for x, n in norms})
+        for s in (-2, 1)
+    ]
+    return Spectrum(E.modulus, bilinear_counts(*lifts), expected_total=E.total**2)
 
 
 def support(S: Spectrum) -> FieldSubset:

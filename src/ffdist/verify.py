@@ -13,7 +13,7 @@ from .energy import additive_energy, distance_energy, dot_energy, report_float
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
 from .rng import derive_seed
-from .sets import FieldSubset, PointSet, random_subset
+from .sets import FieldSubset, WeightedPointSet, random_subset
 from .spectra import (
     Spectrum,
     diff_square_spectrum,
@@ -87,7 +87,7 @@ class ThresholdCoverageReport:
     coverage: CoverageReport
 
 
-def iosevich_rudnev_check(E: PointSet, force: bool = False) -> ThresholdCoverageReport:
+def iosevich_rudnev_check(E: WeightedPointSet, force: bool = False) -> ThresholdCoverageReport:
     p = E.modulus.p
     d = E.dim
     report = coverage_check(distance_spectrum_general(E, force=force))

@@ -12,16 +12,16 @@ from itertools import combinations, product
 import numpy as np
 
 from ffdist.field import PrimeModulus
-from ffdist.sets import FieldSubset, PointSet
+from ffdist.sets import FieldSubset, WeightedPointSet
 
 
 def materialized_points(A: FieldSubset, n: int) -> list[tuple[int, ...]]:
     return list(product(A.elements(), repeat=n))
 
 
-def materialize_power(A: FieldSubset, n: int) -> PointSet:
+def materialize_power(A: FieldSubset, n: int) -> WeightedPointSet:
     """A^n as an explicit point set.  Exponential in n: test-scale inputs only."""
-    return PointSet(A.modulus, n, materialized_points(A, n))
+    return WeightedPointSet.of_points(A.modulus, n, materialized_points(A, n))
 
 
 def dist_pair_counts_py(A: FieldSubset, n: int) -> list[int]:

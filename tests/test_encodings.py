@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffdist.encodings import WeightedPointSet, deviation_check, encode, pair_counts
+from ffdist.encodings import PAIR_COUNT_GUARD, WeightedPointSet, deviation_check, encode, pair_counts
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
-from ffdist.sets import FieldSubset, parse_subset, random_subset
+from ffdist.sets import FieldSubset, parse_subset, random_pointset, random_subset
 from ffdist.energy import distance_energy, dot_energy
 from ffdist.spectra import power_spectrum
 
@@ -35,9 +35,12 @@ def test_weighted_pointset_basics():
     assert w.entries == {(1, 1): 3}
     assert w.total == 3 and w.second_moment() == 9
     with pytest.raises(ValueError):
-        WeightedPointSet(P5, 4, {(1, 2, 3, 4): 1})
+        WeightedPointSet(P5, 4, {(1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        WeightedPointSet(P5, 0, {(): 1})
     with pytest.raises(ValueError):
         WeightedPointSet(P5, 2, {(1, 2): 0})
+    assert WeightedPointSet(P5, 4, {(6, 7, 8, 9): 2}).entries == {(1, 2, 3, 4): 2}
 
 
 def test_multiset_csv_roundtrip():
@@ -46,6 +49,15 @@ def test_multiset_csv_roundtrip():
     assert WeightedPointSet.from_csv(w.to_csv()) == w
     with pytest.raises(ParseError):
         WeightedPointSet.from_csv("nope")
+    for d in (1, 4):
+        w = random_multiset(rng, P7, d)
+        assert WeightedPointSet.from_csv(w.to_csv()) == w
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_multiset_csv_rejects_nonpositive_dimension(d):
+    with pytest.raises(ParseError, match="dimension"):
+        WeightedPointSet.from_csv(f"p=5 d={d}\nmultiplicity\n3\n")
 
 
 def test_multiset_csv_rejects_nonpositive_rows():
@@ -69,6 +81,11 @@ def test_pair_count_trivial_examples():
         pair_counts(origin, o3)
     with pytest.raises(ValueError, match="one dimension"):
         deviation_check(o3, origin)
+    for dim in (1, 4):
+        w = WeightedPointSet(P5, dim, {(1,) * dim: 1})
+        assert pair_counts(w, w) == [int(t == (dim + 1) % 5) for t in range(5)]
+        with pytest.raises(ValueError, match="dimension 2 or 3"):
+            deviation_check(w, w)
 
 
 def test_pair_counts_match_double_loop():
@@ -80,6 +97,65 @@ def test_pair_counts_match_double_loop():
         E3 = random_multiset(rng, P7, 3)
         F3 = random_multiset(rng, P7, 3)
         assert pair_counts(E3, F3) == weighted_pair_counts_dim3(E3, F3)
+
+
+@SETTINGS
+@given(st.sampled_from((3, 5, 7, 13, 101, 65537)), st.sampled_from((2, 3)), st.data())
+def test_bilinear_counter_matches_double_loop_past_three_limbs(p, dim, data):
+    modulus = PrimeModulus(p)
+
+    def side():
+        points = st.tuples(*[st.integers(-3 * p, 3 * p)] * dim)
+        entries = data.draw(st.dictionaries(points, st.integers(1, 2**90), max_size=12))
+        entries[(p,) * dim] = data.draw(st.integers(2**80, 2**90))  # at least three limbs
+        return WeightedPointSet(modulus, dim, entries)
+
+    E, F = side(), side()
+    oracle = weighted_pair_counts_dim2 if dim == 2 else weighted_pair_counts_dim3
+    assert pair_counts(E, F) == oracle(E, F)
+
+
+def test_bilinear_counter_in_any_dimension():
+    rng = SplitMix64(17)
+    for dim in (1, 4, 6):
+        E, F = random_multiset(rng, P7, dim), random_multiset(rng, P7, dim)
+        literal = [0] * 7
+        for e, me in E.entries.items():
+            for f, mf in F.entries.items():
+                literal[(sum(a * b for a, b in zip(e[:-1], f)) + e[-1] + f[-1]) % 7] += me * mf
+        assert pair_counts(E, F) == literal
+
+
+def test_limb_width_keeps_both_bounds_at_the_guard():
+    from ffdist.sets import _limb_bits
+
+    # the float64 bound binds only for a very long F, so one such size is added
+    for n_e, n_f in [(n, PAIR_COUNT_GUARD // n) for n in (1, 2, 1000, 2236, 5000, PAIR_COUNT_GUARD)] + [(1, 2**45)]:
+        b = _limb_bits(n_e, n_f)
+        assert n_f << b < 2**53 and n_e * n_f << 2 * b < 2**63
+        # one bit wider breaks one of the bounds
+        assert n_f << (b + 1) >= 2**53 or n_e * n_f << (2 * b + 2) >= 2**63
+    assert _limb_bits(2000, 2000) == 20
+
+
+def test_bilinear_counter_works_in_blocks(monkeypatch):
+    import ffdist.sets
+
+    # a 2000 x 2500 count at the guard tallies one block of rows at a time:
+    # no input or output of bincount passes the block size
+    largest = []
+    real_bincount = ffdist.sets.np.bincount
+
+    def bincount(x, weights=None, minlength=0):
+        largest.append(max(x.size, minlength))
+        return real_bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(ffdist.sets.np, "bincount", bincount)
+    p1009 = PrimeModulus(1009)
+    E, F = random_pointset(p1009, 3, 2000, seed=1), random_pointset(p1009, 3, 2500, seed=2)
+    assert len(E) * len(F) == PAIR_COUNT_GUARD
+    assert sum(pair_counts(E, F)) == PAIR_COUNT_GUARD
+    assert max(largest) <= ffdist.sets._BLOCK < PAIR_COUNT_GUARD
 
 
 def test_pair_count_guard(monkeypatch):

@@ -131,6 +131,15 @@ def test_max_collinear_raw_list():
     assert max_collinear(WeightedPointSet(P5, 3, Counter(pts))) == 3
 
 
+def test_incidence_functions_need_three_dimensions():
+    plane_pts = WeightedPointSet(P5, 2, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 1})
+    for fn in (max_collinear, max_collinear_vertical):
+        with pytest.raises(ValueError, match="incidence points live in F_p\\^3"):
+            fn(plane_pts)
+    with pytest.raises(ValueError, match="incidence points live in F_p\\^3"):
+        count_incidences(plane_pts, PlaneSet(P5, {(0, 0, 1, 0): 1}))
+
+
 COLLINEAR_PRIMES = (3, 5, 7, 101, 2147483629)
 
 

@@ -5,7 +5,7 @@ from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
 from ffdist.sets import (
     FieldSubset,
-    PointSet,
+    WeightedPointSet,
     format_set_file,
     isotropic_line,
     parse_set_file,
@@ -100,7 +100,7 @@ def test_random_pointset():
 
 def test_isotropic_line():
     p5 = PrimeModulus(5)
-    assert set(isotropic_line(p5).points) == {(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)}
+    assert set(isotropic_line(p5).entries) == {(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)}
     line13 = isotropic_line(PrimeModulus(13))
     assert len(line13) == 13
     assert support(distance_spectrum_general(line13)).elements() == [0]
@@ -109,8 +109,9 @@ def test_isotropic_line():
 
 
 def test_pointset_dedupes_and_canonicalizes():
-    ps = PointSet(P7, 2, [(8, 1), (1, 1), (1, 8)])
-    assert ps.points == ((1, 1),)
+    ps = WeightedPointSet.of_points(P7, 2, [(8, 1), (1, 1), (1, 8)])
+    assert ps.entries == {(1, 1): 1}
+    assert parse_set_file("p=7 d=2\n8,1\n1,1\n1,8\n") == ps
 
 
 def test_set_file_roundtrip(tmp_path):
@@ -121,7 +122,7 @@ def test_set_file_roundtrip(tmp_path):
 
     E = isotropic_line(PrimeModulus(5))
     back = parse_set_file(format_set_file(E))
-    assert isinstance(back, PointSet) and back == E
+    assert isinstance(back, WeightedPointSet) and back == E
 
     with pytest.raises(ParseError):
         parse_set_file("")
@@ -129,3 +130,6 @@ def test_set_file_roundtrip(tmp_path):
         parse_set_file("q=7 d=1\n3\n")
     with pytest.raises(ParseError):
         parse_set_file("p=5 d=2\n1,2,3\n")
+    # a set file has no multiplicity column, so a multiset does not fit it
+    with pytest.raises(ValueError, match="distinct points"):
+        format_set_file(WeightedPointSet(P7, 2, {(1, 2): 2}))

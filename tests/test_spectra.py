@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
-from ffdist.sets import FieldSubset, PointSet, parse_subset, random_subset
+from ffdist.sets import FieldSubset, WeightedPointSet, parse_subset, random_subset
 from ffdist.spectra import (
     Spectrum,
     base_spectrum,
@@ -189,10 +189,16 @@ def test_distance_spectrum_general(monkeypatch):
 
     iso = isotropic_line(P5)
     assert dict(distance_spectrum_general(iso).items()) == {0: 25}
-    single = PointSet(P7, 3, [(1, 2, 3)])
+    single = WeightedPointSet.of_points(P7, 3, [(1, 2, 3)])
     assert dict(distance_spectrum_general(single).items()) == {0: 1}
     A = S("0,2", P5)
     assert distance_spectrum_general(materialize_power(A, 2)) == power_spectrum(A, "distance", 2)
+    B = S("0,1,4", P7)
+    for n in (1, 2, 3, 4):
+        assert distance_spectrum_general(materialize_power(B, n)).counts == dist_pair_counts(B, n)
+    # weighted points count with the product of their multiplicities
+    heavy = WeightedPointSet(P7, 2, {(0, 0): 2**70, (1, 2): 3})
+    assert dict(distance_spectrum_general(heavy).items()) == {0: 2**140 + 9, 5: 2 * 3 * 2**70}
     monkeypatch.setattr(ffdist.spectra, "GENERAL_SPECTRUM_GUARD", 3)
     with pytest.raises(GuardExceeded):
         distance_spectrum_general(iso)
