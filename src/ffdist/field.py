@@ -68,7 +68,10 @@ def primitive_root(q: int) -> int:
 def power_table(w: int, m: int, q: int) -> np.ndarray:
     """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops).
 
-    Exact in int64 while q*q < 2**63.
+    Exact in int64 while q*q < 2**63, which holds for every p < 2**31 and
+    every transform prime.  The transforms' uint64 butterflies need more:
+    each power below 2**32, to sit in a uint32 table beside its Shoup
+    quotient; q <= 3037000499 gives that too (convolution.py).
     """
     table = np.ones(1, dtype=np.int64)
     step = w
@@ -81,9 +84,10 @@ def power_table(w: int, m: int, q: int) -> np.ndarray:
 class PrimeModulus:
     """A validated odd prime p in [3, 2**31).
 
-    The upper cap keeps every product of two canonical residues inside a
-    64-bit intermediate, so no modular-multiplication tricks are needed
-    anywhere downstream.
+    The upper cap keeps every product of two canonical residues below
+    2**62, so code working mod p can multiply in int64 and take % p.  The
+    transform primes of convolution.py are a separate modulus family; their
+    butterflies use Shoup's precomputed-quotient product instead of %.
     """
 
     __slots__ = ("p",)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 
+from .convolution import exact_cyclic
 from .encodings import deviation_check, encode, pair_counts
 from .energy import distance_energy, dot_energy, energy_bruteforce_oracle
 from .field import PrimeModulus, additive_character
@@ -63,6 +64,12 @@ def spectra_selftest() -> list[Check]:
                 for kind in ("distance", "dot"):
                     ok = ok and power_spectrum(S, kind, n).counts == _brute_counts(S, n, kind)
     checks.append(("power spectra match pair enumeration (p<=7)", ok))
+    # 128-bit entries put the bound near 2**259, past the int64 tier: the
+    # length-16 transforms run on nine primes near 2**31.5, recombined by CRT.
+    a = [rng.next_u64() << 64 | rng.next_u64() for _ in range(5)]
+    b = [(1 << 128) - 1 - x for x in a]
+    naive = [sum(a[u] * b[(t - u) % 5] for u in range(5)) for t in range(5)]
+    checks.append(("exact_cyclic transform tier matches the O(n^2) sum", exact_cyclic(a, b) == naive))
     iso = isotropic_line(p5)
     checks.append(
         ("isotropic line supported on {0}", support(distance_spectrum_general(iso)).elements() == [0])

@@ -57,7 +57,7 @@ CASES = [
     ("spectrum-composite-p", "spectrum --p 6 --set 0", 1, "c2967010a0197d7cbb2feca9afb4542740afc43726f9b3bf025539638953a4ae"),
     ("spectrum-parse-error", "spectrum --p 7 --set 0,x", 1, "892e1501cf1085e7b6359c17508cf266853721a5d2120b2bd2c78a9af8108e09"),
     ("spectrum-unknown-flag", "spectrum --wat", 1, "2517c98174f579bc30db6311dd3cfe998088ad6e1185bd29d59d0420e464bf12"),
-    ("spectrum-selftest", "spectrum --selftest", 0, "09fdb2296ebd6fd7d00139de149f34b600f806424f9cfde318e8bec6352634b9"),
+    ("spectrum-selftest", "spectrum --selftest", 0, "b14b3ef9674b424d7a61ae63cb8f05368fd4dc9d3bb5df62285ad841b91a49bb"),
     ("energy-distance-oracle", "energy --p 7 --set 0,1 --d 2 --oracle", 0, "76e78fae9eb910d912b0325473577f57e84e675fe590255318ce96007df80254"),
     ("energy-dot-recursion", "energy --p 11 --random 5 --seed 2 --kind dot --d 2 --recursion", 0, "c201d1ae283c6c011192fc0c314021179debebd24a806fb5249cf499f543894a"),
     ("energy-distance-recursion-csv", "energy --p 11 --random 5 --seed 2 --d 3 --recursion --format csv", 0, "a61b601e89ae2fb6f060a2c00b46b99b2d9685532d5384afc6314bbf98644833"),
@@ -119,7 +119,7 @@ CASES = [
     ("scan-csv-out", "scan --p 7 --n 2 --trials 3 --seed 1 --max-m 4 --out {tmp}/scan.csv", 0, "07c31122508ac297bd605b7ca3b1b35e5f50c63bee65c897f52c8ec13e7565a3"),
     ("scan-max-m-zero", "scan --p 7 --max-m 0", 1, "a48a5a84522ec56651a29600b8dd2014f6765eb4abaf067ce62bea6cd8baa098"),
     ("scan-no-p", "scan", 1, "1831d02b6619bf04094c839a03ce8f39dca5d52635aa7605a4c93828b3d97581"),
-    ("scan-selftest", "scan --selftest", 0, "8343c32c97ff058b0573fe22dd9e4e56ce815ed0c88ff4d9625623d9891a6624"),
+    ("scan-selftest", "scan --selftest", 0, "119bd8aa82faff36796be4c41c5731681b05570dc09129b435e635554f984fc0"),
     ("theorem-report", "theorem-report --p 101 --random 8 --seed 4 --d 2", 0, "aba9e901f0e1fa880b58450a2806d2e78a032054187273946a3b6ed316a9cf4e"),
     ("theorem-report-greedy-csv", "theorem-report --p 31 --set 1,2,3,5 --d 3 --strategy greedy --format csv", 0, "9ae2cb44a41a2cf8bedb0ad8e80503df0f65ddbbaa53b45888c564b62396b5bc"),
     ("theorem-report-d1", "theorem-report --p 31 --set 1,2 --d 1", 1, "c95044527d548480f805d21de1e666364473e597c3b38d90eebb3409d7028e72"),

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from ffdist import convolution
 from ffdist.convolution import (
     _DIRECT_MAX_LEN,
+    _MAX_NTT_PRIME,
     _backward,
     _digits,
     _direct_cyclic,
     _forward,
+    _mulmod,
     _ntt_cyclic,
     _primes_for,
     _residue_row,
+    _roots,
     exact_cyclic,
 )
 from ffdist.errors import GuardExceeded
-from ffdist.field import power_table
 from ffdist.rng import SplitMix64
 
 from oracles import cyclic_schoolbook
@@ -106,16 +108,62 @@ def test_exact_cyclic_matches_schoolbook(n, bits, seed, square):
 
 def test_round_trip_every_prime():
     # Backward after forward, read at -t, is N * x mod q for every prime of
-    # one multi-prime run.
-    size = 1 << 10
-    primes = _primes_for(size, 1 << 200)
-    assert len(primes) >= 3
+    # one multi-prime run per length; the length-2 run starts at the largest
+    # pool prime.  Length 2**15 crosses into the blocked layout, and an
+    # all-(q-1) input is the Shoup product's worst case.
     rng = np.random.default_rng(7)
-    for q, gen in primes:
-        roots = power_table(gen, size // 2, q)
-        x = rng.integers(0, q, size, dtype=np.int64)
-        y = _backward(_forward(x.copy(), q, roots), q, roots)
-        assert (y[-np.arange(size) % size] == x * size % q).all()
+    for size in (2, 4, 1 << 10, 1 << 15):
+        primes = _primes_for(size, 1 << 200)
+        assert len(primes) >= 3
+        for q, gen in primes:
+            roots = _roots(q, gen, size)
+            for x in (rng.integers(0, q, size, dtype=np.uint64), np.full(size, q - 1, dtype=np.uint64)):
+                y = _backward(_forward(x.copy(), q, roots), q, roots)
+                assert (y[-np.arange(size) % size] == x * size % q).all()
+    assert _primes_for(2, 1 << 200)[0] == _primes_for(2, 2)[0]
+
+
+def _pool_extremes():
+    """The smallest prime any pool can hold (the last of the exhausted 2**25
+    pool) and the largest (the first of the length-2 pool)."""
+    with pytest.raises(GuardExceeded):
+        _primes_for(1 << 25, 1 << 4000)
+    return convolution._prime_pool[1 << 25][-1][0], _primes_for(2, 2)[0][0]
+
+
+def test_shoup_product_matches_python_mod():
+    rng = random.Random(12)
+    for q in _pool_extremes():
+        values = [1, 2, q - 1, rng.randrange(q), rng.randrange(q)]
+        pairs = [(x, w) for x in values for w in values]
+        a = np.array([x for x, _ in pairs], dtype=np.uint64)
+        w = np.array([w for _, w in pairs], dtype=np.uint32)
+        wq = np.array([(w << 32) // q for _, w in pairs], dtype=np.uint32)
+        out, tmp = np.empty_like(a), np.empty_like(a)
+        _mulmod(a, w, wq, np.uint64(q), out, tmp)
+        assert out.tolist() == [x * w % q for x, w in pairs]
+
+
+def test_shoup_bounds_hold_for_every_pool_prime():
+    # Operands below q <= _MAX_NTT_PRIME: a*w' must not wrap uint64, and a*w
+    # stays below 2**63.
+    q = _MAX_NTT_PRIME
+    assert q < 2**32 and (q - 1) ** 2 < 2**63
+    assert (q - 1) * (((q - 1) << 32) // q) < 2**64
+    assert max(_pool_extremes()) <= q
+
+
+def test_cached_root_tables_are_two_uint32_arrays():
+    # 8 bytes per twiddle, as the int64 table before them: 4*N bytes per (q, N).
+    for size in (2, 1 << 10, 1 << 15):
+        for q, gen in _primes_for(size, 1 << 100):
+            w, wq = _roots(q, gen, size)
+            assert _roots(q, gen, size)[0] is w
+            assert w.dtype == wq.dtype == np.uint32
+            assert w.size == wq.size == size // 2
+            assert w.nbytes + wq.nbytes == 4 * size
+            assert w[:3].tolist() == [pow(gen, j, q) for j in range(min(3, size // 2))]
+            assert wq.tolist() == [(int(x) << 32) // q for x in w]
 
 
 def test_zero_inputs():
