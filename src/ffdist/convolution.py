@@ -12,12 +12,10 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   once their product exceeds the bound (GuardExceeded past N = 2**25).
   Entries below 2**64 reach each prime as one uint64 array % q; larger ones
   are written once as uint32 limbs, reduced per prime by Horner's rule.
-  One uint32 root table per (q, N) with its Shoup quotients, so no
-  butterfly divides.  The forward pass is decimation in frequency (natural
-  in, bit-reversed out), the backward one decimation in time on the same
-  roots (Gentleman & Sande, 1966), so no bit-reversal is applied and
-  backward entry t is N times the inverse at -t mod N.  The short spans run
-  on the array transposed in blocks, which the backward pass undoes.
+  One uint64 root table per (q, N); no butterfly takes a %.  The forward
+  pass is decimation in frequency, the backward one decimation in time on
+  the same roots (Gentleman & Sande, 1966), so no bit-reversal is applied
+  and backward entry t is N times the inverse at -t mod N.
 """
 
 from __future__ import annotations
@@ -27,12 +25,12 @@ import numpy as np
 from .errors import GuardExceeded
 from .field import is_prime, power_table, primitive_root
 
-# Largest q with q*q < 2**63; it is below 2**32, as Shoup's product needs.
+# Largest q with q*q < 2**63, keeping the uint64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
-_DIRECT_MAX_LEN = 2048  # longest n for the int64 tier
+_DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
-_root_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # (q, N) -> _roots
+_root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
 
 
 def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
@@ -66,11 +64,12 @@ def _ntt_cyclic(a: list[int], b: list[int], bound: int) -> list[int]:
     src_b = src_a if a is b else _digits(b)
     residues = []
     for q, gen in primes:
-        roots = _roots(q, gen, size)
+        roots = _root_cache.get((q, size))
+        if roots is None:
+            roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
         fa = _forward(_residue_row(src_a, q, size), q, roots)
         fb = fa if a is b else _forward(_residue_row(src_b, q, size), q, roots)
-        fa *= fb
-        y = _backward(np.remainder(fa, q, out=fa), q, roots)
+        y = _backward(fa * fb % q, q, roots)
         # y[t] is size times the linear convolution at -t mod size: read the
         # first 2n entries at -t (entry 2n-1 is 0), wrap to length n, scale.
         lin = np.concatenate((y[:1], y[: -2 * n : -1]))
@@ -97,18 +96,11 @@ def _residue_row(src: np.ndarray, q: int, size: int) -> np.ndarray:
         return row
     # Horner from the top limb, exact in uint64: r*radix + limb is at most
     # (q-1)**2 + 2**32 - 1 < 2**63 for every q <= _MAX_NTT_PRIME.
-    radix = (1 << 32) % q
+    radix, q, tmp = (1 << 32) % q, np.uint64(q), np.empty_like(r)
     for limb in src.T[::-1]:
-        np.remainder(r * radix + limb, q, out=r)
+        np.add(np.multiply(r, radix, out=r), limb, out=r)
+        r -= np.multiply(np.floor_divide(r, q, out=tmp), q, out=tmp)
     return row
-
-
-def _roots(q: int, gen: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached uint32 w = gen^0 .. gen^(size/2-1) and w' = floor(w * 2**32 / q)."""
-    if (q, size) not in _root_cache:
-        w = power_table(gen, size // 2, q).astype(np.uint64)
-        _root_cache[q, size] = w.astype(np.uint32), ((w << 32) // q).astype(np.uint32)
-    return _root_cache[q, size]
 
 
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
@@ -135,66 +127,49 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     return chosen
 
 
-def _forward(a: np.ndarray, q: int, roots: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+# Every operand is reduced below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum
+# x + y or difference x - y + q lies in [0, 2q), and its product with a root
+# below 2*q*q < 2**64, so uint64 holds every value and x - (x // q)*q is x
+# mod q (numpy divides by a scalar q without a hardware division).  In
+# uint64, x - q wraps past 2**63 exactly when x < q, so min(x, x - q) is
+# x mod q for x < 2q.
+def _forward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
     """In-place decimation in frequency: natural order in, bit-reversed out (blocked)."""
-    for lo, hi, d, e, w, wq, q in _stages(a, q, roots, range(a.size.bit_length() - 2, -1, -1)):
-        _addsub(lo, hi, d, e, q)
-        _mulmod(d, w, wq, q, hi, d)
+    q, s = np.uint64(q), np.empty_like(a)
+    for lo, hi, d, e, w in _stages(a, s, roots, range(a.size.bit_length() - 2, -1, -1)):
+        np.subtract(np.add(lo, q, out=d), hi, out=d)
+        lo += hi
+        np.minimum(lo, np.subtract(lo, q, out=e), out=lo)
+        np.multiply(d, w, out=hi)
+        hi -= np.multiply(np.floor_divide(hi, q, out=d), q, out=d)
     return a
 
 
-def _backward(a: np.ndarray, q: int, roots: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _backward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
     """In-place decimation in time on the forward roots: bit-reversed (blocked) in, natural out."""
-    for lo, hi, t, e, w, wq, q in _stages(a, q, roots, range(a.size.bit_length() - 1)):
-        _mulmod(hi, w, wq, q, t, e)
-        _addsub(lo, t, hi, e, q)
+    q, s = np.uint64(q), np.empty_like(a)
+    for lo, hi, t, e, w in _stages(a, s, roots, range(a.size.bit_length() - 1)):
+        np.multiply(hi, w, out=t)
+        t -= np.multiply(np.floor_divide(t, q, out=e), q, out=e)
+        np.subtract(np.add(lo, q, out=hi), t, out=hi)
+        lo += t
+        np.minimum(a, np.subtract(a, q, out=s), out=a)
     return a
 
 
-def _stages(a: np.ndarray, q: int, roots: tuple[np.ndarray, np.ndarray], levels: range):
-    """Per stage of half-span h = 2**level: the lo and hi halves of every block
-    of 2h, two scratch arrays of their shape, the roots w and w', and q.  For
-    h below t = 2**floor(log2(N)/2), a holds its blocks of 2t entries as the
-    columns of a 2t x N/(2t) array ("blocked"), so no inner loop is short."""
+def _stages(a: np.ndarray, s: np.ndarray, roots: np.ndarray, levels: range):
+    """Per stage of half-span h = 2**level: the lo and hi halves of each 2h-block,
+    the halves of scratch s, and the roots.  Spans h < t = 2**floor(log2(N)/2)
+    run "blocked", a's 2t-blocks as columns, so no inner loop is short."""
     n, t = a.size, 1 << (a.size.bit_length() - 1) // 2
-    scratch = np.empty(n, dtype=np.uint64)
     blocked = 1 << levels[0] < t
     for h in (1 << level for level in levels):
         if blocked != (h < t):
             blocked = h < t
             a[:] = a.reshape((-1, 2 * t) if blocked else (2 * t, -1)).T.ravel()
         k = n // (2 * t) if blocked else 1
-        v, s = a.reshape(-1, 2, h, k), slice(None, None, n // (2 * h))
-        yield v[:, 0], v[:, 1], *scratch.reshape(2, -1, h, k), roots[0][s, None], roots[1][s, None], np.uint64(q)
-
-
-# Shoup's product (V. Shoup, NTL; D. Harvey, J. Symb. Comp. 60, 2014): with
-# w < q and w' = floor(w * 2**32 / q), any a < 2**32 has a*w/q - a*w'/2**32 in
-# [0, 1), so Q' = floor(a*w' / 2**32) is floor(a*w/q) or one less and
-# r = a*w - Q'*q lies in [0, 2q).  Every pool prime is at most _MAX_NTT_PRIME
-# < 2**32 and every operand is reduced below q, so a*w' < 2**64 and
-# a*w < 2**63; x + y lies in [0, 2q) and x - y + q in [1, 2q).  In uint64,
-# u - v wraps past 2**63 exactly when u < v, so min(r, r - q) is r mod q for
-# r < 2q, and min(x - y, x - y + q) is x - y mod q.
-def _mulmod(a: np.ndarray, w, wq, q, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = a*w mod q, wq being w'; tmp is scratch and may be a."""
-    np.multiply(a, w, out=out)
-    np.multiply(a, wq, out=tmp)
-    tmp >>= 32
-    tmp *= q
-    out -= tmp
-    np.subtract(out, q, out=tmp)
-    np.minimum(out, tmp, out=out)
-
-
-def _addsub(x: np.ndarray, y: np.ndarray, diff: np.ndarray, tmp: np.ndarray, q) -> None:
-    """diff = x - y and then x = x + y, both mod q; tmp is scratch."""
-    np.subtract(x, y, out=diff)
-    np.add(diff, q, out=tmp)
-    np.minimum(diff, tmp, out=diff)
-    x += y
-    np.subtract(x, q, out=tmp)
-    np.minimum(x, tmp, out=x)
+        v, w = a.reshape(-1, 2, h, k), s.reshape(2, -1, h, k)
+        yield v[:, 0], v[:, 1], w[0], w[1], roots[:: n // (2 * h), None]
 
 
 def _crt_combine(residues: list[np.ndarray], moduli: list[int]) -> list[int]:

@@ -69,9 +69,9 @@ def power_table(w: int, m: int, q: int) -> np.ndarray:
     """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops).
 
     Exact in int64 while q*q < 2**63, which holds for every p < 2**31 and
-    every transform prime.  The transforms' uint64 butterflies need more:
-    each power below 2**32, to sit in a uint32 table beside its Shoup
-    quotient; q <= 3037000499 gives that too (convolution.py).
+    every transform prime.  The transforms' uint64 butterflies need a little
+    more: a root times a value below 2q must stay below 2**64, which
+    2*q*q < 2**64 gives for every q <= 3037000499 (convolution.py).
     """
     table = np.ones(1, dtype=np.int64)
     step = w
@@ -87,7 +87,7 @@ class PrimeModulus:
     The upper cap keeps every product of two canonical residues below
     2**62, so code working mod p can multiply in int64 and take % p.  The
     transform primes of convolution.py are a separate modulus family; their
-    butterflies use Shoup's precomputed-quotient product instead of %.
+    butterflies reduce by floor division by q (x - (x // q)*q) instead of %.
     """
 
     __slots__ = ("p",)

@@ -13,14 +13,13 @@ from ffdist.convolution import (
     _digits,
     _direct_cyclic,
     _forward,
-    _mulmod,
     _ntt_cyclic,
     _primes_for,
     _residue_row,
-    _roots,
     exact_cyclic,
 )
 from ffdist.errors import GuardExceeded
+from ffdist.field import power_table, primitive_root
 from ffdist.rng import SplitMix64
 
 from oracles import cyclic_schoolbook
@@ -106,11 +105,16 @@ def test_exact_cyclic_matches_schoolbook(n, bits, seed, square):
     assert exact_cyclic(a, b) == cyclic_schoolbook(a, b)
 
 
+def _roots(q, gen, size):
+    return power_table(gen, size // 2, q).astype(np.uint64)
+
+
 def test_round_trip_every_prime():
     # Backward after forward, read at -t, is N * x mod q for every prime of
     # one multi-prime run per length; the length-2 run starts at the largest
-    # pool prime.  Length 2**15 crosses into the blocked layout, and an
-    # all-(q-1) input is the Shoup product's worst case.
+    # pool prime.  Length 2**15 runs most spans blocked, and an all-(q-1)
+    # input makes every difference x - y + q and every product as large as
+    # they get.
     rng = np.random.default_rng(7)
     for size in (2, 4, 1 << 10, 1 << 15):
         primes = _primes_for(size, 1 << 200)
@@ -131,39 +135,50 @@ def _pool_extremes():
     return convolution._prime_pool[1 << 25][-1][0], _primes_for(2, 2)[0][0]
 
 
-def test_shoup_product_matches_python_mod():
+def test_forward_matches_python_transform():
+    # Each output of _forward is one DFT entry sum_i x[i] * g**(i*k) mod q,
+    # taken with Python ints; which k sits where is read off the transform of
+    # the unit vector at 1.  Inputs from {1, 2, q-1, random} on the smallest
+    # and largest prime any pool holds (and the largest at length 64) reach
+    # the largest sums, differences and products the butterflies form.
     rng = random.Random(12)
-    for q in _pool_extremes():
-        values = [1, 2, q - 1, rng.randrange(q), rng.randrange(q)]
-        pairs = [(x, w) for x in values for w in values]
-        a = np.array([x for x, _ in pairs], dtype=np.uint64)
-        w = np.array([w for _, w in pairs], dtype=np.uint32)
-        wq = np.array([(w << 32) // q for _, w in pairs], dtype=np.uint32)
-        out, tmp = np.empty_like(a), np.empty_like(a)
-        _mulmod(a, w, wq, np.uint64(q), out, tmp)
-        assert out.tolist() == [x * w % q for x, w in pairs]
+    cases = [(q, size) for q in _pool_extremes() for size in (2, 4, 16, 64) if (q - 1) % size == 0]
+    cases.append((_primes_for(64, 2)[0][0], 64))
+    assert len(cases) >= 7
+    for q, size in cases:
+        gen = pow(primitive_root(q), (q - 1) // size, q)
+        roots = _roots(q, gen, size)
+        unit = np.zeros(size, dtype=np.uint64)
+        unit[1] = 1
+        log = {pow(gen, k, q): k for k in range(size)}
+        ks = [log[int(v)] for v in _forward(unit, q, roots)]
+        assert sorted(ks) == list(range(size))
+        values = [1, 2, q - 1, rng.randrange(q)]
+        for x in ([rng.choice(values) for _ in range(size)], [q - 1] * size):
+            got = _forward(np.array(x, dtype=np.uint64), q, roots).tolist()
+            assert got == [sum(v * pow(gen, i * k, q) for i, v in enumerate(x)) % q for k in ks]
 
 
-def test_shoup_bounds_hold_for_every_pool_prime():
-    # Operands below q <= _MAX_NTT_PRIME: a*w' must not wrap uint64, and a*w
-    # stays below 2**63.
+def test_butterfly_bounds_hold_for_every_pool_prime():
+    # Operands below q <= _MAX_NTT_PRIME: a difference x - y + q times a root
+    # must not wrap uint64, and a product of two residues (the pointwise
+    # product, Horner's r * radix + limb) stays below 2**63.
     q = _MAX_NTT_PRIME
-    assert q < 2**32 and (q - 1) ** 2 < 2**63
-    assert (q - 1) * (((q - 1) << 32) // q) < 2**64
+    assert (2 * q - 1) * (q - 1) < 2**64
+    assert (q - 1) ** 2 + 2**32 - 1 < 2**63
     assert max(_pool_extremes()) <= q
 
 
-def test_cached_root_tables_are_two_uint32_arrays():
+def test_cached_root_tables_are_one_uint64_array():
     # 8 bytes per twiddle, as the int64 table before them: 4*N bytes per (q, N).
-    for size in (2, 1 << 10, 1 << 15):
+    for n, size in ((1, 2), (512, 1 << 10), (1 << 14, 1 << 15)):
+        _ntt_cyclic([1] * n, [1] * n, 1 << 100)
         for q, gen in _primes_for(size, 1 << 100):
-            w, wq = _roots(q, gen, size)
-            assert _roots(q, gen, size)[0] is w
-            assert w.dtype == wq.dtype == np.uint32
-            assert w.size == wq.size == size // 2
-            assert w.nbytes + wq.nbytes == 4 * size
+            w = convolution._root_cache[q, size]
+            assert w.dtype == np.uint64
+            assert w.size == size // 2 and w.nbytes == 4 * size
+            assert w.tolist() == _roots(q, gen, size).tolist()
             assert w[:3].tolist() == [pow(gen, j, q) for j in range(min(3, size // 2))]
-            assert wq.tolist() == [(int(x) << 32) // q for x in w]
 
 
 def test_zero_inputs():
