@@ -69,7 +69,8 @@ def _ntt_cyclic(a: list[int], b: list[int], bound: int) -> list[int]:
             roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
         fa = _forward(_residue_row(src_a, q, size), q, roots)
         fb = fa if a is b else _forward(_residue_row(src_b, q, size), q, roots)
-        y = _backward(fa * fb % q, q, roots)
+        fa *= fb
+        y = _backward(np.remainder(fa, q, out=fa), q, roots)
         # y[t] is size times the linear convolution at -t mod size: read the
         # first 2n entries at -t (entry 2n-1 is 0), wrap to length n, scale.
         lin = np.concatenate((y[:1], y[: -2 * n : -1]))
@@ -127,12 +128,11 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     return chosen
 
 
-# Every operand is reduced below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum
-# x + y or difference x - y + q lies in [0, 2q), and its product with a root
-# below 2*q*q < 2**64, so uint64 holds every value and x - (x // q)*q is x
-# mod q (numpy divides by a scalar q without a hardware division).  In
-# uint64, x - q wraps past 2**63 exactly when x < q, so min(x, x - q) is
-# x mod q for x < 2q.
+# Every operand is below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum x + y or
+# difference x - y + q lies in [0, 2q) and its product with a root below
+# 2*q*q < 2**64.  uint64 holds them all, and x - (x // q)*q is x mod q (numpy
+# divides by a scalar q without a hardware division).  In uint64, x - q wraps
+# past 2**63 exactly when x < q, so min(x, x - q) is x mod q for x < 2q.
 def _forward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
     """In-place decimation in frequency: natural order in, bit-reversed out (blocked)."""
     q, s = np.uint64(q), np.empty_like(a)
