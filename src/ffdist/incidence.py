@@ -13,7 +13,7 @@ from math import sqrt
 import numpy as np
 
 from .convolution import exact_cyclic
-from .energy import dyadic_levels
+from .energy import dyadic_levels, report_float
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus
 from .sets import FieldSubset, WeightedPointSet
@@ -169,10 +169,10 @@ class RudnevReport:
     n_points: int
     n_planes: int
     k: int
-    term_main: float
-    term_sqrt: float
+    term_main: float | None  # None past the double range, as is term_sqrt
+    term_sqrt: float | None
     term_collinear: float
-    ratio: float | None  # None when every term is 0
+    ratio: float | None  # None when every term is 0 or one is None
     swapped_roles: bool
     note: str
 
@@ -186,10 +186,10 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
     swapped = n_r > n_s
     r, s = (n_s, n_r) if swapped else (n_r, n_s)
     note = "roles swapped: |R| > |S|, bound applied to the transposed instance" if swapped else ""
-    term_main = float(Fraction(r * s, p))
-    term_sqrt = sqrt(r) * s
+    term_main = report_float(lambda: float(Fraction(r * s, p)))
+    term_sqrt = report_float(lambda: sqrt(r) * s)
     term_collinear = inst.k * s
-    denom = term_main + term_sqrt + term_collinear
+    denom = None if None in (term_main, term_sqrt) else report_float(lambda: term_main + term_sqrt + term_collinear)
     return RudnevReport(
         incidences=count,
         n_points=n_r,
@@ -198,7 +198,7 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
         term_main=term_main,
         term_sqrt=term_sqrt,
         term_collinear=term_collinear,
-        ratio=count / denom if denom else None,
+        ratio=report_float(lambda: count / denom) if denom else None,
         swapped_roles=swapped,
         note=note,
     )

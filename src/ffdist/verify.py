@@ -1,6 +1,6 @@
 """Theorem-level checks: coverage and equidistribution reports, the
 threshold coverage assertion, set identities, the additive/multiplicative
-energy decomposition, and empirical threshold scans.
+energy decomposition searched on numpy pair tables, and threshold scans.
 """
 
 from __future__ import annotations
@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 from .energy import additive_energy, distance_energy, dot_energy, report_float
 from .errors import GuardExceeded, InvariantViolation
@@ -144,88 +146,90 @@ class Decomposition:
         return max(self.eplus, self.etimes)
 
 
-def _pair_value_tables(elements: list[int], p: int) -> tuple[list[list[int]], list[list[int]]]:
-    sums = [[(a + b) % p for b in elements] for a in elements]
-    prods = [[a * b % p for b in elements] for a in elements]
-    return sums, prods
+def _subset_energies(table: np.ndarray) -> np.ndarray:
+    """#{(i, j, k, l) in S^4 : table[i, j] = table[k, l]} for every bitmask S
+    of the m x m table's rows, as int32 (an energy is below 2m^3).
+
+    Each coinciding pair of pairs is tallied at the union of its index bits,
+    and Yates' subset-sum passes add each tally into every superset.
+    """
+    m = len(table)
+    bits = 1 << np.arange(m)
+    unions = (bits[:, None] | bits).ravel()
+    values = table.ravel()
+    first, second = np.nonzero(values[:, None] == values)
+    energies = np.zeros(1 << m, dtype=np.int32)
+    np.add.at(energies, unions[first] | unions[second], 1)
+    for b in range(m):
+        halves = energies.reshape(-1, 2, 1 << b)
+        halves[:, 1] += halves[:, 0]
+    return energies
 
 
-def _subset_energy(indices: list[int], table: list[list[int]], scratch: list[int], touched: list[int]) -> int:
-    for i in indices:
-        row = table[i]
-        for j in indices:
-            v = row[j]
-            if scratch[v] == 0:
-                touched.append(v)
-            scratch[v] += 1
-    energy = 0
-    for v in touched:
-        c = scratch[v]
-        energy += c * c
-        scratch[v] = 0
-    touched.clear()
-    return energy
+def _exhaustive(sums: np.ndarray, prods: np.ndarray) -> tuple[np.ndarray, int]:
+    """B minimizing max(E+(B), Ex(C)) over every partition, and that minimum;
+    ties go to the lexicographically least sorted B."""
+    worst = _subset_energies(sums)
+    np.maximum(worst, _subset_energies(prods)[::-1], out=worst)  # C's mask is full - B's
+    best = int(worst.min())
+    ties = np.flatnonzero(worst == best)
+    mask = 0
+    while ties.all():  # no tied B ends here, so extend by the least next index
+        low = (ties & -ties).min()
+        ties = ties[ties & -ties == low] ^ low
+        mask |= int(low)
+    return (mask >> np.arange(len(sums))) % 2 == 1, best
+
+
+def _pair_energy(table: np.ndarray, in_s: np.ndarray) -> int:
+    """#{(i, j, k, l) in S^4 : table[i, j] = table[k, l]}."""
+    _, counts = np.unique(table[np.ix_(in_s, in_s)], return_counts=True)
+    return int(counts @ counts)
+
+
+def _greedy(sums: np.ndarray, prods: np.ndarray) -> tuple[np.ndarray, int]:
+    """From B = A, make the single-element move that most lowers
+    max(E+(B), Ex(C)), the least index among equal moves, until none does."""
+
+    def score(in_b: np.ndarray) -> int:
+        return max(_pair_energy(sums, in_b), _pair_energy(prods, ~in_b))
+
+    flips = np.eye(len(sums), dtype=bool)
+    in_b = np.ones(len(sums), dtype=bool)
+    current = score(in_b)
+    while True:
+        values = [score(in_b ^ flip) for flip in flips]
+        move = int(np.argmin(values))
+        if values[move] >= current:
+            return in_b, current
+        in_b ^= flips[move]
+        current = values[move]
 
 
 def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Decomposition:
     """Split A into B (small additive energy side) and C (small
     multiplicative energy side).
 
-    exhaustive: scans all 2^|A| partitions for the one minimizing
-    max(E+(B), Ex(C)), ties broken by the lexicographically least B.
-    greedy: repeatedly applies the single element move that most reduces
-    the current max energy; valid partition, no optimality claim.
+    Both searches read the tables (x_i + x_j) mod p and x_i x_j mod p over
+    the sorted elements x, so their memory grows with |A|, never with p.
+    exhaustive: the least max(E+(B), Ex(C)) over all 2^|A| partitions, from
+    one subset-sum table per energy; ties go to the lexicographically least
+    B.  greedy: repeatedly applies the single element move that most
+    reduces the current max energy; valid partition, no optimality claim.
     """
     m = len(A)
     if m == 0:
         raise ValueError("cannot decompose the empty set")
-    p = A.modulus.p
-    elements = A.elements()
-    sums, prods = _pair_value_tables(elements, p)
-    scratch = [0] * p
-    touched: list[int] = []
-
-    if strategy == "exhaustive":
-        if m > EXHAUSTIVE_DECOMPOSE_GUARD:
-            raise GuardExceeded(
-                f"exhaustive decomposition over 2^{m} partitions exceeds guard 2^{EXHAUSTIVE_DECOMPOSE_GUARD}"
-            )
-        best_key = None
-        best_mask = 0
-        for mask in range(1 << m):
-            b_idx = [i for i in range(m) if mask >> i & 1]
-            c_idx = [i for i in range(m) if not mask >> i & 1]
-            eplus = _subset_energy(b_idx, sums, scratch, touched)
-            etimes = _subset_energy(c_idx, prods, scratch, touched)
-            key = (max(eplus, etimes), tuple(elements[i] for i in b_idx))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_mask = mask
-        b_set = [elements[i] for i in range(m) if best_mask >> i & 1]
-        searched = best_key[0]
-    elif strategy == "greedy":
-        in_b = [True] * m
-        current = _current_max(in_b, sums, prods, scratch, touched)
-        while True:
-            best_move = None
-            best_value = current
-            for i in range(m):
-                in_b[i] = not in_b[i]
-                value = _current_max(in_b, sums, prods, scratch, touched)
-                in_b[i] = not in_b[i]
-                if value < best_value:
-                    best_value = value
-                    best_move = i
-            if best_move is None:
-                break
-            in_b[best_move] = not in_b[best_move]
-            current = best_value
-        b_set = [elements[i] for i in range(m) if in_b[i]]
-        searched = current
-    else:
+    if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    B = FieldSubset(A.modulus, b_set)
+    if strategy == "exhaustive" and m > EXHAUSTIVE_DECOMPOSE_GUARD:
+        raise GuardExceeded(
+            f"exhaustive decomposition over 2^{m} partitions exceeds guard 2^{EXHAUSTIVE_DECOMPOSE_GUARD}"
+        )
+    x = np.array(A.elements(), dtype=np.int64)
+    sums, prods = (x[:, None] + x) % A.modulus.p, x[:, None] * x % A.modulus.p
+    in_b, searched = (_exhaustive if strategy == "exhaustive" else _greedy)(sums, prods)
+    B = FieldSubset(A.modulus, x[in_b].tolist())
     C = A.difference(B)
     eplus = additive_energy(B) if len(B) else 0
     etimes = dot_energy(C, 1) if len(C) else 0  # the multiplicative energy
@@ -236,15 +240,6 @@ def balog_wooley_decompose(A: FieldSubset, strategy: str = "exhaustive") -> Deco
             f"decomposition energies max(E+, Ex) = {max(eplus, etimes)} disagree with the search's {searched}"
         )
     return Decomposition(B=B, C=C, eplus=eplus, etimes=etimes, strategy=strategy)
-
-
-def _current_max(in_b, sums, prods, scratch, touched) -> int:
-    b_idx = [i for i, flag in enumerate(in_b) if flag]
-    c_idx = [i for i, flag in enumerate(in_b) if not flag]
-    return max(
-        _subset_energy(b_idx, sums, scratch, touched),
-        _subset_energy(c_idx, prods, scratch, touched),
-    )
 
 
 def _size_hypothesis_holds(m: int, p: int, k: int) -> bool:
@@ -289,7 +284,7 @@ def theorem_last_report(A: FieldSubset, d: int, strategy: str | None = None) -> 
     e_dot = dot_energy(decomposition.C, d) if len(decomposition.C) else 0
     # m <= p^(1/2 + 1/k), k = 5*2^(d-1) - 2  <=>  m^(2k) <= p^(k+2)
     k = 5 * 2 ** (d - 1) - 2
-    exponent = 4 * d - 2 + 1 / (5 * 2.0 ** (d - 3))
+    exponent = 4 * d - 2 + 1 / (5 * 2 ** (d - 3))
     bound_shape = report_float(lambda: d**4 * math.log(m) ** 4 * m**exponent) if m > 1 else 0.0
     max_energy = max(e_dist, e_dot)
     return {

@@ -30,6 +30,7 @@ FIXTURES = {
     "pts.set": "p=7 d=2\n0,0\n1,2\n3,5\n4,4\n6,1\n",
     "inst.txt": "p=5\nPOINTS\n0,0,0,2\n1,2,3,1\n4,4,1,1\nPLANES\n1,0,0,0,1\n0,1,1,3,2\n1,1,1,0,1\n",
     "huge.txt": "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n",
+    "mult.txt": "p=5\nPOINTS\n0,0,0,1" + "0" * 400 + "\nPLANES\n1,0,0,0,1\n",
 }
 
 # (id, argv with {tmp} for the case directory, exit code, sha256)
@@ -97,6 +98,7 @@ CASES = [
     ("incidence-file", "incidence --instance-file {tmp}/inst.txt", 0, "2a72a1899ed1b0e7366b2c94f5a732aaea93939832e4570ce5711dc3cab83f53"),
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
     ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),
+    ("incidence-file-huge-multiplicity", "incidence --instance-file {tmp}/mult.txt", 0, "7f6beb31ce2582ee96bb0656a79e4a30d36b5826caa38a47233320fa8602ab7e"),
     ("incidence-empty", "incidence --p 5 --random-points 0 --random-planes 0", 0, "7a5d8a11bffd9dedcc7dd114c05f97a17b5cf1daf0e283ca73a08826bf07bf5e"),
     ("incidence-negative-points", "incidence --p 7 --random-points -1 --random-planes -3", 1, "44837fedddbdde9e2c4d55ae3b789864a43d7dbf269b60012566f4c5b6620d2c"),
     ("incidence-negative-planes", "incidence --p 7 --random-planes -3", 1, "17448f377b3be610c4293acd4a400f19fc5fa4012ee0114fa15808bcbcb33e6c"),
@@ -111,6 +113,7 @@ CASES = [
     ("proof-instance-missing-level", "proof-instance --p 7 --set 0,1,3 --d 2 --i0 1 --j0 5", 1, "4880dc5826d6488d3386a9674332ef771585c2793f52326dc08062c6537df01a"),
     ("proof-instance-selftest", "proof-instance --selftest", 0, "d5a2c6b42875cad1bb666ef68929240d9ad10cbc9bd43a1bfb5fc5238a8988fc"),
     ("decompose-random", "decompose --p 31 --random 6 --seed 2", 0, "14510d96e7b13873d02bab2aeb6fc3283c3063d8130835aebece7c1d118184b2"),
+    ("decompose-at-guard", "decompose --p 101 --random 20 --seed 1", 0, "2c06be087a47b3a9106bde56b9e546cbd114c85cbe31a3bef3467faecf70f472"),
     ("decompose-greedy-csv", "decompose --p 31 --set 1,2,3,5,8 --strategy greedy --format csv", 0, "01d4c0f78e936abddcc3797591bfe0e77f934b8de22a3b134c8ee06e9328074b"),
     ("decompose-guard-force", "decompose --p 101 --random 21 --seed 1 --force", 1, "389476ef903b4aad23ef0c973167465a23eef6ee774018e1c44f5b088659691f"),
     ("decompose-selftest", "decompose --selftest", 0, "b8f6edb01007004d784bb28a12ba42e02c394334427466852d29ca3749ee8782"),
@@ -123,6 +126,8 @@ CASES = [
     ("theorem-report", "theorem-report --p 101 --random 8 --seed 4 --d 2", 0, "aba9e901f0e1fa880b58450a2806d2e78a032054187273946a3b6ed316a9cf4e"),
     ("theorem-report-greedy-csv", "theorem-report --p 31 --set 1,2,3,5 --d 3 --strategy greedy --format csv", 0, "9ae2cb44a41a2cf8bedb0ad8e80503df0f65ddbbaa53b45888c564b62396b5bc"),
     ("theorem-report-d1", "theorem-report --p 31 --set 1,2 --d 1", 1, "c95044527d548480f805d21de1e666364473e597c3b38d90eebb3409d7028e72"),
+    ("theorem-report-at-guard", "theorem-report --p 101 --random 20 --seed 4 --d 2", 0, "e20bd22c0fe4e7750a009836fbc59365dfea74470c1d23ae58928c42bde16f69"),
+    ("theorem-report-d1100", "theorem-report --p 31 --set 1,2 --d 1100", 0, "0e3ee1d72505f75d2398359eade9b71554669705f2be48bbe3c32443b617dac8"),
     ("theorem-report-selftest", "theorem-report --selftest", 0, "b8f6edb01007004d784bb28a12ba42e02c394334427466852d29ca3749ee8782"),
 ]
 

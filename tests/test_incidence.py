@@ -219,6 +219,16 @@ def test_rudnev_diagnostic_empty_instance_has_no_ratio():
     assert report.incidences == 0 and report.ratio is None
 
 
+def test_rudnev_diagnostic_past_the_double_range_reports_null_terms():
+    # 10^400 coinciding points: the exact counts agree, the float terms cannot exist
+    points = WeightedPointSet(P5, 3, {(0, 0, 0): 10**400})
+    inst = IncidenceInstance(points=points, planes=PlaneSet(P5, {(1, 0, 0, 0): 1}), k=1)
+    report = rudnev_diagnostic(inst)
+    assert report.incidences == 10**400 and report.swapped_roles
+    assert report.term_main is None and report.term_sqrt is None and report.ratio is None
+    assert report.term_collinear == 10**400
+
+
 def _one_instance(A, i0, j0):
     return build_proof_instance(A, 2, [(i0, j0)])[1][(i0, j0)]
 

@@ -1,8 +1,13 @@
 import json
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from oracles import quadruple_energy
 
 from ffdist.energy import additive_energy, distance_energy, dot_energy
 from ffdist.cli import run
@@ -12,7 +17,11 @@ from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
 from ffdist.spectra import Spectrum, distance_spectrum_general, power_spectrum
 from ffdist.verify import (
+    _exhaustive,
+    _greedy,
+    _pair_energy,
     _size_hypothesis_holds,
+    _subset_energies,
     balog_wooley_decompose,
     cauchy_davenport_check,
     coverage_check,
@@ -137,11 +146,84 @@ def test_decompose_deterministic_tiebreak():
     assert first.B == second.B and first.C == second.C
 
 
+def _oracle_partition(A: FieldSubset) -> tuple[int, tuple[int, ...]]:
+    """min over every B of (max(E+(B), Ex(A - B)), sorted B), by quadruple enumeration."""
+    elements = A.elements()
+    subsets = [B for r in range(len(elements) + 1) for B in combinations(elements, r)]
+    plus = {B: quadruple_energy(FieldSubset(A.modulus, B), "additive") for B in subsets}
+    times = {B: quadruple_energy(FieldSubset(A.modulus, B), "multiplicative") for B in subsets}
+    full = tuple(elements)
+    return min((max(plus[B], times[tuple(x for x in full if x not in B)]), B) for B in subsets)
+
+
+def _decompose_cases():
+    cases = [(7, "0..6"), (7, "0,1,3"), (7, "0"), (31, "0,1,2,5,8,13,21"), (31, "1,2,4,8,16"), (101, "0,3,9,27,81,42")]
+    rng = SplitMix64(41)
+    for p in (7, 31, 101):
+        for _ in range(4):
+            A = random_subset(PrimeModulus(p), 1 + rng.randbelow(7), seed=rng.next_u64())
+            cases.append((p, A.serialize()))
+    return cases
+
+
+@pytest.mark.parametrize("p,text", _decompose_cases())
+def test_decompose_exhaustive_is_optimal_with_the_least_B(p, text):
+    A = parse_subset(text, PrimeModulus(p))
+    best, least_B = _oracle_partition(A)
+    result = balog_wooley_decompose(A, "exhaustive")
+    assert result.max_energy == best
+    assert tuple(result.B.elements()) == least_B
+
+
+def _direct_subset_energy(table, members) -> int:
+    counts = Counter(table[i][j] for i in members for j in members)
+    return sum(c * c for c in counts.values())
+
+
+@pytest.mark.parametrize("p", [7, 31, 101])
+def test_subset_table_matches_a_direct_count_for_every_mask(p):
+    rng = SplitMix64(p)
+    for m in range(1, min(p, 8) + 1):
+        x = np.array(random_subset(PrimeModulus(p), m, seed=rng.next_u64()).elements(), dtype=np.int64)
+        for table in ((x[:, None] + x) % p, x[:, None] * x % p):
+            energies = _subset_energies(table)
+            assert energies.dtype == np.int32 and len(energies) == 1 << m
+            for mask in range(1 << m):
+                members = [i for i in range(m) if mask >> i & 1]
+                direct = _direct_subset_energy(table.tolist(), members)
+                assert energies[mask] == direct == _pair_energy(table, np.isin(np.arange(m), members))
+
+
+def test_search_memory_grows_with_the_set_not_with_p():
+    # a length-p tally would take gigabytes here; the pair tables take kilobytes
+    p = 2**31 - 1
+    x = np.array(random_subset(PrimeModulus(p), 12, seed=7).elements(), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sums, prods = (x[:, None] + x) % p, x[:, None] * x % p
+        in_b, exhaustive = _exhaustive(sums, prods)
+        _, greedy = _greedy(sums, prods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert greedy >= exhaustive == max(_pair_energy(sums, in_b), _pair_energy(prods, ~in_b))
+
+
 def test_decompose_guard():
     A = random_subset(PrimeModulus(101), 25, seed=0)
     with pytest.raises(GuardExceeded):
         balog_wooley_decompose(A, "exhaustive")
     balog_wooley_decompose(A, "greedy")  # no guard on greedy
+    big = FieldSubset(PrimeModulus(10007), range(2000))
+    tracemalloc.start()
+    try:  # refused before the 2000 x 2000 pair tables exist
+        with pytest.raises(GuardExceeded):
+            balog_wooley_decompose(big, "exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_theorem_last_report():
@@ -160,6 +242,13 @@ def test_theorem_last_report():
     assert singleton["max_energy"] == 1
     with pytest.raises(ValueError):
         theorem_last_report(A, 1)
+
+
+def test_theorem_last_report_past_the_double_range_has_null_bound():
+    # 2.0 ** (d - 3) overflows from d = 1027 on; the exact power underflows to 0
+    report = theorem_last_report(parse_subset("1,2", PrimeModulus(31)), 1100)
+    assert report["bound_shape"] is None and report["ratio"] is None
+    assert report["max_energy"] == 1
 
 
 def test_size_hypothesis_matches_the_power_form():
