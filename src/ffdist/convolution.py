@@ -8,25 +8,27 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   np.convolve plus the cyclic wrap, exact since nothing can overflow.  Its
   cost is O(n^2); the cutoff is measured against the transforms (README).
 * transform tier, otherwise: number-theoretic transforms modulo primes
-  q = 1 (mod N) below 2**31.5, N the power-of-two length, recombined by CRT
-  once their product exceeds the bound (GuardExceeded past N = 2**25).
-  Entries below 2**64 reach each prime as one uint64 array % q; larger ones
-  are written once as uint32 limbs, reduced per prime by Horner's rule.
-  One uint64 root table per (q, N); no butterfly takes a %.  The forward
+  q = 1 (mod N) below 2**31.5, N <= _MAX_SIZE the power-of-two length, taken
+  in order from one pool per N until their product exceeds the bound.  Out
+  come residue rows, one uint64 row of length n per prime, each row's sum
+  checked against the bound mod q.  Rows are operands too: for more primes,
+  Garner's mixed-radix digits (in place) and Horner's rule give the new
+  residues.  _ints alone forms Python ints.  No step takes a %.  The forward
   pass is decimation in frequency, the backward one decimation in time on
-  the same roots (Gentleman & Sande, 1966), so no bit-reversal is applied
-  and backward entry t is N times the inverse at -t mod N.
+  the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
+  applied and backward entry t is N times the inverse at -t mod N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InvariantViolation
 from .field import is_prime, power_table, primitive_root
 
 # Largest q with q*q < 2**63, keeping the uint64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
+_MAX_SIZE = 1 << 27  # longest N with a prime q = 1 (mod N) up to _MAX_NTT_PRIME
 _DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
@@ -35,15 +37,20 @@ _root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N
 
 def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
     """Cyclic convolution out[t] = sum_u a[u]*b[(t-u) mod n], exact."""
-    n = len(a)
-    if len(b) != n:
-        raise ValueError(f"length mismatch: {n} vs {len(b)}")
-    bound = sum(a) * sum(b)
-    if bound == 0:
-        return [0] * n
-    if bound < 1 << 63 and n <= _DIRECT_MAX_LEN:
+    if len(b) != len(a):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    out = _cyclic(a, b, sum(a) * sum(b))
+    return out if isinstance(out, list) else _ints(out)
+
+
+def _cyclic(a, b, total: int):
+    """exact_cyclic on lists or rows, given total = sum(a)*sum(b): a list from the
+    int64 tier, else rows.  Rows are past that tier, and so is their product."""
+    if total == 0:
+        return [0] * len(a)
+    if total < 1 << 63 and isinstance(a, list) and len(a) <= _DIRECT_MAX_LEN:
         return _direct_cyclic(a, b)
-    return _ntt_cyclic(a, b, bound)
+    return _ntt_cyclic(a, b, total)
 
 
 def _direct_cyclic(a: list[int], b: list[int]) -> list[int]:
@@ -55,77 +62,121 @@ def _direct_cyclic(a: list[int], b: list[int]) -> list[int]:
     return lin[:n].tolist()
 
 
-def _ntt_cyclic(a: list[int], b: list[int], bound: int) -> list[int]:
-    """The transform tier; exact for any bound >= every output coefficient."""
-    n = len(a)
+def _ntt_cyclic(a, b, total: int) -> np.ndarray:
+    """The transform tier on lists or rows: the product's residue rows."""
+    n = a.shape[1] if isinstance(a, np.ndarray) else len(a)
     size = 1 << (2 * n - 1).bit_length()
-    primes = _primes_for(size, bound + 1)
-    src_a = _digits(a)
-    src_b = src_a if a is b else _digits(b)
-    residues = []
-    for q, gen in primes:
+    primes = _primes_for(size, total + 1)
+    rows_a = _residues(a, size, len(primes))
+    rows_b = rows_a if b is a else _residues(b, size, len(primes))
+    out = np.empty((len(primes), n), dtype=np.uint64)
+    for (q, gen), xa, xb, row in zip(primes, rows_a, rows_b, out):
         roots = _root_cache.get((q, size))
         if roots is None:
             roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
-        fa = _forward(_residue_row(src_a, q, size), q, roots)
-        fb = fa if a is b else _forward(_residue_row(src_b, q, size), q, roots)
-        fa *= fb
-        y = _backward(np.remainder(fa, q, out=fa), q, roots)
-        # y[t] is size times the linear convolution at -t mod size: read the
-        # first 2n entries at -t (entry 2n-1 is 0), wrap to length n, scale.
+        fa = _forward(xa, q, roots)
+        fb = fa if b is a else _forward(xb, q, roots)
+        y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
+        # y[t] is size times the linear convolution at -t mod size: read the first 2n
+        # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q).
         lin = np.concatenate((y[:1], y[: -2 * n : -1]))
-        residues.append((lin[:n] + lin[n:]) % q * pow(size, q - 2, q) % q)
-    return _crt_combine(residues, [q for q, _ in primes])
+        _mod(np.multiply(np.add(lin[:n], lin[n:], out=row), pow(size, -1, q), out=row), q)
+    if [int(s) % q for (q, _), s in zip(primes, out.sum(axis=1))] != [total % q for q, _ in primes]:
+        raise InvariantViolation(f"a product's rows do not sum to {total} mod every transform prime")
+    return out
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, as x - (x // q)*q (see the note above _forward)."""
+    t = np.floor_divide(x, np.uint64(q))
+    x -= np.multiply(t, np.uint64(q), out=t)
+    return x
 
 
 def _digits(a: list[int]) -> np.ndarray:
-    """a as one uint64 array if it fits, else as n x k little-endian uint32 limbs."""
+    """a as little-endian digits, one row each: uint64 if they fit, else uint32 limbs."""
     top = max(a)
     if top < 1 << 64:
-        return np.array(a, dtype=np.uint64)
+        return np.array(a, dtype=np.uint64)[None]
     width = (top.bit_length() + 31) // 32
     raw = b"".join(x.to_bytes(4 * width, "little") for x in a)
-    return np.frombuffer(raw, dtype="<u4").reshape(len(a), width)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(a), width).T
 
 
-def _residue_row(src: np.ndarray, q: int, size: int) -> np.ndarray:
-    """The entries of src (from _digits) mod q, zero-padded to length size."""
-    row = np.zeros(size, dtype=np.uint64)
-    r = row[: len(src)]
-    if src.ndim == 1:
-        np.remainder(src, q, out=r)
-        return row
-    # Horner from the top limb, exact in uint64: r*radix + limb is at most
-    # (q-1)**2 + 2**32 - 1 < 2**63 for every q <= _MAX_NTT_PRIME.
-    radix, q, tmp = (1 << 32) % q, np.uint64(q), np.empty_like(r)
-    for limb in src.T[::-1]:
-        np.add(np.multiply(r, radix, out=r), limb, out=r)
-        r -= np.multiply(np.floor_divide(r, q, out=tmp), q, out=tmp)
-    return row
+def _residues(src, size: int, k: int) -> np.ndarray:
+    """Rows of src mod the first k primes of the length-size pool; src is a
+    list of non-negative ints or rows of values below their primes' product."""
+    moduli = [q for q, _ in _prime_pool[size][:k]]
+    if isinstance(src, list):
+        j, digits = 0, _digits(src)
+        radices, out = [1 << 32] * len(digits), np.empty((k, len(src)), dtype=np.uint64)
+    else:
+        j = len(src)
+        if j >= k:
+            return src[:k]
+        out = np.empty((k, src.shape[1]), dtype=np.uint64)
+        out[:j] = src
+        digits, radices = _garner(out[:j], moduli[:j]), moduli[:j]
+    for q, row in zip(moduli[j:], out[j:]):
+        _horner(digits, radices, q, row)
+    if j:
+        out[:j] = src
+    return out
+
+
+def _horner(digits: np.ndarray, radices: list[int], q: int, r: np.ndarray) -> np.ndarray:
+    """r = the number whose digit j weighs prod(radices[:j]), mod q.  Exact:
+    r*(radix mod q) + digit <= (q-1)**2 + 2**32 - 1 < 2**63 (r = 0 for the top)."""
+    r[:] = 0
+    for digit, radix in zip(digits[::-1], radices[::-1]):
+        _mod(np.add(np.multiply(r, radix % q, out=r), digit, out=r), q)
+    return r
+
+
+def _garner(rows: np.ndarray, moduli: list[int]) -> np.ndarray:
+    """Rows mod moduli -> Garner's digits v_i < q_i in place (IRE Trans. EC-8, 1959):
+    x = v0 + q0*(v1 + q1*(...)), v_i = (x - low)/(q0...q_{i-1}) mod q_i, low from the digits below."""
+    low, prefix = np.empty_like(rows[0]), 1
+    for i in range(1, len(rows)):
+        q, prefix = moduli[i], prefix * moduli[i - 1]
+        _horner(rows[:i], moduli[:i], q, low)
+        # x_i + q - low lies in [1, 2q), its product with the inverse below 2q*q
+        r = np.subtract(np.add(rows[i], q, out=rows[i]), low, out=rows[i])
+        _mod(np.multiply(r, pow(prefix, -1, q), out=r), q)
+    return rows
+
+
+def _ints(rows: np.ndarray) -> list[int]:
+    """The Python ints behind rows, which it spends: Garner's digits, paired in
+    numpy (v_i + q_i*v_{i+1} < q_i*q_{i+1} < 2**63), one Horner pass per pair."""
+    k, n = rows.shape
+    moduli = [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]
+    _garner(rows, moduli)
+    for i in range(0, k - 1, 2):
+        rows[i] += np.multiply(rows[i + 1], moduli[i], out=rows[i + 1])
+    out = rows[(k - 1) & ~1].tolist()
+    for i in range(((k - 1) & ~1) - 2, -1, -2):
+        radix = moduli[i] * moduli[i + 1]
+        out = [x * radix + d for x, d in zip(out, rows[i].tolist())]
+    return out
 
 
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     """Primes q = 1 (mod size) whose product exceeds bound, with generators."""
-    pool = _prime_pool.setdefault(size, [])
-    chosen: list[tuple[int, int]] = []
-    product = 1
+    pool, product, k = _prime_pool.setdefault(size, []), 1, 0
     while product < bound:
-        if len(chosen) == len(pool):
-            # Scan q = k*size + 1 downward from just below the last pooled prime.
-            k = (pool[-1][0] - 1) // size - 1 if pool else (_MAX_NTT_PRIME - 1) // size
-            while k >= 1 and not is_prime(k * size + 1):
-                k -= 1
-            if k < 1:
-                raise GuardExceeded(
-                    f"not enough transform-friendly primes below 2**31.5 for "
-                    f"length {size} and output bound of {bound.bit_length()} bits"
-                )
-            q = k * size + 1
+        if k == len(pool):
+            # Scan q = m*size + 1 downward from just below the last pooled prime.
+            m = (pool[-1][0] - 1) // size - 1 if pool else (_MAX_NTT_PRIME - 1) // size
+            while m >= 1 and not is_prime(m * size + 1):
+                m -= 1
+            if m < 1:
+                msg = f"length {size} and output bound of {bound.bit_length()} bits"
+                raise GuardExceeded(f"not enough transform-friendly primes below 2**31.5 for {msg}")
+            q = m * size + 1
             pool.append((q, pow(primitive_root(q), (q - 1) // size, q)))
-        q, gen = pool[len(chosen)]
-        chosen.append((q, gen))
-        product *= q
-    return chosen
+        product, k = product * pool[k][0], k + 1
+    return pool[:k]
 
 
 # Every operand is below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum x + y or
@@ -133,9 +184,11 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
 # 2*q*q < 2**64.  uint64 holds them all, and x - (x // q)*q is x mod q (numpy
 # divides by a scalar q without a hardware division).  In uint64, x - q wraps
 # past 2**63 exactly when x < q, so min(x, x - q) is x mod q for x < 2q.
-def _forward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
-    """In-place decimation in frequency: natural order in, bit-reversed out (blocked)."""
-    q, s = np.uint64(q), np.empty_like(a)
+def _forward(x: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
+    """Decimation in frequency of x zero-padded to length 2*len(roots), in a new
+    array: natural order in, bit-reversed out (blocked)."""
+    a, s = np.zeros(2 * roots.size, dtype=np.uint64), np.empty(2 * roots.size, dtype=np.uint64)
+    a[: x.size], q = x, np.uint64(q)
     for lo, hi, d, e, w in _stages(a, s, roots, range(a.size.bit_length() - 2, -1, -1)):
         np.subtract(np.add(lo, q, out=d), hi, out=d)
         lo += hi
@@ -170,19 +223,3 @@ def _stages(a: np.ndarray, s: np.ndarray, roots: np.ndarray, levels: range):
         k = n // (2 * t) if blocked else 1
         v, w = a.reshape(-1, 2, h, k), s.reshape(2, -1, h, k)
         yield v[:, 0], v[:, 1], w[0], w[1], roots[:: n // (2 * h), None]
-
-
-def _crt_combine(residues: list[np.ndarray], moduli: list[int]) -> list[int]:
-    if len(moduli) == 1:
-        return residues[0].tolist()
-    product = 1
-    for q in moduli:
-        product *= q
-    # x = sum_i r_i * (P/q_i) * ((P/q_i)^-1 mod q_i)  (mod P), summed one
-    # prime at a time so only one residue list is ever held as Python ints.
-    out = [0] * len(residues[0])
-    for q, r in zip(moduli, residues):
-        partial = product // q
-        ci = partial * pow(partial % q, q - 2, q)
-        out = [acc + ci * x for acc, x in zip(out, r.tolist())]
-    return [x % product for x in out]

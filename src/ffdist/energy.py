@@ -14,7 +14,7 @@ from itertools import product
 from .convolution import exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .sets import FieldSubset
-from .spectra import Spectrum, base_spectrum, cyclic_convolve, fold
+from .spectra import Spectrum, _within_engine, base_spectrum, cyclic_convolve, fold
 
 KINDS = ("distance", "dot", "additive", "multiplicative")
 
@@ -48,6 +48,7 @@ def dot_energy(A: FieldSubset, d: int) -> int:
 
 
 def _sum_spectrum(A: FieldSubset) -> Spectrum:
+    _within_engine(A.modulus)
     ind = A.indicator()
     return Spectrum(A.modulus, exact_cyclic(ind, ind), expected_total=len(A) ** 2)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import exact_cyclic
+from .convolution import _MAX_SIZE, _cyclic, _ints, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, WeightedPointSet, bilinear_counts
@@ -21,26 +21,36 @@ GENERAL_SPECTRUM_GUARD = 100_000
 
 
 class Spectrum:
-    """Exact count function F_p -> N with a cached total."""
+    """Exact count function F_p -> N with a cached total.  The counts may be held as
+    the engine's residue rows (their sums checked mod each prime) until first read."""
 
-    __slots__ = ("modulus", "counts", "total")
+    __slots__ = ("modulus", "total", "_held")
 
-    def __init__(self, modulus: PrimeModulus, counts: list[int], expected_total: int | None = None):
-        if len(counts) != modulus.p:
-            raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
-        if min(counts) < 0:
-            raise ValueError("negative count")
-        self.modulus = modulus
-        self.counts = counts
-        self.total = sum(counts)
-        if expected_total is not None and self.total != expected_total:
-            raise InvariantViolation(
-                f"spectrum total {self.total} != forced combinatorial total {expected_total}"
-            )
+    def __init__(self, modulus: PrimeModulus, counts, expected_total: int | None = None):
+        self.modulus, self.total, self._held = modulus, expected_total, counts
+        if not isinstance(counts, np.ndarray):
+            if len(counts) != modulus.p:
+                raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
+            if min(counts) < 0:
+                raise ValueError("negative count")
+            self._keep(counts)
+
+    @property
+    def counts(self) -> list[int]:
+        if isinstance(self._held, np.ndarray):
+            self._keep(_ints(self._held))
+        return self._held
+
+    def _keep(self, counts: list[int]) -> None:
+        """Hold counts, in place of any rows, once they sum to the expected total."""
+        total = sum(counts)
+        if self.total is not None and total != self.total:
+            raise InvariantViolation(f"spectrum total {total} != forced combinatorial total {self.total}")
+        self.total, self._held = total, counts
 
     @classmethod
     def point_mass(cls, modulus: PrimeModulus, at: int, count: int = 1) -> "Spectrum":
-        counts = [0] * modulus.p
+        counts = [0] * _within_engine(modulus)
         counts[at % modulus.p] = count
         return cls(modulus, counts)
 
@@ -48,30 +58,30 @@ class Spectrum:
         return self.counts[t % self.modulus.p]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Spectrum)
-            and other.modulus == self.modulus
-            and other.counts == self.counts
-        )
+        return isinstance(other, Spectrum) and other.modulus == self.modulus and other.counts == self.counts
 
     def __repr__(self) -> str:
-        nz = sum(1 for c in self.counts if c)
-        return f"Spectrum(p={self.modulus.p}, support={nz}, total={self.total})"
+        return f"Spectrum(p={self.modulus.p}, support={sum(1 for c in self.counts if c)}, total={self.total})"
 
     def max_count(self) -> int:
         return max(self.counts)
 
     def items(self):
         """(t, count) pairs over the support."""
-        for t, c in enumerate(self.counts):
-            if c:
-                yield t, c
+        return ((t, c) for t, c in enumerate(self.counts) if c)
+
+
+def _within_engine(modulus: PrimeModulus) -> int:
+    """p, called before anything of length p is built: GuardExceeded (a hard limit)
+    if length-p products outgrow the convolution engine's longest transform."""
+    if 2 * modulus.p - 1 >= _MAX_SIZE:
+        raise GuardExceeded(f"p = {modulus.p}: length-p products outgrow the longest transform (hard limit)")
+    return modulus.p
 
 
 def diff_square_spectrum(A: FieldSubset) -> Spectrum:
     """counts[t] = #{(a,b) in A^2 : (a-b)^2 = t}; total |A|^2."""
-    p = A.modulus.p
-    m = len(A)
+    p, m = _within_engine(A.modulus), len(A)
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
     # #{(a,b): a-b = delta} is the indicator's cyclic autocorrelation; push
@@ -84,8 +94,7 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
 
 def product_spectrum(A: FieldSubset) -> Spectrum:
     """counts[t] = #{(a,b) in A^2 : a*b = t}; total |A|^2."""
-    p = A.modulus.p
-    m = len(A)
+    p, m = _within_engine(A.modulus), len(A)
     if m == 0:
         raise ValueError("empty set has no pair spectrum")
     # Discrete logs turn products into sums: convolve the indicator of
@@ -94,31 +103,26 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     member = np.zeros(p, dtype=np.int64)
     member[np.fromiter(A, dtype=np.int64, count=m)] = 1
     ind = member[powers].tolist()
-    conv = exact_cyclic(ind, ind)
     # every count is at most m^2 < 2^62, so int64 holds it exactly
     counts = np.zeros(p, dtype=np.int64)
-    counts[powers] = conv
-    counts = counts.tolist()
-    if 0 in A:  # (0, b) and (a, 0): 2m - 1 pairs
-        counts[0] += 2 * m - 1
-    return Spectrum(A.modulus, counts, expected_total=m * m)
+    counts[powers] = exact_cyclic(ind, ind)
+    counts[0] = 2 * m - 1 if 0 in A else 0  # (0, b) and (a, 0); no power of g is 0
+    return Spectrum(A.modulus, counts.tolist(), expected_total=m * m)
 
 
 def cyclic_convolve(S: Spectrum, T: Spectrum) -> Spectrum:
-    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact."""
+    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact; rows stay rows."""
     if S.modulus != T.modulus:
         raise ValueError("mixed moduli")
-    counts = exact_cyclic(S.counts, T.counts)
-    return Spectrum(S.modulus, counts, expected_total=S.total * T.total)
+    total = S.total * T.total
+    return Spectrum(S.modulus, _cyclic(S._held, T._held, total), expected_total=total)
 
 
 def fold(S: Spectrum, d: int) -> Spectrum:
     """d-fold cyclic self-convolution by binary exponentiation; exact."""
     if d < 1:
         raise ValueError(f"fold depth must be >= 1, got {d}")
-    result: Spectrum | None = None
-    base = S
-    e = d
+    result, base, e = None, S, d
     while e:
         if e & 1:
             result = base if result is None else cyclic_convolve(result, base)
@@ -130,8 +134,7 @@ def fold(S: Spectrum, d: int) -> Spectrum:
 
 
 def base_spectrum(A: FieldSubset, kind: str) -> Spectrum:
-    """The pair spectrum of the form on F_p: squared differences for
-    "distance", products for "dot"."""
+    """The form's pair spectrum on F_p: squared differences ("distance") or products ("dot")."""
     if kind == "distance":
         return diff_square_spectrum(A)
     if kind == "dot":
@@ -153,7 +156,7 @@ def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
     dot product with itself does not, so the off-diagonal variant needs
     these counts per value.
     """
-    p = A.modulus.p
+    p = _within_engine(A.modulus)
     x = np.fromiter(A, dtype=np.int64, count=len(A))
     counts = np.bincount(x * x % p, minlength=p).tolist()
     return fold(Spectrum(A.modulus, counts, expected_total=len(A)), n)
@@ -170,11 +173,9 @@ def distance_spectrum_general(E: WeightedPointSet, force: bool = False) -> Spect
     if m > GENERAL_SPECTRUM_GUARD and not force:
         raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {GENERAL_SPECTRUM_GUARD}")
     norms = [(x, sum(c * c for c in x)) for x in E.entries]
-    lifts = [
-        WeightedPointSet(E.modulus, E.dim + 1, {(*(s * c for c in x), n): E.entries[x] for x, n in norms})
-        for s in (-2, 1)
-    ]
-    return Spectrum(E.modulus, bilinear_counts(*lifts), expected_total=E.total**2)
+    lifts = [{(*(s * c for c in x), n): E.entries[x] for x, n in norms} for s in (-2, 1)]
+    counts = bilinear_counts(*(WeightedPointSet(E.modulus, E.dim + 1, w) for w in lifts))
+    return Spectrum(E.modulus, counts, expected_total=E.total**2)
 
 
 def support(S: Spectrum) -> FieldSubset:
@@ -186,6 +187,7 @@ def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:
     """{x + y : x in X, y in Y}: the support of the indicators' convolution."""
     if X.modulus != Y.modulus:
         raise ValueError("mixed moduli")
+    _within_engine(X.modulus)
     sums = exact_cyclic(X.indicator(), Y.indicator())
     return FieldSubset(X.modulus, (t for t, c in enumerate(sums) if c))
 
@@ -196,9 +198,7 @@ def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:
 
 
 def spectrum_to_csv(S: Spectrum) -> str:
-    lines = [f"p={S.modulus.p}", "lambda,count"]
-    lines.extend(f"{t},{c}" for t, c in enumerate(S.counts))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"p={S.modulus.p}", "lambda,count", *(f"{t},{c}" for t, c in enumerate(S.counts))]) + "\n"
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
@@ -209,12 +209,11 @@ def spectrum_from_csv(text: str) -> Spectrum:
         modulus = PrimeModulus(int(lines[0][2:]))
     except ValueError as exc:
         raise ParseError(f"bad modulus line {lines[0]!r}: {exc}") from None
-    counts = [0] * modulus.p
+    counts = [0] * _within_engine(modulus)
     seen = set()
     for ln in lines[2:]:
         try:
-            t_text, c_text = ln.split(",")
-            t, c = int(t_text), int(c_text)
+            t, c = map(int, ln.split(","))
         except ValueError:
             raise ParseError(f"malformed spectrum row {ln!r}") from None
         if not 0 <= t < modulus.p:

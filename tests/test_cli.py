@@ -406,3 +406,37 @@ def test_each_result_computed_once(capsys, monkeypatch):
     counted(energy_mod, "fold")
     assert run_cli(capsys, "energy", "--p", "7", "--set", "0,1,3", "--d", "3", "--recursion")[0] == 0
     assert calls == ["fold"]
+
+
+def test_modulus_past_the_longest_transform_exits_one_before_allocating(capsys, monkeypatch):
+    # p = 2**31 - 1 would ask for length-p lists (about 17 GB) and transforms
+    # longer than any the engine has.  Every step that would allocate by p is
+    # replaced by a failure, so a missing guard fails here without allocating,
+    # and the peak traced memory stays small.  It is a hard limit: --force and
+    # FFDIST_GUARD_OVERRIDE do not lift it.
+    import tracemalloc
+
+    from ffdist import sets, spectra
+
+    def refuse(*args):
+        raise AssertionError("a length-p allocation was reached")
+
+    for target, name in ((sets.FieldSubset, "indicator"), (spectra, "power_table"), (spectra, "exact_cyclic")):
+        monkeypatch.setattr(target, name, refuse)
+    big = ("--p", "2147483647", "--set", "1,2,3")
+    tracemalloc.start()
+    try:
+        for argv in (
+            ("spectrum", *big),
+            ("spectrum", *big, "--kind", "dot", "--force"),
+            ("energy", *big, "--kind", "additive"),
+            ("energy", *big, "--kind", "dot", "--d", "2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "" and "hard limit" in err
+        monkeypatch.setenv("FFDIST_GUARD_OVERRIDE", "1")
+        assert run_cli(capsys, "spectrum", *big)[0] == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ffdist import convolution
@@ -10,15 +10,15 @@ from ffdist.convolution import (
     _DIRECT_MAX_LEN,
     _MAX_NTT_PRIME,
     _backward,
-    _digits,
     _direct_cyclic,
     _forward,
+    _ints,
     _ntt_cyclic,
     _primes_for,
-    _residue_row,
+    _residues,
     exact_cyclic,
 )
-from ffdist.errors import GuardExceeded
+from ffdist.errors import GuardExceeded, InvariantViolation
 from ffdist.field import power_table, primitive_root
 from ffdist.rng import SplitMix64
 
@@ -172,7 +172,8 @@ def test_butterfly_bounds_hold_for_every_pool_prime():
 def test_cached_root_tables_are_one_uint64_array():
     # 8 bytes per twiddle, as the int64 table before them: 4*N bytes per (q, N).
     for n, size in ((1, 2), (512, 1 << 10), (1 << 14, 1 << 15)):
-        _ntt_cyclic([1] * n, [1] * n, 1 << 100)
+        x = [1 << 50] * n  # sum(x)**2 >= 2**100
+        _ntt_cyclic(x, x, sum(x) ** 2)
         for q, gen in _primes_for(size, 1 << 100):
             w = convolution._root_cache[q, size]
             assert w.dtype == np.uint64
@@ -241,7 +242,7 @@ def test_tiers_agree_with_schoolbook(n, totals, nonzero, seed):
     b = a if total_b is None else _spread(rng, n, total_b, min(n, nonzero))
     bound = sum(a) * sum(b)
     want = cyclic_schoolbook(a, b)
-    assert _ntt_cyclic(a, b, bound) == want
+    assert _ints(_ntt_cyclic(a, b, bound)) == want
     if bound < 2**63:
         assert _direct_cyclic(a, b) == want
     assert exact_cyclic(a, b) == want
@@ -296,13 +297,70 @@ def test_tier_is_chosen_from_bound_and_length(monkeypatch):
 )
 def test_residue_rows_match_python_mod(n, bits, seed):
     # Every prime of a multi-prime run, plus the largest prime the pool can
-    # hold, where Horner's r * (2**32 mod q) + limb comes closest to 2**63.
+    # hold (the length-2 pool's first), where Horner's r * (2**32 mod q) + limb
+    # comes closest to 2**63.
     rng = random.Random(seed)
     a = [rng.getrandbits(bits) for _ in range(n)]
     a[rng.randrange(n)] |= 1 << (bits - 1)
-    primes = [q for q, _ in _primes_for(1 << 10, 1 << 200) + _primes_for(2, 2)]
-    src = _digits(a)
-    for q in primes:
-        row = _residue_row(src, q, n + 5)
-        assert row[:n].tolist() == [x % q for x in a]
-        assert not row[n:].any()
+    for size, bound in ((1 << 10, 1 << 200), (2, 2)):
+        primes = [q for q, _ in _primes_for(size, bound)]
+        rows = _residues(a, size, len(primes))
+        assert rows.shape == (len(primes), n)
+        assert rows.tolist() == [[x % q for x in a] for q in primes]
+    # the transform zero-pads a row to its length: rows carry no padding
+    q, gen = _primes_for(64, 2)[0]
+    roots = _roots(q, gen, 64)
+    row = _residues(a, 64, 1)[0]
+    padded = np.zeros(64, dtype=np.uint64)
+    padded[:n] = row
+    assert _forward(row, q, roots).tolist() == _forward(padded, q, roots).tolist()
+
+
+@SETTINGS
+@example(n=1, bits=2000, seed=0)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    bits=st.integers(min_value=1, max_value=2000),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_garner_and_base_extension_match_python_crt(n, bits, seed):
+    # Rows of the entries mod a run of primes one longer than they need; n = 1
+    # takes the length-2 pool, which starts at the largest pool prime.  For
+    # every prefix of j primes, with product P: _ints of the j rows is the
+    # Python-int CRT, x mod P, and _residues extends x mod P to every prime
+    # of the run without touching the j rows it was given.
+    rng = random.Random(seed)
+    a = [rng.getrandbits(bits) for _ in range(n)]
+    size = 1 << (2 * n - 1).bit_length()
+    moduli = [q for q, _ in _primes_for(size, 1 << bits)]
+    moduli = [q for q, _ in _primes_for(size, (1 << bits) * moduli[-1])]
+    rows = np.array([[x % q for x in a] for q in moduli], dtype=np.uint64)
+    product = 1
+    for j, q in enumerate(moduli, 1):
+        product *= q
+        want = [x % product for x in a]
+        assert _ints(rows[:j].copy()) == want
+        given_rows = rows[:j].copy()
+        extended = _residues(given_rows, size, len(moduli))
+        assert extended.tolist() == [[x % q for x in want] for q in moduli]
+        assert (given_rows == rows[:j]).all()
+    assert _ints(rows.copy()) == a
+
+
+def test_a_planted_error_in_one_prime_row_is_caught(monkeypatch):
+    # One coefficient off in one prime's backward transform moves that row's
+    # sum off sum(a)*sum(b) mod q; the product must not return.
+    real, calls = convolution._backward, []
+
+    def planted(a, q, roots):
+        out = real(a, q, roots)
+        calls.append(q)
+        if len(calls) == 2:
+            out[0] = (out[0] + 1) % q
+        return out
+
+    monkeypatch.setattr(convolution, "_backward", planted)
+    x = [1 << 40] * 600
+    with pytest.raises(InvariantViolation, match="transform prime"):
+        exact_cyclic(x, x)
+    assert len(calls) >= 2

@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffdist.errors import GuardExceeded, ParseError
+from ffdist import convolution, spectra
+from ffdist.errors import GuardExceeded, InvariantViolation, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, WeightedPointSet, parse_subset, random_subset
 from ffdist.spectra import (
     Spectrum,
+    _within_engine,
     base_spectrum,
     cyclic_convolve,
     diff_square_spectrum,
@@ -22,6 +25,7 @@ from ffdist.spectra import (
 )
 
 from oracles import (
+    cyclic_schoolbook,
     dist_pair_counts,
     dist_pair_counts_py,
     dot_pair_counts,
@@ -340,3 +344,84 @@ def test_distance_translation_invariance(p, xs, c, n):
     A = FieldSubset(modulus, xs)
     shifted = FieldSubset(modulus, (x + c for x in xs))
     assert power_spectrum(shifted, "distance", n) == power_spectrum(A, "distance", n)
+
+
+DEPTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16)
+
+
+def _schoolbook_folds(counts):
+    """{d: the d-fold cyclic self-convolution} for d in DEPTHS, one schoolbook product at a time."""
+    folds, acc = {1: counts}, counts
+    for d in range(2, max(DEPTHS) + 1):
+        acc = folds[d] = cyclic_schoolbook(acc, counts)
+    return folds
+
+
+@pytest.mark.parametrize("p, bits", [(5, 4), (7, 20), (13, 40), (101, 12), (211, 30)])
+def test_fold_matches_repeated_schoolbook(p, bits):
+    # Totals from about 2**6 to 2**48 per factor: every chain starts on the
+    # int64 tier and crosses into the transform tier, where spectra stay
+    # residue rows; the odd depths and 6 multiply rows over different prime
+    # counts (result * base).
+    rng = SplitMix64(p)
+    base = Spectrum(PrimeModulus(p), [rng.randbelow(1 << bits) for _ in range(p)])
+    want = _schoolbook_folds(base.counts)
+    held = {d: fold(base, d) for d in DEPTHS}
+    assert {isinstance(S._held, list) for S in held.values()} == {True, False}
+    for d, S in held.items():
+        assert S.total == base.total**d
+        assert S.counts == want[d]
+
+
+def test_residue_backed_spectrum_forms_its_ints_once(monkeypatch):
+    calls = []
+    real = spectra._ints
+    monkeypatch.setattr(spectra, "_ints", lambda rows: calls.append(rows.shape) or real(rows))
+    rng = SplitMix64(3)
+    X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
+    lazy = fold(X, 4)
+    assert isinstance(lazy._held, np.ndarray) and not calls
+    eager = Spectrum(P7, _schoolbook_folds(X.counts)[4], expected_total=X.total**4)
+    assert lazy.total == eager.total and not calls
+    assert lazy.counts == eager.counts
+    assert lazy.counts is lazy.counts
+    assert lazy == eager and repr(lazy) == repr(eager)
+    assert len(calls) == 1
+
+
+def test_residue_errors_in_a_fold_are_caught(monkeypatch):
+    rng = SplitMix64(4)
+    X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
+    # Exact counts that miss the expected total are caught when formed.
+    x = X.counts
+    rows = convolution._ntt_cyclic(x, x, X.total**2)
+    with pytest.raises(InvariantViolation, match="forced combinatorial total"):
+        Spectrum(P7, rows, expected_total=X.total**2 + 1).counts
+    # X*X takes 3 primes, (X*X)**2 six more: the fifth backward transform is
+    # a prime of a product of rows.  One coefficient off in its row moves
+    # that row's sum, and the product does not return.
+    real, calls = convolution._backward, []
+
+    def planted(a, q, roots):
+        out = real(a, q, roots)
+        calls.append(q)
+        if len(calls) == 5:
+            out[3] = (out[3] + 1) % q
+        return out
+
+    monkeypatch.setattr(convolution, "_backward", planted)
+    with pytest.raises(InvariantViolation, match="transform prime"):
+        fold(X, 4)
+    assert len(calls) == 9  # raised once that product's six primes were done
+
+
+def test_length_guard_is_the_engines_longest_transform():
+    # A prime q = 1 (mod N) exists for N = _MAX_SIZE and for no longer N, so
+    # length-p products fit exactly while 2p - 1 < _MAX_SIZE, that is p <= 2**26.
+    assert convolution._primes_for(convolution._MAX_SIZE, 2)
+    with pytest.raises(GuardExceeded):
+        convolution._primes_for(2 * convolution._MAX_SIZE, 2)
+    below, above = 67108859, 67108879  # the primes either side of 2**26
+    assert _within_engine(PrimeModulus(below)) == below
+    with pytest.raises(GuardExceeded, match="hard limit"):
+        _within_engine(PrimeModulus(above))
