@@ -11,11 +11,12 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   q = 1 (mod N) below 2**31.5, N <= _MAX_SIZE the power-of-two length, taken
   in order from one pool per N until their product exceeds the bound.  Out
   come residue rows, one uint64 row of length n per prime, each row's sum
-  checked against the bound mod q.  Rows are operands too: for more primes,
-  Garner's mixed-radix digits (in place) and Horner's rule give the new
-  residues.  _ints alone forms Python ints.  No step takes a %.  The forward
-  pass is decimation in frequency, the backward one decimation in time on
-  the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
+  checked against the bound mod q.  Ints and residues meet as 16-bit limbs, one
+  row per value: _to_limbs (the explicit CRT) and _residues (limbs -> rows) change
+  base through them by exact float64 matrix products, _BLOCK values at a time, so
+  rows gain primes by way of limbs and _ints reads ints off them.  No step takes a
+  %.  The forward pass is decimation in frequency, the backward one decimation in
+  time on the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
   applied and backward entry t is N times the inverse at -t mod N.
 """
 
@@ -30,6 +31,8 @@ from .field import is_prime, power_table, primitive_root
 _MAX_NTT_PRIME = 3_037_000_499
 _MAX_SIZE = 1 << 27  # longest N with a prime q = 1 (mod N) up to _MAX_NTT_PRIME
 _DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
+_MAX_PRIMES = 2**53 // (2**33 + 2**16)  # 2**20 - 8, the most primes the base change is exact for
+_BLOCK = 1024  # values per base change, so its float64 matrices stay O(k * _BLOCK)
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
 _root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
@@ -87,82 +90,95 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, as x - (x // q)*q (see the note above _forward)."""
+    """x mod q in place, q a scalar or a column, as x - (x // q)*q (see the note above _forward)."""
     t = np.floor_divide(x, np.uint64(q))
     x -= np.multiply(t, np.uint64(q), out=t)
     return x
 
 
 def _digits(a: list[int]) -> np.ndarray:
-    """a as little-endian digits, one row each: uint64 if they fit, else uint32 limbs."""
+    """a as little-endian 16-bit limbs, one row each (a uint64 array, seen as four, if they fit)."""
     top = max(a)
     if top < 1 << 64:
-        return np.array(a, dtype=np.uint64)[None]
-    width = (top.bit_length() + 31) // 32
-    raw = b"".join(x.to_bytes(4 * width, "little") for x in a)
-    return np.frombuffer(raw, dtype="<u4").reshape(len(a), width).T
+        return np.array(a, dtype="<u8").view("<u2").reshape(len(a), 4)
+    width = (top.bit_length() + 15) // 16
+    raw = b"".join(x.to_bytes(2 * width, "little") for x in a)
+    return np.frombuffer(raw, dtype="<u2").reshape(len(a), width)
 
 
 def _residues(src, size: int, k: int) -> np.ndarray:
-    """Rows of src mod the first k primes of the length-size pool; src is a
-    list of non-negative ints or rows of values below their primes' product."""
+    """Rows of src mod the first k primes of the length-size pool; src is a list of
+    non-negative ints or rows of values below their primes' product.  Limbs -> residues:
+    the L limbs of each value against the 16-bit halves of 2**(16i) mod q in float64,
+    exact since L*2**32 < 2**53 for the L <= 2k + 4 limbs of a value below k primes'
+    product (a list entry is below the bound they pass), then a reduction."""
     moduli = [q for q, _ in _prime_pool[size][:k]]
-    if isinstance(src, list):
-        j, digits = 0, _digits(src)
-        radices, out = [1 << 32] * len(digits), np.empty((k, len(src)), dtype=np.uint64)
-    else:
-        j = len(src)
-        if j >= k:
-            return src[:k]
-        out = np.empty((k, src.shape[1]), dtype=np.uint64)
-        out[:j] = src
-        digits, radices = _garner(out[:j], moduli[:j]), moduli[:j]
-    for q, row in zip(moduli[j:], out[j:]):
-        _horner(digits, radices, q, row)
+    j = 0 if isinstance(src, list) else len(src)
+    if j >= k:
+        return src[:k]
     if j:
+        blocks, out = _to_limbs(src, moduli[:j]), np.empty((k, src.shape[1]), dtype=np.uint64)
         out[:j] = src
+    else:
+        digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint64)
+        blocks = (digits[s : s + _BLOCK] for s in range(0, len(src), _BLOCK))
+    qs = np.array(moduli[j:], dtype=np.int64)[:, None]
+    for s, limbs in zip(range(0, out.shape[1], _BLOCK), blocks):
+        if s == 0:  # every block has the first one's width
+            powers = power_table(1 << 16, limbs.shape[1], qs)
+            halves = np.vstack((powers & 0xFFFF, powers >> 16)).astype(np.float64)
+        lo, hi = np.split((halves @ limbs.T.astype(np.float64)).astype(np.uint64), 2)
+        out[j:, s : s + _BLOCK] = _mod((_mod(hi, qs) << 16) + lo, qs)  # below 2**48 + 2**53
     return out
-
-
-def _horner(digits: np.ndarray, radices: list[int], q: int, r: np.ndarray) -> np.ndarray:
-    """r = the number whose digit j weighs prod(radices[:j]), mod q.  Exact:
-    r*(radix mod q) + digit <= (q-1)**2 + 2**32 - 1 < 2**63 (r = 0 for the top)."""
-    r[:] = 0
-    for digit, radix in zip(digits[::-1], radices[::-1]):
-        _mod(np.add(np.multiply(r, radix % q, out=r), digit, out=r), q)
-    return r
-
-
-def _garner(rows: np.ndarray, moduli: list[int]) -> np.ndarray:
-    """Rows mod moduli -> Garner's digits v_i < q_i in place (IRE Trans. EC-8, 1959):
-    x = v0 + q0*(v1 + q1*(...)), v_i = (x - low)/(q0...q_{i-1}) mod q_i, low from the digits below."""
-    low, prefix = np.empty_like(rows[0]), 1
-    for i in range(1, len(rows)):
-        q, prefix = moduli[i], prefix * moduli[i - 1]
-        _horner(rows[:i], moduli[:i], q, low)
-        # x_i + q - low lies in [1, 2q), its product with the inverse below 2q*q
-        r = np.subtract(np.add(rows[i], q, out=rows[i]), low, out=rows[i])
-        _mod(np.multiply(r, pow(prefix, -1, q), out=r), q)
-    return rows
 
 
 def _ints(rows: np.ndarray) -> list[int]:
-    """The Python ints behind rows, which it spends: Garner's digits, paired in
-    numpy (v_i + q_i*v_{i+1} < q_i*q_{i+1} < 2**63), one Horner pass per pair."""
+    """The Python ints behind rows, formed from their limbs _BLOCK at a time."""
     k, n = rows.shape
-    moduli = [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]
-    _garner(rows, moduli)
-    for i in range(0, k - 1, 2):
-        rows[i] += np.multiply(rows[i + 1], moduli[i], out=rows[i + 1])
-    out = rows[(k - 1) & ~1].tolist()
-    for i in range(((k - 1) & ~1) - 2, -1, -2):
-        radix = moduli[i] * moduli[i + 1]
-        out = [x * radix + d for x, d in zip(out, rows[i].tolist())]
+    if k == 1:  # values below one prime are their residues
+        return rows[0].tolist()
+    out = []
+    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]):
+        raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
+        out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
     return out
 
 
+def _to_limbs(rows: np.ndarray, moduli: list[int]):
+    """Residues -> limbs: the values x < Q = prod(moduli) behind rows as 16-bit limbs
+    in int64, one row each, _BLOCK values at a time.  Bernstein's explicit CRT (1995),
+    x = sum_i c_i*(Q/q_i) - u*Q with c_i = x*(Q/q_i)**-1 mod q_i and u = floor(sum_i c_i/q_i),
+    as one float64 product of c_i's 16-bit halves and -u against Q/q_i's and Q's limbs,
+    then a signed carry.  Its sums lie in (-k*2**16, 2k*2**32) for k primes, so they
+    are exact while 2k*2**32 + k*2**16 < 2**53, that is for k <= _MAX_PRIMES."""
+    k, product = len(moduli), np.prod(moduli, dtype=object)
+    cofactors = [product // q for q in moduli]
+    m = _digits([*cofactors, product])
+    table = np.zeros((m.shape[1] + 1, 2 * k + 1))  # columns: Q/q_i, Q/q_i a limb up, Q
+    table[:-1, :k], table[1:, k:-1], table[:-1, -1] = m[:k].T, m[:k].T, m[k]
+    qs = np.array(moduli, dtype=np.uint64)[:, None]
+    inverses = np.array([pow(x, -1, q) for x, q in zip(cofactors, moduli)], dtype=np.uint64)[:, None]
+    for s in range(0, rows.shape[1], _BLOCK):
+        c = _mod(rows[:, s : s + _BLOCK] * inverses, qs)  # products below q*q < 2**63
+        # The float sum of k terms below 1 is off by less than k*k*2**-53 < 2**-13, so
+        # past the margin 2**-12 it gives u or u + 1, never u - 1.
+        u = np.floor((c / qs).sum(axis=0) + 2.0**-12)
+        limbs = (table @ np.vstack((c & 0xFFFF, c >> 16, -u))).astype(np.int64)
+        for _ in range(2):  # the carry out of the top is -1 where u + 1 gave x - Q: add Q back
+            carry = np.zeros(limbs.shape[1], dtype=np.int64)
+            for limb in limbs:
+                limb += carry
+                np.right_shift(limb, 16, out=carry)  # a floor, so negative limbs borrow
+                limb &= 0xFFFF
+            if carry.min() >= 0:
+                break
+            limbs[:-1, carry < 0] += m[k, :, None]
+        yield limbs.T
+
+
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
-    """Primes q = 1 (mod size) whose product exceeds bound, with generators."""
+    """Primes q = 1 (mod size) whose product exceeds bound, with generators;
+    at most _MAX_PRIMES, the most the base change is exact for."""
     pool, product, k = _prime_pool.setdefault(size, []), 1, 0
     while product < bound:
         if k == len(pool):
@@ -170,9 +186,9 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
             m = (pool[-1][0] - 1) // size - 1 if pool else (_MAX_NTT_PRIME - 1) // size
             while m >= 1 and not is_prime(m * size + 1):
                 m -= 1
-            if m < 1:
+            if m < 1 or k == _MAX_PRIMES or bound.bit_length() > 32 * _MAX_PRIMES:
                 msg = f"length {size} and output bound of {bound.bit_length()} bits"
-                raise GuardExceeded(f"not enough transform-friendly primes below 2**31.5 for {msg}")
+                raise GuardExceeded(f"not enough transform-friendly primes below 2**31.5, or over {_MAX_PRIMES}, for {msg}")
             q = m * size + 1
             pool.append((q, pow(primitive_root(q), (q - 1) // size, q)))
         product, k = product * pool[k][0], k + 1

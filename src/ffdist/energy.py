@@ -139,7 +139,6 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
         raise ValueError(f"the recursion needs d >= 2, got {d}")
     base = base_spectrum(A, kind)
     folded = fold(base, d - 1)
-    # E_d first: reading folded's counts spends the residue rows the product uses
     e_d = energy_from_spectrum(cyclic_convolve(folded, base))
     e_prev = energy_from_spectrum(folded)
     m = len(A)

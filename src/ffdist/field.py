@@ -66,19 +66,20 @@ def primitive_root(q: int) -> int:
 
 
 def power_table(w: int, m: int, q: int) -> np.ndarray:
-    """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops).
+    """Powers w^0 .. w^(m-1) mod q via repeated doubling (few numpy ops); for a
+    column of moduli q, one row of powers per modulus.
 
     Exact in int64 while q*q < 2**63, which holds for every p < 2**31 and
     every transform prime.  The transforms' uint64 butterflies need a little
     more: a root times a value below 2q must stay below 2**64, which
     2*q*q < 2**64 gives for every q <= 3037000499 (convolution.py).
     """
-    table = np.ones(1, dtype=np.int64)
+    table = np.ones(np.shape(q) or 1, dtype=np.int64)
     step = w
-    while table.size < m:
-        table = np.concatenate([table, table * step % q])
+    while table.shape[-1] < m:
+        table = np.concatenate([table, table * step % q], axis=-1)
         step = step * step % q
-    return table[:m]
+    return table[..., :m]
 
 
 class PrimeModulus:

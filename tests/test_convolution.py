@@ -9,6 +9,7 @@ from ffdist import convolution
 from ffdist.convolution import (
     _DIRECT_MAX_LEN,
     _MAX_NTT_PRIME,
+    _MAX_PRIMES,
     _backward,
     _direct_cyclic,
     _forward,
@@ -162,10 +163,15 @@ def test_forward_matches_python_transform():
 def test_butterfly_bounds_hold_for_every_pool_prime():
     # Operands below q <= _MAX_NTT_PRIME: a difference x - y + q times a root
     # must not wrap uint64, and a product of two residues (the pointwise
-    # product, Horner's r * radix + limb) stays below 2**63.
-    q = _MAX_NTT_PRIME
+    # product, the base change's c_i = x_i * (Q/q_i)**-1) stays below 2**63.
+    # The base change's float64 sums stay exact integers below 2**53: for k
+    # primes they lie in (-k*2**16, 2k*2**32), which _MAX_PRIMES is the most
+    # primes to allow, and for L <= 2k + 4 limbs below L*2**32.
+    q, k = _MAX_NTT_PRIME, _MAX_PRIMES
     assert (2 * q - 1) * (q - 1) < 2**64
-    assert (q - 1) ** 2 + 2**32 - 1 < 2**63
+    assert (q - 1) ** 2 < 2**63
+    assert 2 * k * 2**32 + k * 2**16 < 2**53 <= 2 * (k + 1) * 2**32 + (k + 1) * 2**16
+    assert (2 * k + 4) * 2**32 < 2**53
     assert max(_pool_extremes()) <= q
 
 
@@ -193,6 +199,25 @@ def test_transform_primes_exhausted_is_guard():
     # prime picker directly keeps this from allocating the transform.
     with pytest.raises(GuardExceeded, match="transform-friendly primes"):
         _primes_for(1 << 25, 1 << 4000)
+
+
+def test_more_primes_than_the_base_change_allows_is_guard(monkeypatch):
+    # A run longer than _MAX_PRIMES would round the base change's float64
+    # sums; it must exit through GuardExceeded.  A bound that no _MAX_PRIMES
+    # primes below 2**32 can pass is refused at the first scan, before the
+    # pool grows; a run that reaches _MAX_PRIMES (lowered here, on fresh
+    # pools) stops there.  Neither allocates a transform.
+    with pytest.raises(GuardExceeded, match="transform-friendly primes"):
+        _primes_for(2, 1 << (32 * _MAX_PRIMES))
+    monkeypatch.setattr(convolution, "_prime_pool", {})
+    monkeypatch.setattr(convolution, "_MAX_PRIMES", 3)
+    with pytest.raises(GuardExceeded, match="transform-friendly primes"):
+        _primes_for(1 << 10, 1 << 200)
+    assert convolution._prime_pool[1 << 10] == []
+    assert len(_primes_for(1 << 10, 1 << 90)) == 3
+    with pytest.raises(GuardExceeded, match="transform-friendly primes"):
+        _primes_for(1 << 10, 1 << 95)
+    assert len(convolution._prime_pool[1 << 10]) == 3
 
 
 # (sum a, sum b) pairs around the int64 tier's bound, or (sum a, None) for a
@@ -297,8 +322,8 @@ def test_tier_is_chosen_from_bound_and_length(monkeypatch):
 )
 def test_residue_rows_match_python_mod(n, bits, seed):
     # Every prime of a multi-prime run, plus the largest prime the pool can
-    # hold (the length-2 pool's first), where Horner's r * (2**32 mod q) + limb
-    # comes closest to 2**63.
+    # hold (the length-2 pool's first), the largest residues and powers
+    # 2**(16i) mod q that the limb products meet.
     rng = random.Random(seed)
     a = [rng.getrandbits(bits) for _ in range(n)]
     a[rng.randrange(n)] |= 1 << (bits - 1)
@@ -364,3 +389,47 @@ def test_a_planted_error_in_one_prime_row_is_caught(monkeypatch):
     with pytest.raises(InvariantViolation, match="transform prime"):
         exact_cyclic(x, x)
     assert len(calls) >= 2
+
+
+def test_explicit_crt_u_is_corrected_at_both_ends():
+    # The base change takes u = floor(sum c_i/q_i) from a float sum, which can
+    # land one off where x/Q is near 0 or 1.  Rows for x in {0, 1, Q-1, Q//2}
+    # and two random values, on every prefix of a run of about 400 primes, must
+    # give x exactly: _residues extends all of them to the next prime through
+    # their limbs, and _ints forms one per prefix, in turn (one value, n = 1,
+    # takes the length-2 pool, which starts at the largest pool prime).  A
+    # shorter run of the length-2**15 pool, whose primes are smaller, is
+    # extended the same way.  The random values are random residues, and the
+    # Python-int CRT of each prefix extends that of the prefix before.
+    rng = random.Random(16)
+    for size, count in ((2, 400), (1 << 15, 60)):
+        moduli = [q for q, _ in _primes_for(size, 1 << (31 * count))]
+        drawn = [[rng.randrange(q) for q in moduli] for _ in range(2)]
+        # Q is odd, so Q // 2 = (Q - 1)/2, which is (q - 1)/2 mod every prime q of Q
+        rows = np.array([[0, 1, q - 1, (q - 1) // 2, *(r[i] for r in drawn)] for i, q in enumerate(moduli)])
+        product, crt = 1, [0, 0]
+        for j, q in enumerate(moduli[:-1], 1):
+            crt = [x + product * ((r[j - 1] - x) * pow(product, -1, q) % q) for x, r in zip(crt, drawn)]
+            product *= q
+            xs = [0, 1, product - 1, product // 2, *crt]
+            extended = _residues(rows[:j].astype(np.uint64), size, j + 1)
+            assert extended[:j].tolist() == rows[:j].tolist()
+            assert extended[j].tolist() == [x % moduli[j] for x in xs]
+            if size == 2:
+                i = j % len(xs)
+                assert _ints(rows[:j, i : i + 1].astype(np.uint64)) == [xs[i]]
+
+
+def test_base_change_reads_its_rows_without_writing_them():
+    # _ints and the base extension of _residues leave their rows as they were.
+    rng = random.Random(9)
+    a = [rng.getrandbits(300) for _ in range(40)]
+    rows = _ntt_cyclic(a, a, sum(a) ** 2)
+    before = rows.copy()
+    want = cyclic_schoolbook(a, a)
+    assert _ints(rows) == want
+    assert (rows == before).all()
+    extended = _residues(rows, 128, len(_primes_for(128, sum(a) ** 2 << 100)))
+    assert len(extended) > len(rows)
+    assert (rows == before).all() and (extended[: len(rows)] == before).all()
+    assert _ints(extended) == want
