@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -56,6 +55,7 @@ from .sets import (
 )
 from .spectra import (
     Spectrum,
+    check_point_count,
     distance_spectrum_general,
     power_spectrum,
     self_dot_spectrum,
@@ -113,13 +113,16 @@ def _resolve_points(args) -> tuple[WeightedPointSet | None, str | None]:
     """The point set named by --isotropic, --points-file or --random-points,
     with its source; (None, None) when the input is a subset of F_p."""
     if args.isotropic:
-        E, source = isotropic_line(_modulus(args, "--isotropic needs --p")), "isotropic"
+        modulus = _modulus(args, "--isotropic needs --p")
+        check_point_count(modulus.p, _force(args))
+        E, source = isotropic_line(modulus), "isotropic"
     elif args.points_file:
         E, source = read_set_file(args.points_file), f"points:{args.points_file}"
         if isinstance(E, FieldSubset):
             raise UsageError(f"{args.points_file} holds a subset, not a point set")
     elif getattr(args, "random_points", None) is not None:  # only coverage takes --random-points
         modulus = _modulus(args, "--random-points needs --p")
+        check_point_count(args.random_points, _force(args))
         E = random_pointset(modulus, args.dim, args.random_points, args.seed)
         source = f"random-points:n={args.random_points},dim={args.dim},seed={args.seed}"
     else:
@@ -317,11 +320,11 @@ def _cmd_encode_check(args) -> int:
 
 
 def _random_multiset(rng: SplitMix64, modulus: PrimeModulus, dim: int) -> WeightedPointSet:
-    entries: dict[tuple[int, ...], int] = {}
+    pairs = []
     for _ in range(1 + rng.randbelow(10)):
         pt = tuple(rng.randbelow(modulus.p) for _ in range(dim))
-        entries[pt] = entries.get(pt, 0) + 1 + rng.randbelow(5)
-    return WeightedPointSet(modulus, dim, entries)
+        pairs.append((pt, 1 + rng.randbelow(5)))
+    return WeightedPointSet(modulus, dim, pairs)
 
 
 def _cmd_deviation_check(args) -> int:
@@ -376,13 +379,13 @@ def _cmd_incidence(args) -> int:
         p = modulus.p
         rng = SplitMix64(derive_seed("incidence", p, args.seed))
         coords = [tuple(rng.randbelow(p) for _ in range(3)) for _ in range(args.random_points)]
-        points = WeightedPointSet(modulus, 3, Counter(coords))
-        planes_list = []
-        while len(planes_list) < args.random_planes:
+        points = WeightedPointSet(modulus, 3, [(pt, 1) for pt in coords])
+        plane_pairs = []
+        while len(plane_pairs) < args.random_planes:
             normal = tuple(rng.randbelow(p) for _ in range(3))
             if normal != (0, 0, 0):
-                planes_list.append(normal + (rng.randbelow(p),))
-        planes = PlaneSet(modulus, Counter(planes_list))
+                plane_pairs.append((normal + (rng.randbelow(p),), 1))
+        planes = PlaneSet(modulus, plane_pairs)
         source = f"random:points={args.random_points},planes={args.random_planes},seed={args.seed}"
     inst = IncidenceInstance(points=points, planes=planes, k=max_collinear(points, force=_force(args)))
     _emit(args, {"p": points.modulus.p, "source": source}, _rudnev_result(rudnev_diagnostic(inst)))

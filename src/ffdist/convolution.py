@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GuardExceeded, InvariantViolation
-from .field import is_prime, power_table, primitive_root
+from .field import PrimeModulus, is_prime, power_table, primitive_root
 
 # Largest q with q*q < 2**63, keeping the uint64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
@@ -36,6 +36,14 @@ _BLOCK = 1024  # values per base change, so its float64 matrices stay O(k * _BLO
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
 _root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
+
+
+def _within_engine(modulus: PrimeModulus) -> int:
+    """p, called before anything of length p is built: GuardExceeded (a hard limit)
+    if length-p products outgrow the convolution engine's longest transform."""
+    if 2 * modulus.p - 1 >= _MAX_SIZE:
+        raise GuardExceeded(f"p = {modulus.p}: length-p products outgrow the longest transform (hard limit)")
+    return modulus.p
 
 
 def exact_cyclic(a: list[int], b: list[int]) -> list[int]:

@@ -94,21 +94,17 @@ def encode(A: FieldSubset, kind: str, n: int) -> tuple[WeightedPointSet, Weighte
     depth = (n - k) // 2
     base = base_spectrum(A, kind)  # built at depth 0 too, so an unknown form is rejected
     carried = fold(base, depth) if depth else Spectrum.point_mass(A.modulus, 0)
-    p = A.modulus.p
     distance = kind == "distance"
     e_scale, f_scale = (2, -1) if distance else (1, 1)
-    e_entries: dict[tuple[int, ...], int] = {}
-    f_entries: dict[tuple[int, ...], int] = {}
+    e_pairs, f_pairs = [], []
     for x in product(A.elements(), repeat=k):
         norm = sum(c * c for c in x) if distance else 0
-        e_x = tuple(e_scale * c % p for c in x)
-        f_x = tuple(f_scale * c % p for c in x)
+        e_x = tuple(e_scale * c for c in x)
+        f_x = tuple(f_scale * c for c in x)
         for s, mult in carried.items():
-            last = ((norm + s) % p,)
-            e_key, f_key = e_x + last, f_x + last
-            e_entries[e_key] = e_entries.get(e_key, 0) + mult
-            f_entries[f_key] = f_entries.get(f_key, 0) + mult
-    E = WeightedPointSet(A.modulus, k + 1, e_entries)
-    F = WeightedPointSet(A.modulus, k + 1, f_entries)
+            e_pairs.append((e_x + (norm + s,), mult))
+            f_pairs.append((f_x + (norm + s,), mult))
+    E = WeightedPointSet(A.modulus, k + 1, e_pairs)
+    F = WeightedPointSet(A.modulus, k + 1, f_pairs)
     assert E.total == F.total == len(A) ** n
     return E, F

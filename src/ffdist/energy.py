@@ -11,10 +11,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .convolution import exact_cyclic
+from .convolution import _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .sets import FieldSubset
-from .spectra import Spectrum, _within_engine, base_spectrum, cyclic_convolve, fold
+from .spectra import Spectrum, base_spectrum, cyclic_convolve, fold
 
 KINDS = ("distance", "dot", "additive", "multiplicative")
 

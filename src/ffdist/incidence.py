@@ -27,11 +27,11 @@ INSTANCE_PLANE_LIMIT = 1_000_000
 
 class PlaneSet:
     """A multiset of affine planes a*X + b*Y + c*Z = e in F_p^3 with exact
-    multiplicities, keyed (a, b, c, e)."""
+    multiplicities, keyed (a, b, c, e); entries as for WeightedPointSet."""
 
     __slots__ = ("modulus", "entries", "total")
 
-    def __init__(self, modulus: PrimeModulus, entries: dict[tuple[int, int, int, int], int]) -> None:
+    def __init__(self, modulus: PrimeModulus, entries) -> None:
         planes = WeightedPointSet(modulus, 4, entries)
         if any(plane[:3] == (0, 0, 0) for plane in planes.entries):
             raise ValueError("plane with zero normal vector")
@@ -232,26 +232,24 @@ def build_proof_instance(
     elements = A.elements()
     points: dict[int, tuple[WeightedPointSet, int]] = {}
     for i0 in dict.fromkeys(i0 for i0, _ in pairs):
-        point_entries: dict[tuple[int, ...], int] = {}
+        point_pairs = []
         for a in elements:
             for e in elements:
-                shift = (a * a - e * e) % p
+                shift = a * a - e * e
                 for t1 in level[i0]:
-                    key = (-2 * a % p, e, (t1 + shift) % p)
-                    point_entries[key] = point_entries.get(key, 0) + 1
-        level_points = WeightedPointSet(A.modulus, 3, point_entries)
+                    point_pairs.append(((-2 * a, e, t1 + shift), 1))
+        level_points = WeightedPointSet(A.modulus, 3, point_pairs)
         points[i0] = (level_points, max_collinear(level_points))
 
     planes: dict[int, PlaneSet] = {}
     for j0 in dict.fromkeys(j0 for _, j0 in pairs):
-        plane_entries: dict[tuple[int, int, int, int], int] = {}
+        plane_pairs = []
         for b in elements:
             for c in elements:
-                const_shift = (c * c - b * b) % p
+                const_shift = c * c - b * b
                 for t2 in level[j0]:
-                    key = (b, 2 * c % p, 1, (t2 + const_shift) % p)
-                    plane_entries[key] = plane_entries.get(key, 0) + 1
-        planes[j0] = PlaneSet(A.modulus, plane_entries)
+                    plane_pairs.append(((b, 2 * c, 1, t2 + const_shift), 1))
+        planes[j0] = PlaneSet(A.modulus, plane_pairs)
 
     # Cross-correlation of the base counts: corr[delta] = sum_s r(s)*r(s-delta),
     # so the carried sum is sum over level pairs of corr[t1 - t2].
@@ -307,8 +305,7 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
         raise ParseError("instance dump must start with 'p=<prime>'")
     modulus = PrimeModulus(int(lines[0][2:]))
     section = None
-    point_entries: dict[tuple[int, ...], int] = {}
-    plane_entries: dict[tuple[int, ...], int] = {}
+    point_pairs, plane_pairs = [], []
     plane_total = 0
     for ln in lines[1:]:
         if ln == "POINTS":
@@ -326,8 +323,7 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
                 raise ParseError(f"point row needs x,y,z,mult: {ln!r}")
             if parts[3] < 1:
                 raise ParseError(f"point multiplicity must be >= 1: {ln!r}")
-            key = tuple(parts[:3])
-            point_entries[key] = point_entries.get(key, 0) + parts[3]
+            point_pairs.append((parts[:3], parts[3]))
         elif section == "planes":
             if len(parts) != 5:
                 raise ParseError(f"plane row needs a,b,c,e,mult: {ln!r}")
@@ -336,10 +332,9 @@ def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
             plane_total += parts[4]
             if plane_total > INSTANCE_PLANE_LIMIT:
                 raise GuardExceeded(f"instance dump holds over {INSTANCE_PLANE_LIMIT} planes (hard limit)")
-            key = tuple(parts[:4])
-            plane_entries[key] = plane_entries.get(key, 0) + parts[4]
+            plane_pairs.append((parts[:4], parts[4]))
         else:
             raise ParseError(f"row outside POINTS/PLANES sections: {ln!r}")
-    if not point_entries or not plane_entries:
+    if not point_pairs or not plane_pairs:
         raise ParseError("instance dump needs both POINTS and PLANES rows")
-    return WeightedPointSet(modulus, 3, point_entries), PlaneSet(modulus, plane_entries)
+    return WeightedPointSet(modulus, 3, point_pairs), PlaneSet(modulus, plane_pairs)

@@ -8,7 +8,6 @@ give a fast standalone smoke signal.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product as iter_product
 
 from .convolution import exact_cyclic
@@ -122,10 +121,10 @@ def encodings_selftest() -> list[Check]:
         for dim in (2, 3):
             sides = []
             for _ in range(2):
-                entries = {}
+                entries = []
                 for _ in range(1 + rng.randbelow(6)):
                     pt = tuple(rng.randbelow(7) for _ in range(dim))
-                    entries[pt] = entries.get(pt, 0) + 1 + rng.randbelow(4)
+                    entries.append((pt, 1 + rng.randbelow(4)))
                 sides.append(WeightedPointSet(PrimeModulus(7), dim, entries))
             pairs.append(sides)
         ok2 = ok2 and deviation_check(*pairs[0]).passed
@@ -146,15 +145,9 @@ def incidence_selftest() -> list[Check]:
     rng = SplitMix64(5)
     ok = True
     for _ in range(5):
-        pts = WeightedPointSet(
-            p5, 3, Counter(tuple(rng.randbelow(5) for _ in range(3)) for _ in range(12))
-        )
+        pts = WeightedPointSet(p5, 3, [(tuple(rng.randbelow(5) for _ in range(3)), 1) for _ in range(12)])
         planes = PlaneSet(
-            p5,
-            Counter(
-                (1 + rng.randbelow(4), rng.randbelow(5), rng.randbelow(5), rng.randbelow(5))
-                for _ in range(12)
-            ),
+            p5, [((1 + rng.randbelow(4), rng.randbelow(5), rng.randbelow(5), rng.randbelow(5)), 1) for _ in range(12)]
         )
         ok = ok and count_incidences(pts, planes, "direct") == count_incidences(pts, planes, "grouped")
     checks.append(("strategies agree on random instances", ok))

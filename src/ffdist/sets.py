@@ -4,10 +4,12 @@ parsing, construction, seeded sampling, and the one exact bilinear pair counter.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+from .convolution import _within_engine
 from .errors import ParseError
 from .field import PrimeModulus
 from .rng import SplitMix64, derive_seed, sample_distinct
@@ -82,16 +84,19 @@ class FieldSubset:
 
 class WeightedPointSet:
     """A multiset of points in F_p^d with exact multiplicities; a point set
-    is the special case with every multiplicity 1."""
+    is the special case with every multiplicity 1.  The constructor takes a
+    mapping or (point, multiplicity) pairs; it is the one place where points
+    reduce mod p and the multiplicities of equal points add up."""
 
     __slots__ = ("modulus", "dim", "entries", "total")
 
-    def __init__(self, modulus: PrimeModulus, dim: int, entries: dict[tuple[int, ...], int]):
+    def __init__(self, modulus: PrimeModulus, dim: int,
+                 entries: Mapping[tuple[int, ...], int] | Iterable[tuple[Sequence[int], int]]):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         p = modulus.p
         canonical: dict[tuple[int, ...], int] = {}
-        for pt, mult in entries.items():
+        for pt, mult in entries.items() if isinstance(entries, Mapping) else entries:
             if len(pt) != dim:
                 raise ValueError(f"point {pt} does not have {dim} coordinates")
             if mult < 1:
@@ -149,7 +154,10 @@ class WeightedPointSet:
             raise ParseError(f"bad multiset header {lines[0]!r}") from None
         if dim < 1:
             raise ParseError(f"multiset dimension must be >= 1, got d={dim}")
-        entries: dict[tuple[int, ...], int] = {}
+        columns = cls(modulus, dim, ()).to_csv().splitlines()[1]  # the header to_csv writes
+        if lines[1] != columns:
+            raise ParseError(f"multiset CSV line 2 must be {columns!r}, got {lines[1]!r}")
+        pairs = []
         for ln in lines[2:]:
             parts = ln.split(",")
             if len(parts) != dim + 1:
@@ -161,8 +169,8 @@ class WeightedPointSet:
                 raise ParseError(f"malformed multiset row {ln!r}") from None
             if mult < 1:
                 raise ParseError(f"multiplicity must be >= 1: {ln!r}")
-            entries[pt] = entries.get(pt, 0) + mult
-        return cls(modulus, dim, entries)
+            pairs.append((pt, mult))
+        return cls(modulus, dim, pairs)
 
 
 # -- the bilinear pair counter ---------------------------------------------------
@@ -196,7 +204,7 @@ def bilinear_counts(E: WeightedPointSet, F: WeightedPointSet) -> list[int]:
     E and F share the modulus and the dimension.  E is taken in blocks of
     rows, so no |E| x |F| array is ever formed.
     """
-    p, D = E.modulus.p, E.dim - 1
+    p, D = _within_engine(E.modulus), E.dim - 1
     e_pts = np.array(list(E.entries), dtype=np.int64).reshape(len(E), E.dim)
     f_pts = np.array(list(F.entries), dtype=np.int64).reshape(len(F), F.dim)
     b = _limb_bits(len(E), len(F))
@@ -282,11 +290,11 @@ def isotropic_line(modulus: PrimeModulus) -> WeightedPointSet:
 
     Only exists when p = 1 (mod 4).
     """
+    p = _within_engine(modulus)
     i = modulus.sqrt_of_minus_one()
     if i is None:
-        raise ValueError(f"p = {modulus.p} = 3 (mod 4): no square root of -1 exists")
-    p = modulus.p
-    return WeightedPointSet.of_points(modulus, 2, [(x, i * x % p) for x in range(p)])
+        raise ValueError(f"p = {p} = 3 (mod 4): no square root of -1 exists")
+    return WeightedPointSet.of_points(modulus, 2, ((x, i * x) for x in range(p)))
 
 
 # -- set file format -----------------------------------------------------

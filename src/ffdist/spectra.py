@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _MAX_SIZE, _cyclic, _ints, exact_cyclic
+from .convolution import _cyclic, _ints, _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation, ParseError
 from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, WeightedPointSet, bilinear_counts
@@ -69,14 +69,6 @@ class Spectrum:
     def items(self):
         """(t, count) pairs over the support."""
         return ((t, c) for t, c in enumerate(self.counts) if c)
-
-
-def _within_engine(modulus: PrimeModulus) -> int:
-    """p, called before anything of length p is built: GuardExceeded (a hard limit)
-    if length-p products outgrow the convolution engine's longest transform."""
-    if 2 * modulus.p - 1 >= _MAX_SIZE:
-        raise GuardExceeded(f"p = {modulus.p}: length-p products outgrow the longest transform (hard limit)")
-    return modulus.p
 
 
 def diff_square_spectrum(A: FieldSubset) -> Spectrum:
@@ -169,13 +161,17 @@ def distance_spectrum_general(E: WeightedPointSet, force: bool = False) -> Spect
     the lifts (-2x, |x|^2) and (y, |y|^2).  Quadratic in |E|; guarded,
     with force=True overriding the guard.
     """
-    m = len(E)
-    if m > GENERAL_SPECTRUM_GUARD and not force:
-        raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {GENERAL_SPECTRUM_GUARD}")
+    check_point_count(len(E), force)
     norms = [(x, sum(c * c for c in x)) for x in E.entries]
     lifts = [{(*(s * c for c in x), n): E.entries[x] for x, n in norms} for s in (-2, 1)]
     counts = bilinear_counts(*(WeightedPointSet(E.modulus, E.dim + 1, w) for w in lifts))
     return Spectrum(E.modulus, counts, expected_total=E.total**2)
+
+
+def check_point_count(m: int, force: bool) -> None:
+    """GuardExceeded for |E| = m past the guard, unless forced; callers may check before building E."""
+    if m > GENERAL_SPECTRUM_GUARD and not force:
+        raise GuardExceeded(f"|E| = {m} exceeds enumeration guard {GENERAL_SPECTRUM_GUARD}")
 
 
 def support(S: Spectrum) -> FieldSubset:

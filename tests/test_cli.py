@@ -3,6 +3,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from ffdist.cli import run
 from ffdist.errors import InvariantViolation
 
@@ -408,22 +410,32 @@ def test_each_result_computed_once(capsys, monkeypatch):
     assert calls == ["fold"]
 
 
-def test_modulus_past_the_longest_transform_exits_one_before_allocating(capsys, monkeypatch):
+def test_modulus_past_the_longest_transform_exits_one_before_allocating(capsys, monkeypatch, tmp_path):
     # p = 2**31 - 1 would ask for length-p lists (about 17 GB) and transforms
     # longer than any the engine has.  Every step that would allocate by p is
     # replaced by a failure, so a missing guard fails here without allocating,
     # and the peak traced memory stays small.  It is a hard limit: --force and
-    # FFDIST_GUARD_OVERRIDE do not lift it.
+    # FFDIST_GUARD_OVERRIDE do not lift it.  The point-set paths run at
+    # p = 2147483629 = 1 (mod 4), where the isotropic line would hold p points
+    # and the pair counter's length-p tally would take 16 GiB; --force lifts
+    # the point-count guard that the isotropic line meets first.
     import tracemalloc
+
+    import numpy as np
 
     from ffdist import sets, spectra
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a length-p allocation was reached")
 
-    for target, name in ((sets.FieldSubset, "indicator"), (spectra, "power_table"), (spectra, "exact_cyclic")):
+    for target, name in (
+        (sets.FieldSubset, "indicator"), (spectra, "power_table"), (spectra, "exact_cyclic"), (np, "zeros"),
+    ):
         monkeypatch.setattr(target, name, refuse)
     big = ("--p", "2147483647", "--set", "1,2,3")
+    wide = ("--p", "2147483629")
+    points = tmp_path / "points.txt"
+    points.write_text("p=2147483629 d=2\n0,0\n1,2\n3,5\n", encoding="utf-8")
     tracemalloc.start()
     try:
         for argv in (
@@ -431,7 +443,14 @@ def test_modulus_past_the_longest_transform_exits_one_before_allocating(capsys, 
             ("spectrum", *big, "--kind", "dot", "--force"),
             ("energy", *big, "--kind", "additive"),
             ("energy", *big, "--kind", "dot", "--d", "2"),
+            ("spectrum", "--points-file", str(points)),
+            ("coverage", *wide, "--random-points", "3", "--dim", "2"),
+            ("deviation-check", *wide, "--random-multisets", "1"),
+            ("spectrum", *wide, "--isotropic", "--force"),
+            ("coverage", *wide, "--isotropic", "--force"),
         ):
+            if "--isotropic" in argv:  # the small point sets above are built by of_points too
+                monkeypatch.setattr(sets.WeightedPointSet, "of_points", refuse)
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == "" and "hard limit" in err
         monkeypatch.setenv("FFDIST_GUARD_OVERRIDE", "1")
@@ -440,3 +459,32 @@ def test_modulus_past_the_longest_transform_exits_one_before_allocating(capsys, 
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_point_count_guard_trips_before_the_points_are_built(capsys, monkeypatch):
+    # |E| is known from the flags alone: p points on the isotropic line, N
+    # random points.  The guard is checked before either set is built, with
+    # the message distance_spectrum_general gives, and --force still lifts it.
+    import tracemalloc
+
+    import ffdist.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError("the point set was built")
+
+    monkeypatch.setattr(cli_mod, "isotropic_line", refuse)
+    monkeypatch.setattr(cli_mod, "random_pointset", refuse)
+    isotropic = ("spectrum", "--p", "1000033", "--isotropic")
+    random_points = ("coverage", "--p", "1000033", "--random-points", "2000000", "--dim", "2")
+    tracemalloc.start()
+    try:
+        for argv, m in ((isotropic, 1000033), (random_points, 2000000)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: |E| = {m} exceeds enumeration guard 100000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    for argv in (isotropic, random_points):
+        with pytest.raises(AssertionError, match="was built"):
+            run([*argv, "--force"])

@@ -47,8 +47,17 @@ def test_multiset_csv_roundtrip():
     rng = SplitMix64(4)
     w = random_multiset(rng, P7, 3)
     assert WeightedPointSet.from_csv(w.to_csv()) == w
-    with pytest.raises(ParseError):
-        WeightedPointSet.from_csv("nope")
+    for text in (
+        "nope",
+        "p=7 d=2\n1,2,3\n4,5,6\n",  # no header: the first row is not skipped
+        "p=7 d=2\nx,y,multiplicity\n1,2,3\n",  # not the header to_csv writes
+        "p=7 d=2\nx1,x2,x3,multiplicity\n1,2,3\n",
+        "q=7 d=2\nx1,x2,multiplicity\n1,2,3\n",
+        "p=7 d=2\nx1,x2,multiplicity\n1,2\n",
+        "p=7 d=2\nx1,x2,multiplicity\n1,x,3\n",
+    ):
+        with pytest.raises(ParseError):
+            WeightedPointSet.from_csv(text)
     for d in (1, 4):
         w = random_multiset(rng, P7, d)
         assert WeightedPointSet.from_csv(w.to_csv()) == w

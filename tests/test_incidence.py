@@ -321,6 +321,12 @@ def test_instance_dump_parse_errors():
         parse_instance("POINTS\n1,2,3,1\n")
     with pytest.raises(ParseError):
         parse_instance("p=5\n1,2,3,1\n")
+    with pytest.raises(ParseError, match="point row"):
+        parse_instance("p=5\nPOINTS\n1,2,1\nPLANES\n0,0,1,0,1\n")
+    with pytest.raises(ParseError, match="plane row"):
+        parse_instance("p=5\nPOINTS\n1,2,3,1\nPLANES\n0,1,0,1\n")
+    with pytest.raises(ParseError, match="both POINTS and PLANES"):
+        parse_instance("p=5\nPOINTS\n1,2,3,1\n")
     with pytest.raises(ParseError, match="plane multiplicity"):
         parse_instance("p=5\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,1\n1,0,0,1,-3\n")
     with pytest.raises(ParseError, match="plane multiplicity"):

@@ -42,6 +42,8 @@ def test_parse_errors_carry_position():
         parse_subset("3..1", P7)
     with pytest.raises(ParseError, match="position 3"):
         parse_subset("1,2,,4", P7)
+    with pytest.raises(ParseError, match="malformed range"):
+        parse_subset("0,1..x", P7)
 
 
 def test_parse_serialize_roundtrip():
@@ -130,6 +132,14 @@ def test_set_file_roundtrip(tmp_path):
         parse_set_file("q=7 d=1\n3\n")
     with pytest.raises(ParseError):
         parse_set_file("p=5 d=2\n1,2,3\n")
+    for text, message in (
+        ("p=7 d=1\n3\nx\n", "malformed element"),
+        ("p=7 d=1\n", "no elements"),
+        ("p=5 d=2\n1,x\n", "malformed tuple"),
+        ("p=5 d=2\n", "no points"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_set_file(text)
     # a set file has no multiplicity column, so a multiset does not fit it
     with pytest.raises(ValueError, match="distinct points"):
         format_set_file(WeightedPointSet(P7, 2, {(1, 2): 2}))

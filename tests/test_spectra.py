@@ -10,7 +10,6 @@ from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, WeightedPointSet, parse_subset, random_subset
 from ffdist.spectra import (
     Spectrum,
-    _within_engine,
     base_spectrum,
     cyclic_convolve,
     diff_square_spectrum,
@@ -265,6 +264,10 @@ def test_spectrum_csv_roundtrip():
     assert spectrum_from_csv(text) == Sp
     with pytest.raises(ParseError):
         spectrum_from_csv("lambda,count\n0,1\n")
+    with pytest.raises(ParseError, match="bad modulus"):
+        spectrum_from_csv("p=6\nlambda,count\n0,1\n")
+    with pytest.raises(ParseError, match="malformed spectrum row"):
+        spectrum_from_csv("p=5\nlambda,count\n0,x\n")
 
 
 @SETTINGS
@@ -422,6 +425,6 @@ def test_length_guard_is_the_engines_longest_transform():
     with pytest.raises(GuardExceeded):
         convolution._primes_for(2 * convolution._MAX_SIZE, 2)
     below, above = 67108859, 67108879  # the primes either side of 2**26
-    assert _within_engine(PrimeModulus(below)) == below
+    assert convolution._within_engine(PrimeModulus(below)) == below
     with pytest.raises(GuardExceeded, match="hard limit"):
-        _within_engine(PrimeModulus(above))
+        convolution._within_engine(PrimeModulus(above))
