@@ -13,14 +13,19 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   come residue rows, one uint64 row of length n per prime, each row's sum
   checked against the bound mod q.  Ints and residues meet as 16-bit limbs, one
   row per value: _to_limbs (the explicit CRT) and _residues (limbs -> rows) change
-  base through them by exact float64 matrix products, _BLOCK values at a time, so
+  base through them by exact float64 matrix products, _block(k) values at a time, so
   rows gain primes by way of limbs and _ints reads ints off them.  No step takes a
   %.  The forward pass is decimation in frequency, the backward one decimation in
   time on the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
-  applied and backward entry t is N times the inverse at -t mod N.
+  applied and backward entry t is N times the inverse at -t mod N.  From length
+  _POOL_MIN_SIZE on, the primes of a product run in a thread pool, one row each
+  (numpy's ufuncs release the GIL); each row is computed alone, so no output can
+  depend on the pool.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -32,7 +37,8 @@ _MAX_NTT_PRIME = 3_037_000_499
 _MAX_SIZE = 1 << 27  # longest N with a prime q = 1 (mod N) up to _MAX_NTT_PRIME
 _DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
 _MAX_PRIMES = 2**53 // (2**33 + 2**16)  # 2**20 - 8, the most primes the base change is exact for
-_BLOCK = 1024  # values per base change, so its float64 matrices stay O(k * _BLOCK)
+_BLOCK = 95 * 1024  # float64 entries per base-change matrix: 1024 values at 47 primes (_block)
+_POOL_MIN_SIZE = 1 << 16  # shortest transform whose primes run in a thread pool (measured, README)
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
 _root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
@@ -79,22 +85,47 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
     size = 1 << (2 * n - 1).bit_length()
     primes = _primes_for(size, total + 1)
     rows_a = _residues(a, size, len(primes))
-    rows_b = rows_a if b is a else _residues(b, size, len(primes))
-    out = np.empty((len(primes), n), dtype=np.uint64)
-    for (q, gen), xa, xb, row in zip(primes, rows_a, rows_b, out):
-        roots = _root_cache.get((q, size))
-        if roots is None:
-            roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
-        fa = _forward(xa, q, roots)
-        fb = fa if b is a else _forward(xb, q, roots)
-        y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
-        # y[t] is size times the linear convolution at -t mod size: read the first 2n
-        # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q).
-        lin = np.concatenate((y[:1], y[: -2 * n : -1]))
-        _mod(np.multiply(np.add(lin[:n], lin[n:], out=row), pow(size, -1, q), out=row), q)
-    if [int(s) % q for (q, _), s in zip(primes, out.sum(axis=1))] != [total % q for q, _ in primes]:
+    rows_b = [None] * len(primes) if b is a else _residues(b, size, len(primes))  # None: a squaring
+    qs, out = [q for q, _ in primes], np.empty((len(primes), n), dtype=np.uint64)
+    roots = [_roots(q, gen, size) for q, gen in primes]  # built here, so workers write no shared cache
+    args = (qs, roots, rows_a, rows_b, out)
+    workers = min(len(qs), _cpus()) if size >= _POOL_MIN_SIZE else 1
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(_product_row, *args))  # re-raises the first error a worker met
+    else:
+        list(map(_product_row, *args))
+    if [int(s) % q for q, s in zip(qs, out.sum(axis=1))] != [total % q for q in qs]:
         raise InvariantViolation(f"a product's rows do not sum to {total} mod every transform prime")
     return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _roots(q: int, gen: int, size: int) -> np.ndarray:
+    """gen**0 .. gen**(size/2 - 1) mod q, cached per (q, size)."""
+    roots = _root_cache.get((q, size))
+    if roots is None:
+        roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
+    return roots
+
+
+def _product_row(q: int, roots: np.ndarray, xa: np.ndarray, xb: np.ndarray | None, row: np.ndarray) -> None:
+    """One prime's row of the product, written into row: xa times xb (xa squared
+    if xb is None) mod q, cyclic of length row.size, on transforms of length 2*roots.size."""
+    n, size = row.size, 2 * roots.size
+    fa = _forward(xa, q, roots)
+    fb = fa if xb is None else _forward(xb, q, roots)
+    y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
+    # y[t] is size times the linear convolution at -t mod size: read the first 2n
+    # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q).
+    lin = np.concatenate((y[:1], y[: -2 * n : -1]))
+    _mod(np.multiply(np.add(lin[:n], lin[n:], out=row), pow(size, -1, q), out=row), q)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -124,37 +155,44 @@ def _residues(src, size: int, k: int) -> np.ndarray:
     j = 0 if isinstance(src, list) else len(src)
     if j >= k:
         return src[:k]
+    block = _block(k)
     if j:
-        blocks, out = _to_limbs(src, moduli[:j]), np.empty((k, src.shape[1]), dtype=np.uint64)
+        blocks, out = _to_limbs(src, moduli[:j], block), np.empty((k, src.shape[1]), dtype=np.uint64)
         out[:j] = src
     else:
         digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint64)
-        blocks = (digits[s : s + _BLOCK] for s in range(0, len(src), _BLOCK))
+        blocks = (digits[s : s + block] for s in range(0, len(src), block))
     qs = np.array(moduli[j:], dtype=np.int64)[:, None]
-    for s, limbs in zip(range(0, out.shape[1], _BLOCK), blocks):
+    for s, limbs in zip(range(0, out.shape[1], block), blocks):
         if s == 0:  # every block has the first one's width
             powers = power_table(1 << 16, limbs.shape[1], qs)
             halves = np.vstack((powers & 0xFFFF, powers >> 16)).astype(np.float64)
         lo, hi = np.split((halves @ limbs.T.astype(np.float64)).astype(np.uint64), 2)
-        out[j:, s : s + _BLOCK] = _mod((_mod(hi, qs) << 16) + lo, qs)  # below 2**48 + 2**53
+        out[j:, s : s + block] = _mod((_mod(hi, qs) << 16) + lo, qs)  # below 2**48 + 2**53
     return out
 
 
 def _ints(rows: np.ndarray) -> list[int]:
-    """The Python ints behind rows, formed from their limbs _BLOCK at a time."""
+    """The Python ints behind rows, formed from their limbs _block(k) at a time."""
     k, n = rows.shape
     if k == 1:  # values below one prime are their residues
         return rows[0].tolist()
     out = []
-    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]):
+    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]], _block(k)):
         raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
         out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
     return out
 
 
-def _to_limbs(rows: np.ndarray, moduli: list[int]):
+def _block(k: int) -> int:
+    """Values per base change for k primes, so that its (2k + 1)-row float64 matrices
+    (about 2k + 1 limbs, halves or residues per value) hold about _BLOCK entries."""
+    return max(1, _BLOCK // (2 * k + 1))
+
+
+def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
     """Residues -> limbs: the values x < Q = prod(moduli) behind rows as 16-bit limbs
-    in int64, one row each, _BLOCK values at a time.  Bernstein's explicit CRT (1995),
+    in int64, one row each, block values at a time.  Bernstein's explicit CRT (1995),
     x = sum_i c_i*(Q/q_i) - u*Q with c_i = x*(Q/q_i)**-1 mod q_i and u = floor(sum_i c_i/q_i),
     as one float64 product of c_i's 16-bit halves and -u against Q/q_i's and Q's limbs,
     then a signed carry.  Its sums lie in (-k*2**16, 2k*2**32) for k primes, so they
@@ -166,8 +204,8 @@ def _to_limbs(rows: np.ndarray, moduli: list[int]):
     table[:-1, :k], table[1:, k:-1], table[:-1, -1] = m[:k].T, m[:k].T, m[k]
     qs = np.array(moduli, dtype=np.uint64)[:, None]
     inverses = np.array([pow(x, -1, q) for x, q in zip(cofactors, moduli)], dtype=np.uint64)[:, None]
-    for s in range(0, rows.shape[1], _BLOCK):
-        c = _mod(rows[:, s : s + _BLOCK] * inverses, qs)  # products below q*q < 2**63
+    for s in range(0, rows.shape[1], block):
+        c = _mod(rows[:, s : s + block] * inverses, qs)  # products below q*q < 2**63
         # The float sum of k terms below 1 is off by less than k*k*2**-53 < 2**-13, so
         # past the margin 2**-12 it gives u or u + 1, never u - 1.
         u = np.floor((c / qs).sum(axis=0) + 2.0**-12)
@@ -243,7 +281,9 @@ def _stages(a: np.ndarray, s: np.ndarray, roots: np.ndarray, levels: range):
     for h in (1 << level for level in levels):
         if blocked != (h < t):
             blocked = h < t
-            a[:] = a.reshape((-1, 2 * t) if blocked else (2 * t, -1)).T.ravel()
+            m = a.reshape((-1, 2 * t) if blocked else (2 * t, -1)).T
+            s.reshape(m.shape)[...] = m  # through the scratch, so no copy is allocated
+            a[:] = s
         k = n // (2 * t) if blocked else 1
         v, w = a.reshape(-1, 2, h, k), s.reshape(2, -1, h, k)
         yield v[:, 0], v[:, 1], w[0], w[1], roots[:: n // (2 * h), None]

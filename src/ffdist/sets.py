@@ -144,7 +144,7 @@ class WeightedPointSet:
     def from_csv(cls, text: str) -> "WeightedPointSet":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
-            raise ParseError("multiset CSV needs a header and at least one row")
+            raise ParseError("multiset CSV needs a 'p=<p> d=<d>' line, then the column header")
         head = lines[0].split()
         try:
             fields = dict(part.split("=", 1) for part in head)

@@ -1,12 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import ffdist
 from ffdist.cli import run
 from ffdist.errors import InvariantViolation
+
+from test_convolution import _set_pool
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +210,23 @@ def test_invariant_violation_exits_two(capsys, monkeypatch):
     assert code == 2
     assert "INVARIANT" in err
 
+    # the same from a transform prime's pool thread: the fold of A^40 takes
+    # several primes at length 16, which all run on the pool here
+    from ffdist import convolution
+
+    _set_pool(monkeypatch, 2, 2)
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        raise InvariantViolation("synthetic failure on a pool thread")
+
+    monkeypatch.setattr(convolution, "_backward", failing)
+    code, _, err = run_cli(capsys, "spectrum", "--p", "7", "--set", "0,1,3", "--n", "40")
+    assert code == 2
+    assert "INVARIANT" in err and "pool thread" in err
+    assert threads and not any(threads)
+
 
 def test_selftest_flag(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--selftest")
@@ -319,6 +342,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "p=7"
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # The transform pool imports concurrent.futures only when a long product
+    # first needs it, so start-up (`--version`) never pays for that import.
+    src = str(Path(ffdist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, ffdist.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_repeat_runs_byte_identical(capsys):

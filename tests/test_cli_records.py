@@ -25,6 +25,8 @@ import pytest
 
 from ffdist.cli import run
 
+from test_convolution import _set_pool, _spy_threads
+
 FIXTURES = {
     "a.set": "p=7 d=1\n0\n1\n3\n",
     "pts.set": "p=7 d=2\n0,0\n1,2\n3,5\n4,4\n6,1\n",
@@ -165,6 +167,28 @@ def test_record(argv, code, digest, tmp_path):
     got_code, got_digest, text = outcome(argv, tmp_path)
     assert got_code == code, text
     assert got_digest == digest, text
+
+
+# The cases whose products need two or more transform primes (3 to 36).
+POOLED = ("spectrum-selftest", "energy-recursion-overflow", "scan-selftest")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case_id", POOLED)
+def test_record_does_not_depend_on_the_pool(case_id, workers, monkeypatch, tmp_path):
+    # With the pool's cutoff lowered to length 2, every product of these cases
+    # runs its primes on `workers` threads (1: in the calling thread), and the
+    # record is still the pinned one.
+    _set_pool(monkeypatch, 2, workers)
+    threads = _spy_threads(monkeypatch)
+    argv, code, digest = next(case[1:] for case in CASES if case[0] == case_id)
+    got_code, got_digest, text = outcome(argv, tmp_path)
+    assert got_code == code, text
+    assert got_digest == digest, text
+    if workers > 1:
+        assert False in threads  # some product ran on a pool thread
+    else:
+        assert threads == {True}
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ffdist.convolution import (
     _DIRECT_MAX_LEN,
     _MAX_NTT_PRIME,
     _MAX_PRIMES,
+    _POOL_MIN_SIZE,
     _backward,
     _direct_cyclic,
     _forward,
@@ -372,23 +375,114 @@ def test_garner_and_base_extension_match_python_crt(n, bits, seed):
     assert _ints(rows.copy()) == a
 
 
+def _set_pool(monkeypatch, min_size, workers):
+    """Run the primes of every product of length >= min_size on `workers` threads."""
+    monkeypatch.setattr(convolution, "_POOL_MIN_SIZE", min_size)
+    monkeypatch.setattr(convolution, "_cpus", lambda: workers)
+
+
+def _spy_threads(monkeypatch):
+    """The set of threads (True: the main one) that computed a row since it was last cleared."""
+    threads, real = set(), convolution._product_row
+
+    def spied(*args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(convolution, "_product_row", spied)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_pooled_rows_equal_serial_rows(monkeypatch, workers):
+    # With the cutoff lowered to length 2**10, a product of n = 257 (length
+    # 1024) runs its primes on `workers` threads, while n = 256 (length 512),
+    # one worker or one prime stays in the calling thread.  Either way the
+    # rows equal the serial ones and the schoolbook sum, for one to nine
+    # primes, squarings and products alike.  Eight workers outnumber the
+    # cores, and a short switch interval makes the threads interleave often.
+    threads, rng, counts = _spy_threads(monkeypatch), random.Random(workers), set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (256, 257):
+            for bits in (4, 20, 35, 50, 120):
+                a = [rng.getrandbits(bits) for _ in range(n)]
+                for b in (a, [rng.getrandbits(bits) for _ in range(n)]):
+                    _set_pool(monkeypatch, 1 << 40, workers)
+                    serial = _ntt_cyclic(a, b, sum(a) * sum(b))
+                    _set_pool(monkeypatch, 1 << 10, workers)
+                    threads.clear()
+                    pooled = _ntt_cyclic(a, b, sum(a) * sum(b))
+                    assert pooled.tolist() == serial.tolist()
+                    assert _ints(pooled) == cyclic_schoolbook(a, b)
+                    assert threads == ({False} if n > 256 and workers > 1 and len(pooled) > 1 else {True})
+                    counts.add(len(pooled))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == {1, 2, 3, 4, 9}
+
+
+def test_pool_starts_at_its_cutoff(monkeypatch):
+    # At the real cutoff and two workers: three primes at length
+    # _POOL_MIN_SIZE run on the pool, at half that length in the calling
+    # thread, and both give the schoolbook sum (a sparse a keeps it cheap).
+    threads, rng = _spy_threads(monkeypatch), random.Random(19)
+    monkeypatch.setattr(convolution, "_cpus", lambda: 2)
+    for n, pooled in ((_POOL_MIN_SIZE // 4, False), (_POOL_MIN_SIZE // 4 + 1, True)):
+        a, b = [0] * n, [rng.getrandbits(30) for _ in range(n)]
+        for i in rng.sample(range(n), 3):
+            a[i] = rng.getrandbits(40)
+        threads.clear()
+        rows = _ntt_cyclic(a, b, sum(a) * sum(b))
+        assert len(rows) == 3 and _ints(rows) == cyclic_schoolbook(a, b)
+        assert threads == {not pooled}
+
+
+def test_an_error_in_one_worker_surfaces(monkeypatch):
+    # An InvariantViolation raised on a pool thread, in one prime's transform,
+    # is raised by the product itself.
+    _set_pool(monkeypatch, 2, 2)
+    real, raised = convolution._backward, []
+    x = [1 << 40] * 600
+    second = _primes_for(2048, sum(x) ** 2 + 1)[1][0]
+
+    def failing(a, q, roots):
+        if q == second:
+            raised.append(threading.current_thread() is threading.main_thread())
+            raise InvariantViolation("planted in one worker")
+        return real(a, q, roots)
+
+    monkeypatch.setattr(convolution, "_backward", failing)
+    with pytest.raises(InvariantViolation, match="planted in one worker"):
+        _ntt_cyclic(x, x, sum(x) ** 2)
+    assert raised == [False]
+
+
 def test_a_planted_error_in_one_prime_row_is_caught(monkeypatch):
     # One coefficient off in one prime's backward transform moves that row's
-    # sum off sum(a)*sum(b) mod q; the product must not return.
-    real, calls = convolution._backward, []
+    # sum off sum(a)*sum(b) mod q; the product must not return, at the real
+    # cutoff and with every length on a pool of 1 or 2 workers.
+    real, x = convolution._backward, [1 << 40] * 600
+    for workers in (None, 1, 2):
+        calls, lock = [], threading.Lock()
 
-    def planted(a, q, roots):
-        out = real(a, q, roots)
-        calls.append(q)
-        if len(calls) == 2:
-            out[0] = (out[0] + 1) % q
-        return out
+        def planted(a, q, roots):
+            out = real(a, q, roots)
+            with lock:
+                calls.append(q)
+                second = len(calls) == 2
+            if second:
+                out[0] = (out[0] + 1) % q
+            return out
 
-    monkeypatch.setattr(convolution, "_backward", planted)
-    x = [1 << 40] * 600
-    with pytest.raises(InvariantViolation, match="transform prime"):
-        exact_cyclic(x, x)
-    assert len(calls) >= 2
+        with monkeypatch.context() as m:
+            if workers:
+                _set_pool(m, 2, workers)
+            m.setattr(convolution, "_backward", planted)
+            with pytest.raises(InvariantViolation, match="transform prime"):
+                exact_cyclic(x, x)
+        assert len(calls) >= 2
 
 
 def test_explicit_crt_u_is_corrected_at_both_ends():

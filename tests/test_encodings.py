@@ -61,6 +61,12 @@ def test_multiset_csv_roundtrip():
     for d in (1, 4):
         w = random_multiset(rng, P7, d)
         assert WeightedPointSet.from_csv(w.to_csv()) == w
+    # an empty multiset is the two header lines, and only they are required
+    empty = WeightedPointSet(P7, 2, {})
+    assert empty.to_csv() == "p=7 d=2\nx1,x2,multiplicity\n"
+    assert WeightedPointSet.from_csv(empty.to_csv()) == empty
+    with pytest.raises(ParseError, match="'p=<p> d=<d>' line, then the column header"):
+        WeightedPointSet.from_csv("p=7 d=2\n")
 
 
 @pytest.mark.parametrize("d", [0, -1])
