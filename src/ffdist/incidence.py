@@ -14,9 +14,9 @@ import numpy as np
 
 from .convolution import exact_cyclic
 from .energy import dyadic_levels, report_float
-from .errors import GuardExceeded, InvariantViolation, ParseError
+from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
-from .sets import FieldSubset, WeightedPointSet
+from .sets import FieldSubset, WeightedPointSet, _Lines, _text
 from .spectra import Spectrum, diff_square_spectrum, fold
 
 COLLINEAR_GUARD = 5000
@@ -290,51 +290,19 @@ def verify_proof_instance(inst: IncidenceInstance) -> int:
 
 
 def format_instance(inst: IncidenceInstance) -> str:
-    lines = [f"p={inst.points.modulus.p}", "POINTS"]
-    for pt in sorted(inst.points.entries):
-        lines.append(",".join(str(c) for c in pt) + f",{inst.points.entries[pt]}")
-    lines.append("PLANES")
-    for plane, mult in sorted(inst.planes.entries.items()):
-        lines.append(",".join(str(c) for c in plane) + f",{mult}")
-    return "\n".join(lines) + "\n"
+    points = ((*pt, m) for pt, m in sorted(inst.points.entries.items()))
+    planes = ((*plane, m) for plane, m in sorted(inst.planes.entries.items()))
+    return _text([f"p={inst.points.modulus.p}", "POINTS"], points) + _text(["PLANES"], planes)
 
 
 def parse_instance(text: str) -> tuple[WeightedPointSet, PlaneSet]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("p="):
-        raise ParseError("instance dump must start with 'p=<prime>'")
-    modulus = PrimeModulus(int(lines[0][2:]))
-    section = None
-    point_pairs, plane_pairs = [], []
-    plane_total = 0
-    for ln in lines[1:]:
-        if ln == "POINTS":
-            section = "points"
-            continue
-        if ln == "PLANES":
-            section = "planes"
-            continue
-        try:
-            parts = [int(c) for c in ln.split(",")]
-        except ValueError:
-            raise ParseError(f"malformed instance row {ln!r}") from None
-        if section == "points":
-            if len(parts) != 4:
-                raise ParseError(f"point row needs x,y,z,mult: {ln!r}")
-            if parts[3] < 1:
-                raise ParseError(f"point multiplicity must be >= 1: {ln!r}")
-            point_pairs.append((parts[:3], parts[3]))
-        elif section == "planes":
-            if len(parts) != 5:
-                raise ParseError(f"plane row needs a,b,c,e,mult: {ln!r}")
-            if parts[4] < 1:
-                raise ParseError(f"plane multiplicity must be >= 1: {ln!r}")
-            plane_total += parts[4]
-            if plane_total > INSTANCE_PLANE_LIMIT:
-                raise GuardExceeded(f"instance dump holds over {INSTANCE_PLANE_LIMIT} planes (hard limit)")
-            plane_pairs.append((parts[:4], parts[4]))
-        else:
-            raise ParseError(f"row outside POINTS/PLANES sections: {ln!r}")
-    if not point_pairs or not plane_pairs:
-        raise ParseError("instance dump needs both POINTS and PLANES rows")
-    return WeightedPointSet(modulus, 3, point_pairs), PlaneSet(modulus, plane_pairs)
+    lines = _Lines(text, "instance dump", ("p",))
+    rows, p = lines.lines, lines.modulus.p
+    lines.refuse(1, [rows[1:2] != ["POINTS"]], "expected a POINTS section, then a PLANES section")
+    j = rows.index("PLANES") if "PLANES" in rows else len(rows)
+    points, planes = lines.pairs(2, j, 3, "point"), lines.pairs(j + 1, None, 4, "plane")
+    lines.refuse(j + 1, (not any(c % p for c in plane[:3]) for plane, _ in planes), "plane with zero normal vector")
+    if sum(mult for _, mult in planes) > INSTANCE_PLANE_LIMIT:
+        raise GuardExceeded(f"instance dump holds over {INSTANCE_PLANE_LIMIT} planes (hard limit)")
+    lines.refuse(len(rows), [not points or not planes], "instance dump needs both POINTS and PLANES rows")
+    return WeightedPointSet(lines.modulus, 3, points), PlaneSet(lines.modulus, planes)

@@ -3,6 +3,8 @@ parsing, construction, seeded sampling, and the one exact bilinear pair counter.
 
 from __future__ import annotations
 
+import reprlib
+import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence, Union
@@ -133,44 +135,17 @@ class WeightedPointSet:
         return sum(m * m for m in self.entries.values())
 
     def to_csv(self) -> str:
-        lines = [f"p={self.modulus.p} d={self.dim}"]
-        header = ",".join(f"x{i+1}" for i in range(self.dim)) + ",multiplicity"
-        lines.append(header)
-        for pt in sorted(self.entries):
-            lines.append(",".join(str(c) for c in pt) + f",{self.entries[pt]}")
-        return "\n".join(lines) + "\n"
+        columns = ",".join(f"x{i+1}" for i in range(self.dim)) + ",multiplicity"
+        rows = ((*pt, m) for pt, m in sorted(self.entries.items()))
+        return _text([f"p={self.modulus.p} d={self.dim}", columns], rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "WeightedPointSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ParseError("multiset CSV needs a 'p=<p> d=<d>' line, then the column header")
-        head = lines[0].split()
-        try:
-            fields = dict(part.split("=", 1) for part in head)
-            modulus = PrimeModulus(int(fields["p"]))
-            dim = int(fields["d"])
-        except (ValueError, KeyError):
-            raise ParseError(f"bad multiset header {lines[0]!r}") from None
-        if dim < 1:
-            raise ParseError(f"multiset dimension must be >= 1, got d={dim}")
-        columns = cls(modulus, dim, ()).to_csv().splitlines()[1]  # the header to_csv writes
-        if lines[1] != columns:
-            raise ParseError(f"multiset CSV line 2 must be {columns!r}, got {lines[1]!r}")
-        pairs = []
-        for ln in lines[2:]:
-            parts = ln.split(",")
-            if len(parts) != dim + 1:
-                raise ParseError(f"malformed multiset row {ln!r}")
-            try:
-                pt = tuple(int(c) for c in parts[:-1])
-                mult = int(parts[-1])
-            except ValueError:
-                raise ParseError(f"malformed multiset row {ln!r}") from None
-            if mult < 1:
-                raise ParseError(f"multiplicity must be >= 1: {ln!r}")
-            pairs.append((pt, mult))
-        return cls(modulus, dim, pairs)
+        lines = _Lines(text, "multiset CSV", ("p", "d"))
+        columns = cls(lines.modulus, lines.dim, ()).to_csv().splitlines()[1]  # the header to_csv writes
+        lines.refuse(1, [lines.lines[1:2] != [columns]],
+                     f"multiset CSV needs a 'p=<p> d=<d>' line, then the column header {columns!r}")
+        return cls(lines.modulus, lines.dim, lines.pairs(2, None, lines.dim, "multiset"))
 
 
 # -- the bilinear pair counter ---------------------------------------------------
@@ -297,59 +272,100 @@ def isotropic_line(modulus: PrimeModulus) -> WeightedPointSet:
     return WeightedPointSet.of_points(modulus, 2, ((x, i * x) for x in range(p)))
 
 
-# -- set file format -----------------------------------------------------
+# -- text formats ------------------------------------------------------------
 #
-# UTF-8 text.  First line: "p=<prime> d=<dim>".  Then one element (d=1) or
-# one comma-separated tuple (d>=2) per line; a tuple file reads as a
-# multiset with unit multiplicities.
+# Set files, multiset and spectrum CSVs and instance dumps share one writer
+# and one reader: blank lines are dropped, the first line holds `key=value`
+# fields, and the later lines are rows of comma-separated decimal ints.  Every
+# malformed file is a ParseError that names its line.
+
+
+def _text(head: list[str], rows: Iterable[Iterable[object]]) -> str:
+    """The head lines, then one comma-separated row per line."""
+    return "\n".join([*head, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+class _Lines:
+    """The stripped non-blank lines of a text file.  The first line's fields
+    `keys` give a checked modulus and, with key "d", a dimension >= 1.  Each
+    ParseError names the file's own line and echoes at most ~30 characters."""
+
+    def __init__(self, text: str, what: str, keys: tuple[str, ...]):
+        self.text = text
+        self.lines = [line for line in map(str.strip, text.splitlines()) if line]
+        pairs = [part.split("=", 1) for part in self.lines[0].split()] if self.lines else []
+        if sorted(pair[0] for pair in pairs) != sorted(keys) or min(map(len, pairs)) < 2:
+            raise self.error(0, f"{what} must start with {' '.join(f'{k}=<{k}>' for k in keys)!r}")
+        p, *dim = self._fields(0, [dict(pairs)[key] for key in keys], len(keys), "header")
+        try:
+            self.modulus = PrimeModulus(p)
+        except ValueError as exc:
+            raise self.error(0, f"bad modulus: {exc}") from None
+        self.dim = dim[0] if dim else None
+        self.refuse(0, [d < 1 for d in dim], f"dimension must be >= 1, got d={self.dim}")
+
+    def error(self, i: int, message: str) -> ParseError:
+        """A ParseError naming the file line of non-blank line i (i = len(lines): the end)."""
+        numbers = [n for n, line in enumerate(self.text.splitlines() + ["end"], start=1) if line.strip()]
+        where = reprlib.repr(self.lines[i]) if i < len(self.lines) else "(end of file)"
+        return ParseError(f"line {numbers[i]} {where}: {message}")
+
+    def refuse(self, lo: int, faults: Iterable[bool], message: str) -> None:
+        """Raise a ParseError naming line lo + k for the first true faults[k], if any."""
+        k = next((k for k, fault in enumerate(faults) if fault), None)
+        if k is not None:
+            raise self.error(lo + k, message)
+
+    def _fields(self, i: int, fields: list[str], width: int, name: str) -> list[int]:
+        """The ints of line i's `width` fields."""
+        self.refuse(i, [len(fields) != width], f"malformed {name}: {len(fields)} fields, not {width}")
+        for field in fields:
+            try:
+                int(field)
+            except ValueError:
+                digits = field.strip()
+                digits = digits[1:] if digits.startswith(("+", "-")) else digits
+                # int() refuses plain digits only past CPython's int-string limit
+                why = (f"{len(digits)} digits, past CPython's int-string limit of {sys.get_int_max_str_digits()}"
+                       if digits.isdecimal() else "not a decimal int")
+                raise self.error(i, f"malformed {name}: {reprlib.repr(field)} is {why}") from None
+        return list(map(int, fields))
+
+    def ints(self, lo: int, hi: int | None, width: int, name: str) -> list[int]:
+        """The fields of lines [lo, hi), rows of `width` ints each, in one list."""
+        rows = self.lines[lo:hi]
+        try:
+            # int() refuses a comma, so only rows of several fields need their commas counted
+            if width == 1 or {row.count(",") for row in rows} <= {width - 1}:
+                return list(map(int, rows if width == 1 else ",".join(rows).split(",")))
+        except ValueError:
+            pass
+        # some line is at fault: read line by line to name it
+        return [x for i, row in enumerate(rows, start=lo) for x in self._fields(i, row.split(","), width, name)]
+
+    def pairs(self, lo: int, hi: int | None, dim: int, noun: str) -> list[tuple[tuple[int, ...], int]]:
+        """Lines [lo, hi) as (point, multiplicity) rows, multiplicities >= 1."""
+        rows = list(zip(*[iter(self.ints(lo, hi, dim + 1, f"{noun} row"))] * (dim + 1)))
+        self.refuse(lo, (row[-1] < 1 for row in rows), f"{noun} multiplicity must be >= 1")
+        return [(row[:-1], row[-1]) for row in rows]
 
 
 def format_set_file(obj: Union[FieldSubset, WeightedPointSet]) -> str:
     if isinstance(obj, FieldSubset):
-        lines = [f"p={obj.modulus.p} d=1"]
-        lines.extend(str(x) for x in obj)
-    else:
-        if obj.total != len(obj):
-            raise ValueError("a set file holds distinct points: multiplicities above 1 do not fit")
-        lines = [f"p={obj.modulus.p} d={obj.dim}"]
-        lines.extend(",".join(str(c) for c in pt) for pt in sorted(obj.entries))
-    return "\n".join(lines) + "\n"
+        return _text([f"p={obj.modulus.p} d=1"], ((x,) for x in obj))
+    if obj.total != len(obj):
+        raise ValueError("a set file holds distinct points: multiplicities above 1 do not fit")
+    return _text([f"p={obj.modulus.p} d={obj.dim}"], sorted(obj.entries))
 
 
 def parse_set_file(text: str) -> Union[FieldSubset, WeightedPointSet]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty set file")
-    header = lines[0].split()
-    try:
-        fields = dict(part.split("=", 1) for part in header)
-        p = int(fields["p"])
-        d = int(fields["d"])
-    except (ValueError, KeyError):
-        raise ParseError(f"bad header {lines[0]!r}: expected 'p=<prime> d=<dim>'") from None
-    modulus = PrimeModulus(p)
+    lines = _Lines(text, "set file", ("p", "d"))
+    d = lines.dim
+    ints = lines.ints(1, None, d, "element" if d == 1 else "tuple")
+    lines.refuse(1, [not ints], f"set file lists no {'elements' if d == 1 else 'points'}")
     if d == 1:
-        elements = []
-        for lineno, ln in enumerate(lines[1:], start=2):
-            try:
-                elements.append(int(ln))
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed element {ln!r}") from None
-        if not elements:
-            raise ParseError("set file lists no elements")
-        return FieldSubset(modulus, elements)
-    points = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != d:
-            raise ParseError(f"line {lineno}: expected {d} coordinates, got {len(parts)}")
-        try:
-            points.append(tuple(int(c) for c in parts))
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed tuple {ln!r}") from None
-    if not points:
-        raise ParseError("set file lists no points")
-    return WeightedPointSet.of_points(modulus, d, points)
+        return FieldSubset(lines.modulus, ints)
+    return WeightedPointSet.of_points(lines.modulus, d, zip(*[iter(ints)] * d))
 
 
 def read_set_file(path) -> Union[FieldSubset, WeightedPointSet]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .convolution import _cyclic, _ints, _within_engine, exact_cyclic
-from .errors import GuardExceeded, InvariantViolation, ParseError
+from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus, power_table, primitive_root
-from .sets import FieldSubset, WeightedPointSet, bilinear_counts
+from .sets import FieldSubset, WeightedPointSet, _Lines, _text, bilinear_counts
 
 GENERAL_SPECTRUM_GUARD = 100_000
 
@@ -189,33 +189,21 @@ def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:
 
 
 # -- serialization ---------------------------------------------------------
-#
-# CSV with a "p=<p>" first line, then "lambda,count" rows in decimal.
 
 
 def spectrum_to_csv(S: Spectrum) -> str:
-    return "\n".join([f"p={S.modulus.p}", "lambda,count", *(f"{t},{c}" for t, c in enumerate(S.counts))]) + "\n"
+    return _text([f"p={S.modulus.p}", "lambda,count"], enumerate(S.counts))
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("p=") or lines[1] != "lambda,count":
-        raise ParseError("spectrum CSV must start with 'p=<p>' then 'lambda,count'")
-    try:
-        modulus = PrimeModulus(int(lines[0][2:]))
-    except ValueError as exc:
-        raise ParseError(f"bad modulus line {lines[0]!r}: {exc}") from None
-    counts = [0] * _within_engine(modulus)
-    seen = set()
-    for ln in lines[2:]:
-        try:
-            t, c = map(int, ln.split(","))
-        except ValueError:
-            raise ParseError(f"malformed spectrum row {ln!r}") from None
-        if not 0 <= t < modulus.p:
-            raise ParseError(f"spectrum row {ln!r}: lambda outside [0, {modulus.p})")
-        if t in seen:
-            raise ParseError(f"spectrum row {ln!r}: lambda {t} repeated")
-        seen.add(t)
+    lines = _Lines(text, "spectrum CSV", ("p",))
+    lines.refuse(1, [lines.lines[1:2] != ["lambda,count"]], "spectrum CSV must start with 'p=<p>' then 'lambda,count'")
+    p = _within_engine(lines.modulus)
+    rows = lines.ints(2, None, 2, "spectrum row")
+    lams, counts, first = rows[::2], [0] * p, {}
+    lines.refuse(2, (not 0 <= t < p for t in lams), f"lambda outside [0, {p})")
+    lines.refuse(2, (first.setdefault(t, k) != k for k, t in enumerate(lams)), "lambda repeated")
+    lines.refuse(2, (c < 0 for c in rows[1::2]), "negative count")
+    for t, c in zip(lams, rows[1::2]):
         counts[t] = c
-    return Spectrum(modulus, counts)
+    return Spectrum(lines.modulus, counts)

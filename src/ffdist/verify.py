@@ -15,7 +15,7 @@ from .energy import additive_energy, distance_energy, dot_energy, report_float
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
 from .rng import derive_seed
-from .sets import FieldSubset, WeightedPointSet, random_subset
+from .sets import FieldSubset, WeightedPointSet, _text, random_subset
 from .spectra import (
     Spectrum,
     diff_square_spectrum,
@@ -331,13 +331,9 @@ class ScanTable:
     def to_csv(self) -> str:
         dot = self.kind == "dot"
         header = "m,trials,covered_fraction,min_count" + (",zero_fraction" if dot else "")
-        lines = [header]
-        for row in self.rows:
-            line = f"{row.m},{row.trials},{row.covered_fraction:.6f},{row.min_count}"
-            if dot:
-                line += f",{row.zero_fraction:.6f}"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+        rows = ([r.m, r.trials, f"{r.covered_fraction:.6f}", r.min_count, *([f"{r.zero_fraction:.6f}"] if dot else [])]
+                for r in self.rows)
+        return _text([header], rows)
 
 
 def _scan_cell(modulus: PrimeModulus, n: int, kind: str, seed: int, m: int, trial: int) -> tuple[bool, bool, int]:

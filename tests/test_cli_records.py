@@ -33,6 +33,9 @@ FIXTURES = {
     "inst.txt": "p=5\nPOINTS\n0,0,0,2\n1,2,3,1\n4,4,1,1\nPLANES\n1,0,0,0,1\n0,1,1,3,2\n1,1,1,0,1\n",
     "huge.txt": "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n",
     "mult.txt": "p=5\nPOINTS\n0,0,0,1" + "0" * 400 + "\nPLANES\n1,0,0,0,1\n",
+    "composite.set": "p=9 d=1\n0\n1\n3\n",
+    "flat.set": "p=7 d=0\n0\n",
+    "badp.txt": "p=x\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1\n",
 }
 
 # (id, argv with {tmp} for the case directory, exit code, sha256)
@@ -51,6 +54,8 @@ CASES = [
     ("spectrum-points-file-dot", "spectrum --points-file {tmp}/pts.set --kind dot", 1, "2345dddaabac73314b5aa4c03126beb491f5b316021f0713bacb1588f9a78ce6"),
     ("spectrum-points-file-subset", "spectrum --points-file {tmp}/a.set", 1, "899850d0413ea6bc3c6107819f5cd53b700142ba977a161b94aac15d98241edc"),
     ("spectrum-points-file-missing", "spectrum --points-file {tmp}/nope.set", 1, "26833d38410aa0be080a383d06c85de4f4898f6bcaae5edd759c1a2904f85333"),
+    ("spectrum-set-file-composite-p", "spectrum --set-file {tmp}/composite.set", 1, "d0ae4b115537dc62291b33b9b3ef053a8ed15ca07c2d50254cd62d78b98cdeef"),
+    ("spectrum-points-file-d0", "spectrum --points-file {tmp}/flat.set", 1, "f8fb0925646abbd19ecb6e6314eddc0ce0d870fe8141eb55bf8ea7c01fde5c95"),
     ("spectrum-set-file-points", "spectrum --set-file {tmp}/pts.set", 1, "8bf10c11240707dbbf3e240e572052c7a09a63d1333978b2ca09bf5caf822bd7"),
     ("spectrum-set-file-conflict", "spectrum --p 5 --set-file {tmp}/a.set", 1, "e268cc742a0346c66dbe023bac99237409308a2068992a0ea3fb2a780b0a2450"),
     ("spectrum-isotropic-no-p", "spectrum --isotropic", 1, "dca1383572e08ad2a3beb24c4039443f98946c348da018f35b8613a759676ad9"),
@@ -101,6 +106,7 @@ CASES = [
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
     ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),
     ("incidence-file-huge-multiplicity", "incidence --instance-file {tmp}/mult.txt", 0, "7f6beb31ce2582ee96bb0656a79e4a30d36b5826caa38a47233320fa8602ab7e"),
+    ("incidence-file-bad-header", "incidence --instance-file {tmp}/badp.txt", 1, "a5d42eccaf909131bc1e2a0d3bb7b565fd5100020fe838878977cff7d211d664"),
     ("incidence-empty", "incidence --p 5 --random-points 0 --random-planes 0", 0, "7a5d8a11bffd9dedcc7dd114c05f97a17b5cf1daf0e283ca73a08826bf07bf5e"),
     ("incidence-negative-points", "incidence --p 7 --random-points -1 --random-planes -3", 1, "44837fedddbdde9e2c4d55ae3b789864a43d7dbf269b60012566f4c5b6620d2c"),
     ("incidence-negative-planes", "incidence --p 7 --random-planes -3", 1, "17448f377b3be610c4293acd4a400f19fc5fa4012ee0114fa15808bcbcb33e6c"),

@@ -67,6 +67,14 @@ def test_multiset_csv_roundtrip():
     assert WeightedPointSet.from_csv(empty.to_csv()) == empty
     with pytest.raises(ParseError, match="'p=<p> d=<d>' line, then the column header"):
         WeightedPointSet.from_csv("p=7 d=2\n")
+    # the count and coordinates share the set file's reader and its messages
+    for text, message in (
+        ("p=7 d=2\nx1,x2,multiplicity\n1,2," + "3" * 5000 + "\n", r"^line 3 .*5000 digits, past CPython's int-string limit"),
+        ("p=9 d=2\nx1,x2,multiplicity\n1,2,3\n", r"^line 1 'p=9 d=2': bad modulus"),
+        ("p=7 d=2\n\nx1,x2,multiplicity\n1,2,3\n\n1,2,0\n", r"^line 6 '1,2,0': multiset multiplicity must be >= 1"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            WeightedPointSet.from_csv(text)
 
 
 @pytest.mark.parametrize("d", [0, -1])

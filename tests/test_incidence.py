@@ -336,6 +336,15 @@ def test_instance_dump_parse_errors():
         parse_instance("p=5\nPOINTS\n0,0,0,3\n0,0,0,-2\nPLANES\n0,0,1,0,1\n")
     with pytest.raises(ParseError, match="point multiplicity"):
         parse_instance("p=5\nPOINTS\n0,0,0,0\nPLANES\n0,0,1,0,1\n")
+    for text, message in (
+        ("p=x\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,1\n", r"^line 1 'p=x': malformed header"),
+        ("p=9\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,1\n", r"^line 1 'p=9': bad modulus"),
+        ("p=5\nPOINTS\n1,2,3,1\nPLANES\n0,0,1,0,1\n0,0,0,0,1\n", r"^line 6 '0,0,0,0,1': plane with zero normal vector"),
+        ("p=5\nPOINTS\n1,2,3,1\nPLANES\n5,0,10,2,1\n", r"^line 5 '5,0,10,2,1': plane with zero normal vector"),
+        ("p=5\nPOINTS\n1,2,3," + "1" * 5000 + "\nPLANES\n0,0,1,0,1\n", r"^line 3 .*5000 digits, past CPython's int-string limit"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_instance(text)
 
 
 def test_instance_dump_plane_limit(monkeypatch):

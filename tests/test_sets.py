@@ -1,6 +1,10 @@
-import pytest
+import re
 
-from ffdist.errors import ParseError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
 from ffdist.sets import (
@@ -13,7 +17,8 @@ from ffdist.sets import (
     random_pointset,
     random_subset,
 )
-from ffdist.spectra import distance_spectrum_general, support
+from ffdist.incidence import parse_instance
+from ffdist.spectra import distance_spectrum_general, spectrum_from_csv, support
 
 P7 = PrimeModulus(7)
 
@@ -140,6 +145,73 @@ def test_set_file_roundtrip(tmp_path):
     ):
         with pytest.raises(ParseError, match=message):
             parse_set_file(text)
+    # every failure names the file's own line, blank lines counted
+    for text, message in (
+        ("p=5 d=-1\n3\n", r"^line 1 'p=5 d=-1': dimension must be >= 1"),
+        ("p=5 d=0\n", r"^line 1 'p=5 d=0': dimension must be >= 1"),
+        ("p=9 d=1\n3\n", r"^line 1 'p=9 d=1': bad modulus"),
+        ("p=9 d=2\n3,4\n", r"^line 1 'p=9 d=2': bad modulus"),
+        ("\np=7 d=1\n\n3\nx\n", r"^line 5 'x': malformed element"),
+        ("p=5 d=2\n1,2\n\n1,2,3\n", r"^line 4 '1,2,3': malformed tuple: 3 fields, not 2"),
+        ("p=7 d=1\n3\n" + "1" * 5001 + "\n", r"^line 3 .*5001 digits, past CPython's int-string limit"),
+        ("p=7 d=2\n3,-" + "1" * 5001 + "\n", r"^line 2 .*5001 digits, past CPython's int-string limit"),
+    ):
+        with pytest.raises(ParseError, match=message) as caught:
+            parse_set_file(text)
+        assert len(str(caught.value)) < 150  # an offending line is echoed in part
     # a set file has no multiplicity column, so a multiset does not fit it
     with pytest.raises(ValueError, match="distinct points"):
         format_set_file(WeightedPointSet(P7, 2, {(1, 2): 2}))
+
+
+# tokens that may break a row: junk, a sign pair, 4400 digits, a count of 0
+# or -1, a value past p, one past the plane limit, and section markers
+JUNK = ("", " ", "x", "1.5", "+-1", "1" * 4400, "-" + "1" * 4400, "0", "-1", "12", "1000001", "POINTS", "PLANES")
+
+
+@st.composite
+def near_valid_texts(draw):
+    """A text in one of the four formats, valid or broken a little: its
+    `key=value` first line, then rows of ints, some with a junk token or one
+    comma too many or too few, and the column headers or section markers."""
+    kind = draw(st.sampled_from(("set", "multiset", "spectrum", "instance")))
+    p = draw(st.sampled_from(("5", "7", "13", "5", "7", "13", "9", "2", "x", "1" * 4400, "2147483647")))
+    d = draw(st.sampled_from(("1", "2", "3", "1", "2", "3", "0", "-1", "x")))
+    head = "p={p} d={d}" if kind in ("set", "multiset") else "p={p}"
+    if draw(st.integers(0, 9)) == 0:
+        head = draw(st.sampled_from(("d={d} p={p}", "p={p} d={d} q=1", "p={p} p={p}", "p", "p=", "{p}")))
+    dim = int(d) if d.isdigit() and d != "0" else 1
+
+    def rows(width):
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            n = max(1, width + draw(st.sampled_from((0,) * 8 + (-1, 1))))
+            fields = [str(draw(st.integers(1, 4))) for _ in range(n)]
+            if draw(st.integers(0, 9)) == 0:
+                fields[draw(st.integers(0, n - 1))] = draw(st.sampled_from(JUNK))
+            out.append(",".join(fields))
+        return out
+
+    body = {
+        "set": lambda: rows(dim),
+        "multiset": lambda: [",".join(f"x{i + 1}" for i in range(dim)) + ",multiplicity", *rows(dim + 1)],
+        "spectrum": lambda: ["lambda,count", *(f"{t},{row}" for t, row in enumerate(rows(1)))],
+        "instance": lambda: ["POINTS", *rows(4), "PLANES", *rows(5)],
+    }[kind]()
+    if body and draw(st.integers(0, 4)) == 0:
+        del body[draw(st.integers(0, len(body) - 1))]  # a lost header or marker
+    lines = [head.format(p=p, d=d), *body]
+    return draw(st.sampled_from(("\n", "\n\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_valid_texts())
+def test_every_reader_returns_or_raises_a_parse_error_naming_its_line(text):
+    for reader in (parse_set_file, WeightedPointSet.from_csv, spectrum_from_csv, parse_instance):
+        try:
+            reader(text)
+        except GuardExceeded:
+            pass  # a hard limit: p past the transform engine, or too many planes
+        except ParseError as exc:
+            assert re.match(r"line \d+ ", str(exc)), exc
+            assert len(str(exc)) < 200, exc  # offending lines and fields are echoed in part

@@ -268,6 +268,14 @@ def test_spectrum_csv_roundtrip():
         spectrum_from_csv("p=6\nlambda,count\n0,1\n")
     with pytest.raises(ParseError, match="malformed spectrum row"):
         spectrum_from_csv("p=5\nlambda,count\n0,x\n")
+    for text, message in (
+        ("p=5\nlambda,count\n0,-1\n", r"^line 3 '0,-1': negative count"),
+        ("p=5\nlambda,count\n0,1\n1," + "7" * 5000 + "\n", r"^line 4 .*5000 digits, past CPython's int-string limit"),
+        ("p=5 d=1\nlambda,count\n0,1\n", r"^line 1 'p=5 d=1': spectrum CSV must start with 'p=<p>'"),
+        ("p=5\nlambda,count\n0,1,2\n", r"^line 3 '0,1,2': malformed spectrum row: 3 fields, not 2"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            spectrum_from_csv(text)
 
 
 @SETTINGS
