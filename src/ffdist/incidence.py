@@ -16,10 +16,12 @@ from .convolution import exact_cyclic
 from .energy import dyadic_levels, report_float
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus
-from .sets import FieldSubset, WeightedPointSet, _Lines, _text
+from .sets import FieldSubset, WeightedPointSet, _limbs, _Lines, _text
 from .spectra import Spectrum, diff_square_spectrum, fold
 
 COLLINEAR_GUARD = 5000
+# elements per block of the incidence kernels: about 0.5 MB of temporaries
+_BLOCK = 1 << 13
 # on planes.total of a parsed dump, so the direct strategy's int64 tally
 # stays far below 2^63
 INSTANCE_PLANE_LIMIT = 1_000_000
@@ -39,13 +41,6 @@ class PlaneSet:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def grouped(self) -> dict[tuple[int, int, int], dict[int, int]]:
-        """normal -> {constant -> multiplicity}."""
-        groups: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b, c, e), mult in self.entries.items():
-            groups.setdefault((a, b, c), {})[e] = mult
-        return groups
 
 
 @dataclass
@@ -72,36 +67,55 @@ def count_incidences(
     """Multiplicity-weighted number of (point, plane) pairs with the point
     on the plane.
 
-    strategy "direct" tests every distinct plane against the whole point
-    array and weights it by its multiplicity; "grouped" histograms the
-    points by their value under each plane normal and joins on the
-    constants.  Both are exact and must agree.
+    strategy "direct" tests blocks of distinct planes against the whole
+    point array and weights each by its multiplicity; "grouped" evaluates
+    each distinct normal once on all points and joins the values to the
+    plane constants.  Both are exact and must agree.
     """
     if points.modulus != planes.modulus:
         raise ValueError("mixed moduli")
     if points.dim != 3:
         raise ValueError("incidence points live in F_p^3")
     p = points.modulus.p
+    x, y, z = np.array(list(points.entries), dtype=np.int64).reshape(-1, 3).T
+    rows = max(1, _BLOCK // max(len(x), 1))
     if strategy == "direct":
         # hits[i] = number of planes through point i, at most planes.total;
-        # every product of two residues is below p^2 < 2^62, so int64 is exact
+        # a sum of two products of residues is below 2p^2 < 2^63, so int64 is exact
         if planes.total >= 1 << 63:
             raise GuardExceeded(f"{planes.total} planes overflow the direct strategy's int64 tally")
-        x, y, z = np.array(list(points.entries), dtype=np.int64).reshape(-1, 3).T
+        a, b, c, e = np.array(list(planes.entries), dtype=np.int64).reshape(-1, 4).T
+        mult = np.array(list(planes.entries.values()), dtype=np.int64)
         hits = np.zeros(len(x), dtype=np.int64)
-        for (a, b, c, e), mult in planes.entries.items():
-            hits[(a * x % p + b * y % p + c * z % p) % p == e] += mult
+        for lo in range(0, len(a), rows):
+            s = slice(lo, lo + rows)
+            on = ((a[s, None] * x + b[s, None] * y) % p + c[s, None] * z) % p == e[s, None]
+            hits += mult[s] @ on
         # multiplicities may exceed int64, so weight them as Python ints
-        return sum(h * mult for h, mult in zip(hits.tolist(), points.entries.values()))
+        return sum(h * m for h, m in zip(hits.tolist(), points.entries.values()))
     if strategy == "grouped":
-        total = 0
-        for (a, b, c), constants in planes.grouped().items():
-            histogram: Counter = Counter()
-            for (x, y, z), mult in points.entries.items():
-                histogram[(a * x + b * y + c * z) % p] += mult
-            for e, plane_mult in constants.items():
-                total += histogram[e] * plane_mult
-        return total
+        planes_arr = np.array(list(planes.entries), dtype=np.int64).reshape(-1, 4)
+        normals, which = np.unique(planes_arr[:, :3], axis=0, return_inverse=True)
+        # join key normal index * p + constant, below len(planes) * 2^31 < 2^63
+        keys = which.reshape(-1) * p + planes_arr[:, 3]
+        order = np.argsort(keys)
+        keys = keys[order]
+        # b-bit limbs of the point multiplicities: a plane meets each point at
+        # most once, so every float64 tally stays below |points| * 2^b < 2^53
+        bits = 53 - len(x).bit_length()
+        limbs = _limbs(list(points.entries.values()), bits)
+        tally = np.zeros((len(limbs), len(keys)))
+        for lo in range(0, len(normals), rows):
+            u, v, w = normals[lo:lo + rows].T[:, :, None]
+            values = (u * x % p + v * y % p + w * z % p) % p
+            values += np.arange(lo, lo + len(u), dtype=np.int64)[:, None] * p
+            at = np.searchsorted(keys, values)
+            found = keys.take(at, mode="clip") == values
+            plane, point = order[at[found]], np.nonzero(found)[1]
+            for row, weights in zip(tally, limbs):
+                row += np.bincount(plane, weights=weights[point], minlength=len(keys))
+        per_plane = sum(row.astype(np.int64).astype(object) << bits * j for j, row in enumerate(tally))
+        return sum(h * m for h, m in zip(per_plane.tolist(), planes.entries.values()))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -117,37 +131,43 @@ def max_collinear(points: WeightedPointSet, force: bool = False) -> int:
     if n <= 2:
         return n
     p = points.modulus.p
-    P = np.array(pts, dtype=np.int64).reshape(n, 3)
-    best = 2
+    coords = np.array(pts, dtype=np.int64).reshape(n, 3).T
+    best, lo = 2, 0
     # A line is seen in full from its first point, so anchor i only looks at
-    # the later points; anchor i can reach at most n - i points.
-    for i in range(n - 2):
-        if best >= n - i:
-            break
-        d = (P[i + 1:] - P[i]) % p
-        x, y, z = d.T
+    # the later points; anchor i can reach at most n - i points.  Anchors
+    # lo..hi-1 form one block against the points lo+1..n-1.
+    while lo < n - 2 and best < n - lo:
+        hi = min(n - 2, lo + max(1, _BLOCK // (n - lo)))
+        x, y, z = (coords[:, None, lo + 1:] - coords[:, lo:hi, None]) % p
         pivot = np.where(x != 0, x, np.where(y != 0, y, z))
-        c = d * _inverse_mod(pivot, p)[:, None] % p
-        # the canonical direction has leading coordinate 0 or 1, so its
-        # base-p value stays below 2p^2 < 2^63
-        keys = (c[:, 0] * p + c[:, 1]) * p + c[:, 2]
-        local = 1 + int(np.unique(keys, return_counts=True)[1].max())
-        if local > best:
-            best = local
+        pivot[pivot == 0] = 1  # the anchor's own difference; no zero may enter the tree
+        inverse = _inverse_mod(pivot.ravel(), p).reshape(x.shape)
+        # the canonical direction has leading coordinate 0 or 1 (1 exactly
+        # when x is the pivot), so its base-p value stays below 2p^2 < 2^63
+        keys = ((x != 0) * p + y * inverse % p) * p + z * inverse % p
+        # anchor lo + r also sees the block's earlier points and itself; each
+        # lies on the line it spans with the anchor, and the anchor's own key
+        # is 0, which no direction has, so no run outgrows a line
+        keys.sort(axis=1)
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        best = max(best, 1 + int(np.diff(np.flatnonzero(starts), append=keys.size).max()))
+        lo = hi
+        del x, y, z, pivot, inverse, keys, starts  # freed before the next block allocates
     return best
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise for x in [1, p); products stay below 2^62."""
-    result = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * x % p
-        e >>= 1
-        if e:
-            x = x * x % p
-    return result
+    """Inverses mod p of a flat array x in [1, p) by Montgomery's trick: the
+    inverse of each pair's product, times the partner, is each inverse.  About
+    three products of two residues (below 2^62) per element, whatever p is."""
+    n = len(x)
+    if n <= 1:
+        return np.array([pow(v, -1, p) for v in x.tolist()], dtype=np.int64)
+    x = np.append(x, 1) if n % 2 else x
+    even, odd = x[0::2], x[1::2]
+    inverse = _inverse_mod(even * odd % p, p)
+    return np.stack([inverse * odd % p, inverse * even % p], axis=1).ravel()[:n]
 
 
 def max_collinear_vertical(points: WeightedPointSet) -> int:
@@ -171,7 +191,7 @@ class RudnevReport:
     k: int
     term_main: float | None  # None past the double range, as is term_sqrt
     term_sqrt: float | None
-    term_collinear: float
+    term_collinear: int
     ratio: float | None  # None when every term is 0 or one is None
     swapped_roles: bool
     note: str

@@ -102,6 +102,7 @@ CASES = [
     ("deviation-check-no-p", "deviation-check", 1, "b8b982ec49a95757cd3cb9507e7da466a130e3c4483176d9df75f3158b1d2c38"),
     ("deviation-check-selftest", "deviation-check --selftest", 0, "cf7f3044a616948815b68453b4edcd4e7e01f4addd32f13055da9e80a6b9c4c6"),
     ("incidence-random", "incidence --p 7 --random-points 20 --random-planes 25 --seed 2", 0, "0f3070c5940f0f6b4e54082c7e500489b0f97346c90f54e7448abceb3b71d672"),
+    ("incidence-random-large-p", "incidence --p 2147483629 --random-points 50 --random-planes 50 --seed 1", 0, "11659c17d1e3876aefcf80a86b7d60020fc290959e6335006d101e088e068c1e"),
     ("incidence-file", "incidence --instance-file {tmp}/inst.txt", 0, "2a72a1899ed1b0e7366b2c94f5a732aaea93939832e4570ce5711dc3cab83f53"),
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
     ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -380,6 +381,91 @@ def test_direct_tally_guard():
     with pytest.raises(GuardExceeded, match="int64"):
         count_incidences(pts, at, "direct")
     assert count_incidences(pts, at, "grouped") == 2**64
+
+
+def _literal_incidences(pts, planes):
+    p = pts.modulus.p
+    return sum(
+        mult * plane_mult
+        for (x, y, z), mult in pts.entries.items()
+        for (a, b, c, e), plane_mult in planes.entries.items()
+        if (a * x + b * y + c * z - e) % p == 0
+    )
+
+
+@pytest.mark.parametrize("block", [7, 200])
+@pytest.mark.parametrize("p", [5, 101, 2147483629])
+def test_kernels_across_block_boundaries(monkeypatch, p, block):
+    # a tiny block puts every input across many blocks: one anchor, plane
+    # or normal per block at 7, a few at 200
+    import ffdist.incidence
+
+    monkeypatch.setattr(ffdist.incidence, "_BLOCK", block)
+    modulus = PrimeModulus(p)
+    rng = SplitMix64(p + block)
+
+    def draw():
+        return tuple(rng.randbelow(p) for _ in range(3))
+
+    base, direction = draw(), (1, rng.randbelow(p), rng.randbelow(p))
+    line = [tuple((s + t * v) % p for s, v in zip(base, direction)) for t in range(min(6, p))]
+    # the line's points sit five apart, so they fall in different anchor blocks
+    raw = [pt for on_line in line for pt in [draw() for _ in range(5)] + [on_line]] + [draw() for _ in range(6)]
+    pts = WeightedPointSet(modulus, 3, [(pt, 2**64 + rng.randbelow(1000) if i % 3 else 1) for i, pt in enumerate(raw)])
+    assert max_collinear(pts) == max_collinear_lines(list(pts.entries), modulus) >= len(line)
+
+    # four shared normals, each through a few of the points, plus random planes
+    plane_list = [draw() + (rng.randbelow(p),) for _ in range(10)]
+    for _ in range(4):
+        a, b, c = draw()[:2] + (1,)
+        plane_list += [(a, b, c, (a * x + b * y + c * z) % p) for x, y, z in raw[::7]]
+    planes = PlaneSet(modulus, [(plane, 1 + rng.randbelow(3)) for plane in plane_list if plane[:3] != (0, 0, 0)])
+    literal = _literal_incidences(pts, planes)
+    assert literal > 2**64
+    assert count_incidences(pts, planes, "direct") == count_incidences(pts, planes, "grouped") == literal
+
+    # a plane total of 2^63: past the direct tally, still exact grouped
+    entries = dict(planes.entries)
+    last = next(reversed(entries))
+    entries[last] += 2**63 - planes.total
+    heavy = PlaneSet(modulus, entries)
+    assert heavy.total == 2**63
+    with pytest.raises(GuardExceeded, match="int64"):
+        count_incidences(pts, heavy, "direct")
+    assert count_incidences(pts, heavy, "grouped") == _literal_incidences(pts, heavy)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2147483629])
+def test_inverse_mod_at_every_tree_shape(p):
+    from ffdist.incidence import _inverse_mod
+
+    rng = SplitMix64(p)
+    for n in range(20):
+        x = [1 + rng.randbelow(p - 1) for _ in range(n)]
+        assert _inverse_mod(np.array(x, dtype=np.int64), p).tolist() == [pow(v, -1, p) for v in x]
+
+
+def test_kernel_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    modulus = PrimeModulus(401)
+    rng = SplitMix64(401)
+    pts = random_points(rng, modulus, 2000)
+    planes = random_planes(rng, modulus, 2000)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in (
+            ("max_collinear", lambda: max_collinear(pts)),
+            ("direct", lambda: count_incidences(pts, planes, "direct")),
+            ("grouped", lambda: count_incidences(pts, planes, "grouped")),
+        ):
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak <= 2 << 20 for peak in peaks.values()), peaks
 
 
 @st.composite
