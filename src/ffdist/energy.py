@@ -1,15 +1,15 @@
 """Energy functionals as plain ints: d-fold distance and dot-product
 energies (the multiplicative energy is the dot energy at d = 1), the
-additive energy, the brute-force oracle, dyadic level sets, and the
-report-only recursion diagnostics.
+additive energy, the brute-force pair spectrum and the energy oracle built
+on it, dyadic level sets, and the report-only recursion diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 
 from .convolution import _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
@@ -31,7 +31,7 @@ def energy_from_spectrum(S: Spectrum) -> int:
     p = S.modulus.p
     if p * value < S.total * S.total:
         raise InvariantViolation("energy below its Cauchy-Schwarz floor")
-    if value > S.max_count() * S.total:
+    if value > max(S.counts) * S.total:
         raise InvariantViolation("energy above max*total ceiling")
     return value
 
@@ -47,23 +47,34 @@ def dot_energy(A: FieldSubset, d: int) -> int:
     return energy_from_spectrum(fold(base_spectrum(A, "dot"), d))
 
 
-def _sum_spectrum(A: FieldSubset) -> Spectrum:
-    _within_engine(A.modulus)
-    ind = A.indicator()
-    return Spectrum(A.modulus, exact_cyclic(ind, ind), expected_total=len(A) ** 2)
-
-
 def additive_energy(A: FieldSubset) -> int:
     """#{(a,b,c,e) in A^4 : a+b = c+e}."""
-    return energy_from_spectrum(_sum_spectrum(A))
+    _within_engine(A.modulus)
+    ind = A.indicator()
+    return energy_from_spectrum(Spectrum(A.modulus, exact_cyclic(ind, ind), expected_total=len(A) ** 2))
+
+
+def bruteforce_spectrum(A: FieldSubset, n: int, kind: str) -> list[int]:
+    """counts[t] = #{(x, y) in A^n x A^n : sum_i f(x_i, y_i) = t} by plain
+    enumeration, with f(a, b) = (a - b)^2 ("distance"), a * b ("dot") or
+    a + b ("additive").  No convolution, so it stays independent of the fast
+    paths it checks."""
+    form = {"distance": lambda a, b: (a - b) * (a - b), "dot": mul, "additive": add}.get(kind)
+    if form is None:
+        raise ValueError(f"unknown pair form {kind!r}")
+    p = A.modulus.p
+    counts = [0] * p
+    points = list(product(A.elements(), repeat=n))
+    for x in points:
+        for y in points:
+            counts[sum(map(form, x, y)) % p] += 1
+    return counts
 
 
 def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = False) -> int:
-    """Independent oracle: enumerate the 2d-tuples on each side directly.
-
-    Every left tuple's form value is computed by plain field arithmetic, no
-    convolutions, so this stays independent of the fast paths it checks.
-    """
+    """Independent oracle: the sum of squares of bruteforce_spectrum(A, d, kind),
+    which counts the 4d-tuples as pairs of pairs of points of A^d; at d = 1
+    the multiplicative form is the dot one."""
     if kind not in KINDS:
         raise ValueError(f"unknown energy kind {kind!r}")
     if kind in ("additive", "multiplicative") and d != 1:
@@ -73,24 +84,8 @@ def energy_bruteforce_oracle(A: FieldSubset, d: int, kind: str, force: bool = Fa
         raise ValueError("empty set has no energy")
     if m ** (4 * d) > ORACLE_GUARD and not force:
         raise GuardExceeded(f"|A|^(4d) = {m ** (4 * d)} exceeds oracle guard {ORACLE_GUARD}")
-    p = A.modulus.p
-    elements = A.elements()
-    tally: Counter[int] = Counter()
-    if kind == "additive":
-        for a in elements:
-            for b in elements:
-                tally[(a + b) % p] += 1
-    else:  # at d = 1 the dot form is the multiplicative one
-        for pair_tuple in product(elements, repeat=2 * d):
-            acc = 0
-            for i in range(d):
-                a, b = pair_tuple[2 * i], pair_tuple[2 * i + 1]
-                if kind == "distance":
-                    acc += (a - b) * (a - b)
-                else:
-                    acc += a * b
-            tally[acc % p] += 1
-    return sum(c * c for c in tally.values())
+    counts = bruteforce_spectrum(A, d, "dot" if kind == "multiplicative" else kind)
+    return sum(c * c for c in counts)
 
 
 # -- dyadic level sets ------------------------------------------------------

@@ -16,8 +16,9 @@ class GuardExceeded(RuntimeError):
     it: the energy oracle, the general distance spectrum and the
     collinearity count.  Nothing lifts the hard limits: the exhaustive
     decomposition size, the weighted pair count, the collinearity count
-    inside build_proof_instance, the planes of a parsed instance dump and
-    the supply of transform primes.
+    inside build_proof_instance, the planes of a parsed instance dump, a
+    modulus p > 2^26 wherever a length-p list would be built, and the
+    supply of transform primes.
     """
 
 

@@ -240,7 +240,6 @@ def build_proof_instance(
     """
     if d < 2:
         raise ValueError(f"the decomposition needs d >= 2, got {d}")
-    p = A.modulus.p
     base = diff_square_spectrum(A)
     level = dyadic_levels(fold(base, d - 1))
     if pairs is None:
@@ -272,15 +271,12 @@ def build_proof_instance(
         planes[j0] = PlaneSet(A.modulus, plane_pairs)
 
     # Cross-correlation of the base counts: corr[delta] = sum_s r(s)*r(s-delta),
-    # so the carried sum is sum over level pairs of corr[t1 - t2].
-    reversed_counts = [base.counts[-t % p] for t in range(p)]
-    corr = Spectrum(A.modulus, exact_cyclic(base.counts, reversed_counts))
+    # so the carried sum is sum over level pairs of corr[t1 - t2] (t1 - t2 mod p).
+    r = base.counts
+    corr = Spectrum(A.modulus, exact_cyclic(r, r[:1] + r[:0:-1]))
     instances = {}
     for i0, j0 in pairs:
-        expected = 0
-        for t1 in level[i0]:
-            for t2 in level[j0]:
-                expected += corr[(t1 - t2) % p]
+        expected = sum(corr[t1 - t2] for t1 in level[i0] for t2 in level[j0])
         level_points, k = points[i0]
         instances[(i0, j0)] = IncidenceInstance(
             points=level_points, planes=planes[j0], k=k, expected_incidences=expected

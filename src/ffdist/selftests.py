@@ -8,11 +8,9 @@ give a fast standalone smoke signal.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
 from .convolution import exact_cyclic
 from .encodings import deviation_check, encode, pair_counts
-from .energy import distance_energy, dot_energy, energy_bruteforce_oracle
+from .energy import bruteforce_spectrum, distance_energy, dot_energy, energy_bruteforce_oracle
 from .field import PrimeModulus, additive_character
 from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
 from .rng import SplitMix64
@@ -28,19 +26,6 @@ from .spectra import (
 from .verify import cauchy_davenport_check, coverage_check, delta_additivity_check
 
 Check = tuple[str, bool]
-
-
-def _brute_counts(A: FieldSubset, n: int, kind: str) -> list[int]:
-    p = A.modulus.p
-    out = [0] * p
-    for x in iter_product(A.elements(), repeat=n):
-        for y in iter_product(A.elements(), repeat=n):
-            if kind == "distance":
-                v = sum((a - b) * (a - b) for a, b in zip(x, y))
-            else:
-                v = sum(a * b for a, b in zip(x, y))
-            out[v % p] += 1
-    return out
 
 
 def spectra_selftest() -> list[Check]:
@@ -61,7 +46,7 @@ def spectra_selftest() -> list[Check]:
             S = random_subset(modulus, 1 + rng.randbelow(3), rng.next_u64())
             for n in (1, 2):
                 for kind in ("distance", "dot"):
-                    ok = ok and power_spectrum(S, kind, n).counts == _brute_counts(S, n, kind)
+                    ok = ok and power_spectrum(S, kind, n).counts == bruteforce_spectrum(S, n, kind)
     checks.append(("power spectra match pair enumeration (p<=7)", ok))
     # 128-bit entries put the bound near 2**259, past the int64 tier: the
     # length-16 transforms run on nine primes near 2**31.5, recombined by CRT.
@@ -112,7 +97,7 @@ def encodings_selftest() -> list[Check]:
         ("odd encoding entries", E.entries == {(0, 0): 2, (0, 1): 2, (2, 1): 2, (2, 2): 2})
     )
     checks.append(("odd encoding second moment", E.second_moment() == 16))
-    brute = _brute_counts(A, 3, "distance")
+    brute = bruteforce_spectrum(A, 3, "distance")
     checks.append(("odd encoding pair counts", pair_counts(E, F) == brute))
     rng = SplitMix64(3)
     ok2 = ok3 = True

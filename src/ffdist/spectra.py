@@ -63,9 +63,6 @@ class Spectrum:
     def __repr__(self) -> str:
         return f"Spectrum(p={self.modulus.p}, support={sum(1 for c in self.counts if c)}, total={self.total})"
 
-    def max_count(self) -> int:
-        return max(self.counts)
-
     def items(self):
         """(t, count) pairs over the support."""
         return ((t, c) for t, c in enumerate(self.counts) if c)
@@ -78,7 +75,8 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
         raise ValueError("empty set has no pair spectrum")
     # #{(a,b): a-b = delta} is the indicator's cyclic autocorrelation; push
     # each count (at most m < 2^31, so int64 is exact) onto its square.
-    diff_counts = exact_cyclic(A.indicator(), A.dilate(-1).indicator())
+    ind = A.indicator()
+    diff_counts = exact_cyclic(ind, ind[:1] + ind[:0:-1])
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, np.arange(p, dtype=np.int64) ** 2 % p, diff_counts)
     return Spectrum(A.modulus, counts.tolist(), expected_total=m * m)
@@ -184,8 +182,7 @@ def sumset(X: FieldSubset, Y: FieldSubset) -> FieldSubset:
     if X.modulus != Y.modulus:
         raise ValueError("mixed moduli")
     _within_engine(X.modulus)
-    sums = exact_cyclic(X.indicator(), Y.indicator())
-    return FieldSubset(X.modulus, (t for t, c in enumerate(sums) if c))
+    return support(Spectrum(X.modulus, exact_cyclic(X.indicator(), Y.indicator())))
 
 
 # -- serialization ---------------------------------------------------------

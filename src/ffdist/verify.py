@@ -18,6 +18,7 @@ from .rng import derive_seed
 from .sets import FieldSubset, WeightedPointSet, _text, random_subset
 from .spectra import (
     Spectrum,
+    cyclic_convolve,
     diff_square_spectrum,
     distance_spectrum_general,
     fold,
@@ -112,12 +113,9 @@ def iosevich_rudnev_check(E: WeightedPointSet, force: bool = False) -> Threshold
 def delta_additivity_check(A: FieldSubset, d: int) -> bool:
     """Exact identity: the 2d-fold distance support equals the sumset of two
     copies of the d-fold support.  Expected to hold always."""
-    if d < 1:
-        raise ValueError(f"fold depth must be >= 1, got {d}")
-    base = diff_square_spectrum(A)
-    half = support(fold(base, d))
-    whole = support(fold(base, 2 * d))
-    return whole == sumset(half, half)
+    folded = fold(diff_square_spectrum(A), d)
+    half = support(folded)
+    return support(cyclic_convolve(folded, folded)) == sumset(half, half)
 
 
 def cauchy_davenport_check(X: FieldSubset, Y: FieldSubset) -> bool:
@@ -336,16 +334,6 @@ class ScanTable:
         return _text([header], rows)
 
 
-def _scan_cell(modulus: PrimeModulus, n: int, kind: str, seed: int, m: int, trial: int) -> tuple[bool, bool, int]:
-    A = random_subset(modulus, m, derive_seed("scan", seed, m, trial))
-    S = power_spectrum(A, kind, n)
-    # for the dot form, coverage concerns the nonzero values only
-    relevant = S.counts if kind == "distance" else S.counts[1:]
-    covered = all(c > 0 for c in relevant)
-    zero_attained = S.counts[0] > 0
-    return covered, zero_attained, min(relevant)
-
-
 def threshold_scan(
     modulus: PrimeModulus,
     n: int,
@@ -372,15 +360,20 @@ def threshold_scan(
     rows = []
     min_full = None
     for m in range(1, top + 1):
-        outcomes = [_scan_cell(modulus, n, kind, seed, m, t) for t in range(trials)]
-        covered = sum(1 for c, _, _ in outcomes if c)
-        zero = sum(1 for _, z, _ in outcomes if z)
+        least, zero = [], 0
+        for trial in range(trials):
+            A = random_subset(modulus, m, derive_seed("scan", seed, m, trial))
+            counts = power_spectrum(A, kind, n).counts
+            # for the dot form, coverage concerns the nonzero values only
+            least.append(min(counts if kind == "distance" else counts[1:]))
+            zero += counts[0] > 0
+        covered = sum(c > 0 for c in least)
         rows.append(
             ScanRow(
                 m=m,
                 trials=trials,
                 covered_fraction=covered / trials,
-                min_count=min(mc for _, _, mc in outcomes),
+                min_count=min(least),
                 zero_fraction=zero / trials,
             )
         )

@@ -33,6 +33,14 @@ FIXTURES = {
     "inst.txt": "p=5\nPOINTS\n0,0,0,2\n1,2,3,1\n4,4,1,1\nPLANES\n1,0,0,0,1\n0,1,1,3,2\n1,1,1,0,1\n",
     "huge.txt": "p=5\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1000000000000\n",
     "mult.txt": "p=5\nPOINTS\n0,0,0,1" + "0" * 400 + "\nPLANES\n1,0,0,0,1\n",
+    # at p = 2^31 - 19: a point of multiplicity 2^64 + 3, three points on one
+    # line and one plane, and a plane that meets no point; 166020696663385964587
+    # incidences by a literal count
+    "large.txt": (
+        "p=2147483629\nPOINTS\n0,0,0,1\n1,2,3,18446744073709551619\n2,4,6,1\n2147483628,5,7,2\n"
+        "123456789,987654321,2000000000,1\nPLANES\n1,0,0,0,1\n1,1,1,6,3\n1,1,1,11,1\n1,1,2147483628,0,4\n"
+        "2147483600,1000000007,1,181553685,5\n0,0,1,1,1\n5,2147483627,1,4,2\n"
+    ),
     "composite.set": "p=9 d=1\n0\n1\n3\n",
     "flat.set": "p=7 d=0\n0\n",
     "badp.txt": "p=x\nPOINTS\n0,0,0,1\nPLANES\n1,0,0,0,1\n",
@@ -107,6 +115,7 @@ CASES = [
     ("incidence-file-csv", "incidence --instance-file {tmp}/inst.txt --format csv", 0, "621cf6bd5138b6868bd094f15560aaa0780ad3326fea8ddff7f1f72221b42864"),
     ("incidence-file-plane-limit", "incidence --instance-file {tmp}/huge.txt --force", 1, "e086737ca99b54803dbc660d20022170a7ac29da5562f0e323548e8ebe905ad6"),
     ("incidence-file-huge-multiplicity", "incidence --instance-file {tmp}/mult.txt", 0, "7f6beb31ce2582ee96bb0656a79e4a30d36b5826caa38a47233320fa8602ab7e"),
+    ("incidence-file-large-p", "incidence --instance-file {tmp}/large.txt", 0, "e983a59ca4d887c387d4d799c41b75c971c0165ec1e52685dcfeee4f3b8a0b4d"),
     ("incidence-file-bad-header", "incidence --instance-file {tmp}/badp.txt", 1, "a5d42eccaf909131bc1e2a0d3bb7b565fd5100020fe838878977cff7d211d664"),
     ("incidence-empty", "incidence --p 5 --random-points 0 --random-planes 0", 0, "7a5d8a11bffd9dedcc7dd114c05f97a17b5cf1daf0e283ca73a08826bf07bf5e"),
     ("incidence-negative-points", "incidence --p 7 --random-points -1 --random-planes -3", 1, "44837fedddbdde9e2c4d55ae3b789864a43d7dbf269b60012566f4c5b6620d2c"),

@@ -4,6 +4,7 @@ import pytest
 
 from ffdist.energy import (
     additive_energy,
+    bruteforce_spectrum,
     distance_energy,
     dot_energy,
     dyadic_levels,
@@ -17,7 +18,7 @@ from ffdist.rng import SplitMix64
 from ffdist.sets import FieldSubset, parse_subset, random_subset
 from ffdist.spectra import Spectrum, diff_square_spectrum, fold
 
-from oracles import energy_by_tuples, quadruple_energy
+from oracles import dist_pair_counts_py, dot_pair_counts_py, energy_by_tuples, quadruple_energy
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
@@ -64,6 +65,26 @@ def test_oracle_against_literal_tuples():
             assert energy_bruteforce_oracle(A, d, kind) == energy_by_tuples(A, d, kind)
     B = parse_subset("1,2,4", P5)
     assert energy_bruteforce_oracle(B, 1, "additive") == quadruple_energy(B, "additive")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bruteforce_spectrum_against_pair_oracles(p):
+    modulus = PrimeModulus(p)
+    rng = SplitMix64(p + 100)
+    for size in range(1, 5):
+        A = random_subset(modulus, size, seed=rng.next_u64())
+        for n in (1, 2):
+            assert bruteforce_spectrum(A, n, "distance") == dist_pair_counts_py(A, n)
+            assert bruteforce_spectrum(A, n, "dot") == dot_pair_counts_py(A, n)
+
+
+def test_bruteforce_spectrum_additive_by_hand():
+    # {1, 2, 4} mod 5, ordered pairs: 1+4 and 4+1 give 0; 2+4, 4+2 give 1;
+    # 1+1 gives 2; 1+2, 2+1, 4+4 give 3; 2+2 gives 4
+    assert bruteforce_spectrum(parse_subset("1,2,4", P5), 1, "additive") == [2, 2, 1, 3, 1]
+    assert bruteforce_spectrum(parse_subset("0,3", P7), 1, "additive") == [1, 0, 0, 2, 0, 0, 1]
+    with pytest.raises(ValueError, match="unknown pair form"):
+        bruteforce_spectrum(parse_subset("1", P5), 1, "multiplicative")
 
 
 def test_singleton_energy_is_one():

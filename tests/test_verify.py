@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from oracles import quadruple_energy
 
+import ffdist.verify as verify_module
+
 from ffdist.energy import additive_energy, distance_energy, dot_energy
 from ffdist.cli import run
 from ffdist.errors import GuardExceeded, InvariantViolation
@@ -82,6 +84,20 @@ def test_identity_suite(p):
         X = random_subset(modulus, 1 + rng.randbelow(p), seed=rng.next_u64())
         Y = random_subset(modulus, 1 + rng.randbelow(p), seed=rng.next_u64())
         assert cauchy_davenport_check(X, Y)
+
+
+def test_delta_additivity_check_reports_a_failure(monkeypatch):
+    # a sumset one element short breaks the identity, and the check says so
+    true_sumset = verify_module.sumset
+
+    def short_sumset(X, Y):
+        sums = true_sumset(X, Y)
+        return sums.difference(FieldSubset(X.modulus, sums.elements()[:1]))
+
+    A = parse_subset("0,1,3", P7)
+    assert delta_additivity_check(A, 1)
+    monkeypatch.setattr(verify_module, "sumset", short_sumset)
+    assert delta_additivity_check(A, 1) is False
 
 
 def test_identity_edge_cases():
