@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from . import __version__
 from .encodings import deviation_check, encode
@@ -59,7 +59,6 @@ from .spectra import (
     distance_spectrum_general,
     power_spectrum,
     self_dot_spectrum,
-    spectrum_to_csv,
 )
 from .verify import (
     balog_wooley_decompose,
@@ -135,6 +134,10 @@ def _resolve_points(args) -> tuple[WeightedPointSet | None, str | None]:
     return E, source
 
 
+_MARK = "<counts>"  # stands in for a result's counts while the rest of its record is encoded
+_EMIT_BLOCK = 4096  # counts per write
+
+
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
@@ -162,27 +165,46 @@ def _result_csv(result: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(args, config: dict, result: dict, to_csv: Callable[[], str] | None = None) -> None:
+def _emit(args, config: dict, result: dict, write_csv: Callable[[TextIO], None] | None = None) -> None:
     """Print the record; with --out, the payload (CSV or the record) goes to
-    that file and the printed record names it.  Bare CSV is printed alone."""
+    that file and the printed record names it.  Bare CSV is printed alone.
+    A result's "counts", ints, are written as decimal strings as they are encoded."""
     config = {**config, "seed": args.seed, "format": args.format, "force": _force(args), "threads": args.threads}
-    record = {"tool": f"ffdist {__version__}", "subcommand": args.subcommand, "config": config, "result": result}
+    counts = result.get("counts", [])
+    shown = {**result, "counts": [_MARK]} if counts else result
+    record = {"tool": f"ffdist {__version__}", "subcommand": args.subcommand, "config": config, "result": shown}
 
-    def dump(obj) -> str:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    def encoded() -> Callable[[TextIO], None]:
+        """The record's writer, encoded now, so that an encoding error leaves nothing written.
+        The marker's last occurrence is the one in result: only config and output,
+        which sort before it, carry text from the command line."""
+        text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+        head, _, tail = text.rpartition(json.dumps(_MARK)) if counts else ("", "", text)
+        return lambda out: _write_blocks(out, head, '"{1}"', counts, "," + head[head.rfind("\n"):], tail + "\n")
 
     if args.format == "csv":
-        payload = _result_csv(result) if to_csv is None else to_csv()
+        write_payload = write_csv or (lambda out: out.write(_result_csv(result)))
         if not args.out:
-            sys.stdout.write(payload)
+            write_payload(sys.stdout)
             return
-    elif args.out:
-        payload = dump(record) + "\n"
+    else:
+        write_payload = encoded()
     if args.out:
-        _write(args.out, payload)
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            write_payload(out)
         record["output"] = args.out
     record["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    print(dump(record))
+    encoded()(sys.stdout)
+
+
+def _write_blocks(out: TextIO, head: str, entry: str, values: list, sep: str, tail: str) -> None:
+    """Write head, then entry.format(i, values[i]) for each i joined by sep, then
+    tail, _EMIT_BLOCK values at a time, so the whole text is never held."""
+    out.write(head)
+    for s in range(0, len(values), _EMIT_BLOCK):
+        block = map(entry.format, range(s, s + _EMIT_BLOCK), values[s : s + _EMIT_BLOCK])
+        out.write((sep if s else "") + sep.join(block))
+    out.write(tail)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -208,8 +230,9 @@ def _cmd_spectrum(args) -> int:
         S = Spectrum(S.modulus, counts)
     config = {"p": S.modulus.p, "source": source, "set": set_text, "kind": args.kind, "n": args.n,
               "exclude_diagonal": args.exclude_diagonal}
-    result = {"total": str(S.total), "support_size": sum(1 for c in S.counts if c), "counts": list(map(str, S.counts))}
-    _emit(args, config, result, lambda: spectrum_to_csv(S))
+    result = {"total": str(S.total), "support_size": sum(1 for c in S.counts if c), "counts": S.counts}
+    head = f"p={S.modulus.p}\nlambda,count\n"  # as spectrum_to_csv writes it
+    _emit(args, config, result, lambda out: _write_blocks(out, head, "{0},{1}", S.counts, "\n", "\n"))
     return 0
 
 
@@ -266,7 +289,7 @@ def _cmd_coverage(args) -> int:
         "expected_per_lambda": {"num": str(report.total), "den": str(report.p)},
         "max_rel_deviation": report.max_rel_deviation,
         "deviation_exact": {"num": str(report.deviation_num), "den": str(report.deviation_den)},
-        "counts": list(map(str, report.counts)),
+        "counts": report.counts,
     }
     if threshold is not None:
         result["threshold"] = {"value": threshold.threshold, "met": threshold.threshold_met,
@@ -455,7 +478,7 @@ def _cmd_scan(args) -> int:
             for row in table.rows
         ],
     }
-    _emit(args, config, result, table.to_csv)
+    _emit(args, config, result, lambda out: out.write(table.to_csv()))
     return 0
 
 

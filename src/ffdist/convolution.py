@@ -86,7 +86,10 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
     primes = _primes_for(size, total + 1)
     rows_a = _residues(a, size, len(primes))
     rows_b = [None] * len(primes) if b is a else _residues(b, size, len(primes))  # None: a squaring
-    qs, out = [q for q, _ in primes], np.empty((len(primes), n), dtype=np.uint64)
+    # Rows _residues built (not a view of a's) take the product: _forward copies a
+    # prime's row before its product row is written, so a squaring holds one array.
+    out = rows_a if rows_a.base is None else np.empty_like(rows_a)
+    qs = [q for q, _ in primes]
     roots = [_roots(q, gen, size) for q, gen in primes]  # built here, so workers write no shared cache
     args = (qs, roots, rows_a, rows_b, out)
     workers = min(len(qs), _cpus()) if size >= _POOL_MIN_SIZE else 1

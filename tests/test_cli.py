@@ -11,6 +11,9 @@ import pytest
 import ffdist
 from ffdist.cli import run
 from ffdist.errors import InvariantViolation
+from ffdist.field import PrimeModulus
+from ffdist.sets import random_subset
+from ffdist.spectra import Spectrum, power_spectrum, spectrum_to_csv
 
 from test_convolution import _set_pool
 
@@ -522,3 +525,77 @@ def test_point_count_guard_trips_before_the_points_are_built(capsys, monkeypatch
     for argv in (isotropic, random_points):
         with pytest.raises(AssertionError, match="was built"):
             run([*argv, "--force"])
+
+
+@pytest.mark.parametrize("block", [1, 2, 10, 11, 12])  # 1, 2, p - 1, p and p + 1 at p = 11
+def test_streamed_spectrum_equals_one_dump(capsys, monkeypatch, tmp_path, block):
+    # The record is json.dumps(record, sort_keys=True, indent=2) byte for byte,
+    # and the CSV is spectrum_to_csv's text, on stdout and in the --out file,
+    # whatever the block the counts are written in.
+    import ffdist.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_EMIT_BLOCK", block)
+    argv = ("spectrum", "--p", "11", "--random", "4", "--seed", "3", "--kind", "dot", "--n", "40")
+    S = power_spectrum(random_subset(PrimeModulus(11), 4, 3), "dot", 40)
+    assert max(S.counts) > 1 << 64
+
+    def one_dump(text):
+        record = json.loads(text)
+        assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
+        return record
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and one_dump(out)["result"]["counts"] == list(map(str, S.counts))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(tmp_path / "s.json"))
+    payload = one_dump((tmp_path / "s.json").read_text())
+    assert code == 0 and payload["result"]["counts"] == list(map(str, S.counts))
+    printed = one_dump(out)
+    assert printed.pop("output") == str(tmp_path / "s.json") and printed.pop("timestamp")
+    assert printed == payload
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == spectrum_to_csv(S)
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and (tmp_path / "s.csv").read_text() == spectrum_to_csv(S)
+    assert one_dump(out)["result"]["counts"] == list(map(str, S.counts))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+def test_an_error_before_writing_leaves_stdout_empty(capsys, tmp_path):
+    # The total passes CPython's 4300-digit int-string limit before the record
+    # is written: exit 1, nothing on stdout, no --out file.
+    argv = ("spectrum", "--p", "7", "--set", "0..6", "--kind", "distance", "--n", "2600")
+    limit = ("error: Exceeds the limit (4300 digits) for integer string conversion; "
+             "use sys.set_int_max_str_digits() to increase the limit\n")
+    for extra in ((), ("--format", "json", "--out", str(tmp_path / "s.json"))):
+        assert run_cli(capsys, *argv, *extra) == (1, "", limit)
+    assert not (tmp_path / "s.json").exists()
+    # an --out file that cannot be opened: the record is not printed
+    code, out, err = run_cli(capsys, "spectrum", "--p", "7", "--set", "0,1,3", "--out", str(tmp_path / "no" / "s.csv"))
+    assert (code, out) == (1, "") and "No such file" in err
+
+
+def test_emitting_a_large_spectrum_never_holds_its_text(monkeypatch, tmp_path):
+    # p = 99991 counts of about 200 bits make a 7.3 MB record.  Beyond the
+    # counts themselves, writing it holds a few blocks, not the list of
+    # decimal strings, the encoder's chunks or the whole text.
+    import contextlib
+    import random
+    import tracemalloc
+
+    import ffdist.cli as cli_mod
+
+    p, rng = 99991, random.Random(5)
+    S = Spectrum(PrimeModulus(p), [rng.getrandbits(200) for _ in range(p)])
+    monkeypatch.setattr(cli_mod, "power_spectrum", lambda A, kind, n: S)
+    path = tmp_path / "s.json"
+    with open(path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = run(["spectrum", "--p", str(p), "--set", "0", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    with open(path, encoding="utf-8") as f:
+        assert json.load(f)["result"]["counts"] == list(map(str, S.counts))
+    assert peak < 3 << 20

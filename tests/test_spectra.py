@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffdist import convolution, spectra
+from ffdist.convolution import exact_cyclic
 from ffdist.errors import GuardExceeded, InvariantViolation, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
@@ -424,6 +425,45 @@ def test_residue_errors_in_a_fold_are_caught(monkeypatch):
     with pytest.raises(InvariantViolation, match="transform prime"):
         fold(X, 4)
     assert len(calls) == 9  # raised once that product's six primes were done
+
+
+def _rows_spectrum(p, bits, depth, seed):
+    """A spectrum held as residue rows that already carry every prime its depth-fold
+    needs, so each product's _residues returns a view of the caller's rows."""
+    rng = SplitMix64(seed)
+    counts = [rng.randbelow(1 << bits) for _ in range(p)]
+    size = 1 << (2 * p - 1).bit_length()
+    k = len(convolution._primes_for(size, sum(counts) ** depth + 1))
+    return Spectrum(PrimeModulus(p), convolution._residues(counts, size, k), expected_total=sum(counts)), counts
+
+
+def test_a_product_never_writes_over_rows_it_did_not_build():
+    # S's rows carry enough primes for S * S, so the product reads a view of
+    # them: it must write into rows of its own.
+    X, counts = _rows_spectrum(101, 40, 2, seed=1)
+    before = X._held.copy()
+    square = cyclic_convolve(X, X)
+    assert (X._held == before).all()
+    assert square.counts == cyclic_schoolbook(counts, counts)
+    # With too few primes, the product extends them into rows it built and
+    # writes over those; the caller's rows still stay as they were.
+    Y, small = _rows_spectrum(101, 20, 1, seed=2)
+    before = Y._held.copy()
+    assert cyclic_convolve(Y, Y).counts == cyclic_schoolbook(small, small)
+    assert len(before) == 1 and (Y._held == before).all()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_fold_with_aliased_result_and_base_keeps_its_input(d):
+    # fold's first odd step sets result = base, so the next squaring of base
+    # reads the rows result still holds.
+    X, counts = _rows_spectrum(13, 30, d, seed=d)
+    before = X._held.copy()
+    want = counts
+    for _ in range(d - 1):
+        want = exact_cyclic(want, counts)
+    assert fold(X, d).counts == want
+    assert (X._held == before).all() and X.counts == counts
 
 
 def test_length_guard_is_the_engines_longest_transform():
