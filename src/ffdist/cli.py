@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import io
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import __version__
 from .encodings import deviation_check, encode
@@ -142,27 +141,22 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _result_csv(result: dict) -> str:
-    """Flatten a report into key,value rows (the generic CSV rendition)."""
-    rows: list[tuple[str, object]] = []
+def _rows(prefix: str, value) -> Iterator[tuple[str, object]]:
+    """A report flattened into key,value rows (the generic CSV rendition), one at a time."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _rows(f"{prefix}.{k}" if prefix else str(k), value[k])
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _rows(f"{prefix}[{i}]", v)
+    else:
+        yield prefix, "" if value is None else value
 
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, list):
-            for i, v in enumerate(value):
-                walk(f"{prefix}[{i}]", v)
-        else:
-            rows.append((prefix, value))
 
-    walk("", result)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_rows(out: TextIO, result: dict) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, "" if value is None else value])
-    return buf.getvalue()
+    writer.writerows(_rows("", result))
 
 
 def _emit(args, config: dict, result: dict, write_csv: Callable[[TextIO], None] | None = None) -> None:
@@ -183,7 +177,7 @@ def _emit(args, config: dict, result: dict, write_csv: Callable[[TextIO], None] 
         return lambda out: _write_blocks(out, head, '"{1}"', counts, "," + head[head.rfind("\n"):], tail + "\n")
 
     if args.format == "csv":
-        write_payload = write_csv or (lambda out: out.write(_result_csv(result)))
+        write_payload = write_csv or (lambda out: _write_rows(out, result))
         if not args.out:
             write_payload(sys.stdout)
             return
@@ -210,7 +204,7 @@ def _write_blocks(out: TextIO, head: str, entry: str, values: list, sep: str, ta
 # -- subcommand implementations ----------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[dict, dict, Callable[[TextIO], None]]:
     E, source = _resolve_points(args)
     if E is None:
         A, source = _resolve_set(args)
@@ -232,11 +226,10 @@ def _cmd_spectrum(args) -> int:
               "exclude_diagonal": args.exclude_diagonal}
     result = {"total": str(S.total), "support_size": sum(1 for c in S.counts if c), "counts": S.counts}
     head = f"p={S.modulus.p}\nlambda,count\n"  # as spectrum_to_csv writes it
-    _emit(args, config, result, lambda out: _write_blocks(out, head, "{0},{1}", S.counts, "\n", "\n"))
-    return 0
+    return config, result, lambda out: _write_blocks(out, head, "{0},{1}", S.counts, "\n", "\n")
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args) -> tuple[dict, dict]:
     A, source = _resolve_set(args)
     kind, d = args.kind, args.d
     if kind in ("additive", "multiplicative") and d != 1:
@@ -261,11 +254,10 @@ def _cmd_energy(args) -> int:
         for key in ("energy_d", "energy_d_minus_1"):
             diag[key] = str(diag[key])
         result["recursion"] = diag
-    _emit(args, {"p": A.modulus.p, "source": source, "set": A.serialize(), "kind": kind, "d": d}, result)
-    return 0
+    return {"p": A.modulus.p, "source": source, "set": A.serialize(), "kind": kind, "d": d}, result
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> tuple[dict, dict]:
     E, source = _resolve_points(args)
     threshold = None
     if E is None:
@@ -294,8 +286,7 @@ def _cmd_coverage(args) -> int:
     if threshold is not None:
         result["threshold"] = {"value": threshold.threshold, "met": threshold.threshold_met,
                                "coverage_asserted": threshold.threshold_met}
-    _emit(args, config, result)
-    return 0
+    return config, result
 
 
 # name -> (form, n - 2d) for the power n that the encoding at depth d covers
@@ -329,7 +320,7 @@ def _check_encoding(A: FieldSubset, name: str, d: int) -> tuple[dict, WeightedPo
     return entry, E, F
 
 
-def _cmd_encode_check(args) -> int:
+def _cmd_encode_check(args) -> tuple[dict, dict]:
     A, source = _resolve_set(args)
     names = _ENCODINGS if args.encoding == "all" else (args.encoding,)
     checked = {name: _check_encoding(A, name, args.d) for name in names}
@@ -338,8 +329,7 @@ def _cmd_encode_check(args) -> int:
             _write(f"{args.dump}.{name}.E.csv", E.to_csv())
             _write(f"{args.dump}.{name}.F.csv", F.to_csv())
     config = {"p": A.modulus.p, "source": source, "set": A.serialize(), "d": args.d, "encoding": args.encoding}
-    _emit(args, config, {"encodings": [entry for entry, _, _ in checked.values()], "all_passed": True})
-    return 0
+    return config, {"encodings": [entry for entry, _, _ in checked.values()], "all_passed": True}
 
 
 def _random_multiset(rng: SplitMix64, modulus: PrimeModulus, dim: int) -> WeightedPointSet:
@@ -350,7 +340,7 @@ def _random_multiset(rng: SplitMix64, modulus: PrimeModulus, dim: int) -> Weight
     return WeightedPointSet(modulus, dim, pairs)
 
 
-def _cmd_deviation_check(args) -> int:
+def _cmd_deviation_check(args) -> tuple[dict, dict]:
     modulus = _modulus(args, "deviation-check needs --p")
     dims = (2, 3) if args.dim == "both" else (int(args.dim),)
     worst: dict[int, int | None] = {2: None, 3: None}
@@ -374,8 +364,7 @@ def _cmd_deviation_check(args) -> int:
         "all_passed": True,
         "min_margin": {str(d): (None if w is None else str(w)) for d, w in worst.items()},
     }
-    _emit(args, config, result)
-    return 0
+    return config, result
 
 
 def _rudnev_result(diag: RudnevReport) -> dict:
@@ -393,7 +382,7 @@ def _rudnev_result(diag: RudnevReport) -> dict:
     }
 
 
-def _cmd_incidence(args) -> int:
+def _cmd_incidence(args) -> tuple[dict, dict]:
     if args.instance_file:
         points, planes = parse_instance(Path(args.instance_file).read_text(encoding="utf-8"))
         source = f"file:{args.instance_file}"
@@ -411,11 +400,10 @@ def _cmd_incidence(args) -> int:
         planes = PlaneSet(modulus, plane_pairs)
         source = f"random:points={args.random_points},planes={args.random_planes},seed={args.seed}"
     inst = IncidenceInstance(points=points, planes=planes, k=max_collinear(points, force=_force(args)))
-    _emit(args, {"p": points.modulus.p, "source": source}, _rudnev_result(rudnev_diagnostic(inst)))
-    return 0
+    return {"p": points.modulus.p, "source": source}, _rudnev_result(rudnev_diagnostic(inst))
 
 
-def _cmd_proof_instance(args) -> int:
+def _cmd_proof_instance(args) -> tuple[dict, dict]:
     A, source = _resolve_set(args)
     if args.all_pairs:
         if args.dump:
@@ -447,11 +435,10 @@ def _cmd_proof_instance(args) -> int:
         if args.dump:
             _write(args.dump, format_instance(inst))
     config = {"p": A.modulus.p, "source": source, "d": args.d, "levels": list(levels)}
-    _emit(args, config, {"instances": instances})
-    return 0
+    return config, {"instances": instances}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, dict]:
     A, source = _resolve_set(args)
     decomposition = balog_wooley_decompose(A, args.strategy)
     result = {
@@ -462,11 +449,10 @@ def _cmd_decompose(args) -> int:
         "max_energy": str(decomposition.max_energy),
         "strategy": decomposition.strategy,
     }
-    _emit(args, {"p": A.modulus.p, "source": source, "set": A.serialize(), "strategy": args.strategy}, result)
-    return 0
+    return {"p": A.modulus.p, "source": source, "set": A.serialize(), "strategy": args.strategy}, result
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[dict, dict, Callable[[TextIO], None]]:
     modulus = _modulus(args, "scan needs --p")
     table = threshold_scan(modulus, args.n, args.kind, trials=args.trials, seed=args.seed, max_m=args.max_m)
     config = {"p": modulus.p, "n": args.n, "kind": args.kind, "trials": args.trials, "max_m": args.max_m}
@@ -478,17 +464,15 @@ def _cmd_scan(args) -> int:
             for row in table.rows
         ],
     }
-    _emit(args, config, result, lambda out: out.write(table.to_csv()))
-    return 0
+    return config, result, lambda out: out.write(table.to_csv())
 
 
-def _cmd_theorem_report(args) -> int:
+def _cmd_theorem_report(args) -> tuple[dict, dict]:
     A, source = _resolve_set(args)
     report = theorem_last_report(A, args.d, strategy=args.strategy)
     for key in ("eplus", "etimes", "distance_energy_B", "dot_energy_C", "max_energy"):
         report[key] = str(report[key])
-    _emit(args, {"p": A.modulus.p, "source": source, "set": A.serialize(), "d": args.d}, report)
-    return 0
+    return {"p": A.modulus.p, "source": source, "set": A.serialize(), "d": args.d}, report
 
 
 # -- the command table ----------------------------------------------------------
@@ -510,7 +494,7 @@ def _non_negative_int(text: str) -> int:
 
 
 class _Command(NamedTuple):
-    func: Callable[[argparse.Namespace], int]
+    func: Callable[[argparse.Namespace], tuple]  # the record parts that _emit takes
     help: str
     suites: list[str]
     arguments: tuple
@@ -638,7 +622,8 @@ def run(argv: list[str]) -> int:
             for name, passed in results:
                 print(f"{'ok' if passed else 'FAIL'}  {name}")
             return 0 if all(passed for _, passed in results) else 2
-        return args.func(args)
+        _emit(args, *args.func(args))
+        return 0
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
     except (UsageError, ParseError, GuardExceeded, OSError, ValueError) as exc:

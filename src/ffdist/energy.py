@@ -7,7 +7,6 @@ on it, dyadic level sets, and the report-only recursion diagnostics.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 from operator import add, mul
 
@@ -138,15 +137,14 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
     e_prev = energy_from_spectrum(folded)
     m = len(A)
     p = A.modulus.p
-    main_term = Fraction(m ** (4 * d), p)
     recursive_term = report_float(lambda: m ** (2 * d + 1) * math.sqrt(e_prev))
     log_m = math.log(m)
     # a right-hand side is at least its overflowed part whenever m > 1
     recursive_rhs = None if recursive_term is None else report_float(
-        lambda: d**2 * log_m**2 * (float(main_term) + recursive_term)
+        lambda: d**2 * log_m**2 * (m ** (4 * d) / p + recursive_term)
     )
     closed_form_rhs = report_float(
-        lambda: d**2 * log_m**2 * float(main_term) + d**4 * log_m**4 * m ** (4 * d - 2 + 1 / 2 ** (d - 1))
+        lambda: d**2 * log_m**2 * (m ** (4 * d) / p) + d**4 * log_m**4 * m ** (4 * d - 2 + 1 / 2 ** (d - 1))
     )
     return {
         "kind": kind,
@@ -155,11 +153,11 @@ def recursion_diagnostic(A: FieldSubset, d: int, kind: str = "distance") -> dict
         "p": p,
         "energy_d": e_d,
         "energy_d_minus_1": e_prev,
-        "main_term": report_float(lambda: float(main_term)),
+        "main_term": report_float(lambda: m ** (4 * d) / p),
         "recursive_term": recursive_term,
         "recursive_rhs": recursive_rhs,
         "closed_form_rhs": closed_form_rhs,
         "ratio_recursive": report_float(lambda: e_d / recursive_rhs) if recursive_rhs else None,
         "ratio_closed_form": report_float(lambda: e_d / closed_form_rhs) if closed_form_rhs else None,
-        "ratio_main_term": report_float(lambda: float(Fraction(e_d) / main_term)) if m > 0 else None,
+        "ratio_main_term": report_float(lambda: e_d * p / m ** (4 * d)) if m > 0 else None,
     }

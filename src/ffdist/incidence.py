@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -206,7 +205,7 @@ def rudnev_diagnostic(inst: IncidenceInstance) -> RudnevReport:
     swapped = n_r > n_s
     r, s = (n_s, n_r) if swapped else (n_r, n_s)
     note = "roles swapped: |R| > |S|, bound applied to the transposed instance" if swapped else ""
-    term_main = report_float(lambda: float(Fraction(r * s, p)))
+    term_main = report_float(lambda: r * s / p)
     term_sqrt = report_float(lambda: sqrt(r) * s)
     term_collinear = inst.k * s
     denom = None if None in (term_main, term_sqrt) else report_float(lambda: term_main + term_sqrt + term_collinear)

@@ -85,7 +85,7 @@ class ThresholdCoverageReport:
     p: int
     dim: int
     size: int
-    threshold: float
+    threshold: float | None
     threshold_met: bool
     coverage: CoverageReport
 
@@ -104,7 +104,7 @@ def iosevich_rudnev_check(E: WeightedPointSet, force: bool = False) -> Threshold
         p=p,
         dim=d,
         size=len(E),
-        threshold=4 * p ** ((d + 1) / 2),
+        threshold=report_float(lambda: 4 * p ** ((d + 1) / 2)),
         threshold_met=threshold_met,
         coverage=report,
     )

@@ -88,6 +88,41 @@ def sphere_counts(p: int, d: int) -> list[int]:
     return out
 
 
+
+def quadratic_character(p: int) -> list[int]:
+    """eta(t) for each t in F_p, p odd: 0 at 0, 1 on the nonzero squares, -1 elsewhere."""
+    eta = [-1] * p
+    for x in range(1, p):
+        eta[x * x % p] = 1
+    eta[0] = 0
+    return eta
+
+
+def sphere_sizes(p: int, d: int) -> list[int]:
+    """#{v in F_p^d : sum v_i^2 = t} for each t, p odd, by the closed form
+    (Lidl & Niederreiter, Finite Fields, Thms 6.26-6.27):
+    d even: p^(d-1) + v(t) p^((d-2)/2) eta((-1)^(d/2)), v(0) = p - 1, else v(t) = -1;
+    d odd:  p^(d-1) + p^((d-1)/2) eta((-1)^((d-1)/2) t)."""
+    eta, base = quadratic_character(p), p ** (d - 1)
+    if d % 2 == 0:
+        e = p ** ((d - 2) // 2) * eta[(-1) ** (d // 2) % p]
+        return [base + (p - 1) * e] + [base - e] * (p - 1)
+    e, sign = p ** ((d - 1) // 2), (-1) ** ((d - 1) // 2)
+    value = {-1: base - e, 0: base, 1: base + e}
+    return [value[eta[sign * t % p]] for t in range(p)]
+
+
+def space_distance_spectrum(p: int, d: int) -> list[int]:
+    """#{(x, y) in F_p^d x F_p^d : |x - y|^2 = t} = p^d N_d(t), in closed form."""
+    return [p**d * n for n in sphere_sizes(p, d)]
+
+
+def space_dot_spectrum(p: int, d: int) -> list[int]:
+    """#{(x, y) in F_p^d x F_p^d : x.y = t}, in closed form: p^(2d-1) - p^(d-1)
+    at t != 0, and p^d more at 0 (every y pairs with x = 0)."""
+    other = p ** (2 * d - 1) - p ** (d - 1)
+    return [other + p**d] + [other] * (p - 1)
+
 def weighted_pair_counts_dim2(E, F) -> list[int]:
     p = E.modulus.p
     out = [0] * p

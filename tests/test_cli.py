@@ -93,6 +93,17 @@ def test_coverage_random_points_asserts_threshold(capsys):
     assert result["threshold"]["met"] and result["covered"]
 
 
+
+def test_threshold_past_the_double_range_is_null(capsys, tmp_path):
+    # 4·7^(801/2) is past the double range: the report-only threshold prints
+    # null, while the exact check |E|^2 >= 16·p^(d+1) still says not met.
+    path = tmp_path / "points.txt"
+    path.write_text("p=7 d=800\n" + "0," * 799 + "0\n" + "1," * 799 + "1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "coverage", "--points-file", str(path))
+    assert code == 0, err
+    threshold = record_of(out)["result"]["threshold"]
+    assert threshold["value"] is None and threshold["met"] is False
+
 def test_deviation_check_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "deviation-check", "--p", "7", "--random-multisets", "30", "--seed", "3")
     assert code == 0
@@ -179,6 +190,19 @@ def test_encode_check_dump(capsys, tmp_path):
     assert dumped.entries == {(0, 0): 2, (0, 1): 2, (2, 1): 2, (2, 2): 2}
     assert (tmp_path / "enc.distance-odd.F.csv").exists()
 
+
+
+def test_a_handler_returns_its_record_without_writing(capsys):
+    # run emits the record; the handler only computes it.
+    from ffdist.cli import build_parser
+
+    args = build_parser().parse_args(["coverage", "--p", "7", "--set", "0,1,3"])
+    config, result = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert config == {"p": 7, "source": "inline:0,1,3", "set": "0,1,3", "kind": "distance", "n": 1}
+    assert result["counts"] == [3, 2, 2, 0, 2, 0, 0] and result["missing"] == "3,5,6"
+    code, out, _ = run_cli(capsys, "coverage", "--p", "7", "--set", "0,1,3")
+    assert code == 0 and record_of(out)["result"] == {**result, "counts": list(map(str, result["counts"]))}
 
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "spectrum", "--p", "7")[0] == 1          # no set
@@ -599,3 +623,32 @@ def test_emitting_a_large_spectrum_never_holds_its_text(monkeypatch, tmp_path):
     with open(path, encoding="utf-8") as f:
         assert json.load(f)["result"]["counts"] == list(map(str, S.counts))
     assert peak < 3 << 20
+
+
+def test_coverage_csv_of_a_large_spectrum_is_written_row_by_row(monkeypatch, tmp_path):
+    # The generic key,value CSV of the same p = 99991 spectrum of 200-bit
+    # counts goes out a row at a time: neither its rows nor its text are held.
+    import contextlib
+    import csv
+    import random
+    import tracemalloc
+
+    import ffdist.cli as cli_mod
+
+    p, rng = 99991, random.Random(5)
+    S = Spectrum(PrimeModulus(p), [rng.getrandbits(200) for _ in range(p)])
+    monkeypatch.setattr(cli_mod, "power_spectrum", lambda A, kind, n: S)
+    path = tmp_path / "c.csv"
+    with open(path, "w", encoding="utf-8", newline="") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = run(["coverage", "--p", str(p), "--set", "0", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = dict(csv.reader(f))
+    assert rows.pop("key") == "value" and rows["total"] == str(S.total)
+    assert [rows[f"counts[{t}]"] for t in range(p)] == list(map(str, S.counts))
+    assert peak < 4 << 20

@@ -56,6 +56,9 @@ CASES = [
     ("spectrum-random-json-out", "spectrum --p 11 --random 4 --seed 3 --kind dot --n 2 --format json --out {tmp}/s.json", 0, "b3d72fd35ccc1ac8d3442bdb8400433b37b1817e75d8c66b7751f4c662cc7758"),
     ("spectrum-isotropic-json", "spectrum --p 13 --isotropic --format json", 0, "29b9250f82212b2597eeb4288dd5f86b886f567263dbf7450ee1ebd45c278778"),
     ("spectrum-isotropic-csv-exclude", "spectrum --p 13 --isotropic --exclude-diagonal", 0, "d1b379310e9d04ee86cdaeb53be6cb58c60b2011766c47605846a116ee6ff5de"),
+    # p = 12289: the counts span four write blocks of cli._EMIT_BLOCK = 4096
+    ("spectrum-blocks-json", "spectrum --p 12289 --random 40 --seed 1 --format json", 0, "cf11019d56d515a3569d7762764747ecd2d6815925334e7c9b70895ea794b038"),
+    ("spectrum-blocks-csv", "spectrum --p 12289 --random 40 --seed 1", 0, "b379073608d024736b2915939016b616729eea10fab8cf5107384519039141dd"),
     ("spectrum-isotropic-kind-dot", "spectrum --p 13 --isotropic --kind dot --n 3 --format json", 1, "2345dddaabac73314b5aa4c03126beb491f5b316021f0713bacb1588f9a78ce6"),
     ("spectrum-points-file-json", "spectrum --points-file {tmp}/pts.set --format json", 0, "1a3280062b98506faf79324003c7d74327e5808c15551b377def6a07f41bef00"),
     ("spectrum-points-file-n2", "spectrum --points-file {tmp}/pts.set --n 2 --format json", 1, "7ad60dd7aef5dbc87446a38e5f5afebac8056db819c3b1689b19e3dc4cb383f9"),
@@ -94,6 +97,7 @@ CASES = [
     ("coverage-points-file", "coverage --points-file {tmp}/pts.set", 0, "3b03b2b22d11dc32a466a6c9d4ed33ba74e2a2932c9ae621cbd4d3ba989e82ca"),
     ("coverage-random-points-met", "coverage --p 5 --random-points 100 --dim 3 --seed 1", 0, "c6b8ec555f644b09d527e379a8edb22c5e768cccedb722ea7cd50adfdb84b164"),
     ("coverage-random-points-below", "coverage --p 7 --random-points 10 --dim 2 --seed 2 --format csv", 0, "a04776e7bcf869e65220d76a9f958993040c31ef355b6ba77f6b9eab7f4c34e5"),
+    ("coverage-blocks-json", "coverage --p 12289 --random 40 --seed 1 --format json", 0, "febb5a234f4f12ecaf8c8e44dc824fb55dfed9dbbdc2f53c8f3d12dda7c4673d"),
     ("coverage-random-points-n2", "coverage --p 5 --random-points 10 --n 2", 1, "7ad60dd7aef5dbc87446a38e5f5afebac8056db819c3b1689b19e3dc4cb383f9"),
     ("coverage-random-points-zero", "coverage --p 7 --random-points 0", 1, "5785918be1c4d67c5893cea9c572f8d34dc5dfa69afb8bb6d632cc6fae66429a"),
     ("coverage-random-points-no-p", "coverage --random-points 10", 1, "4dc705bb3c8cc1ff86a78f1e232e17142cd355f2106a6151046f3b7853d4369f"),
