@@ -390,8 +390,8 @@ def _cmd_incidence(args) -> tuple[dict, dict]:
         modulus = _modulus(args, "incidence needs --p with --random-points/--random-planes")
         p = modulus.p
         rng = SplitMix64(derive_seed("incidence", p, args.seed))
-        coords = [tuple(rng.randbelow(p) for _ in range(3)) for _ in range(args.random_points)]
-        points = WeightedPointSet(modulus, 3, [(pt, 1) for pt in coords])
+        flat = rng.randbelow_each([p] * (3 * args.random_points))
+        points = WeightedPointSet(modulus, 3, [(pt, 1) for pt in zip(flat[::3], flat[1::3], flat[2::3])])
         plane_pairs = []
         while len(plane_pairs) < args.random_planes:
             normal = tuple(rng.randbelow(p) for _ in range(3))

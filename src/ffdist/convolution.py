@@ -4,9 +4,11 @@ exact_cyclic picks its tier from the length n and the bound sum(a)*sum(b),
 which no output coefficient or partial sum exceeds, the inputs being
 non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
 
-* int64 tier, when the bound is below 2**63 and n <= _DIRECT_MAX_LEN:
-  np.convolve plus the cyclic wrap, exact since nothing can overflow.  Its
-  cost is O(n^2); the cutoff is measured against the transforms (README).
+* direct tier, when the bound is below 2**63 and n <= _DIRECT_MAX_LEN:
+  np.convolve plus the cyclic wrap, in float64 when the bound is below 2**53,
+  else in int64.  Every product and partial sum is an integer no larger than
+  the bound, so either is exact, in any order of summation.  Its cost is
+  O(n^2); the cutoff is measured against the transforms (README).
 * transform tier, otherwise: number-theoretic transforms modulo primes
   q = 1 (mod N) below 2**31.5, N <= _MAX_SIZE the power-of-two length, taken
   in order from one pool per N until their product exceeds the bound.  Out
@@ -35,7 +37,7 @@ from .field import PrimeModulus, is_prime, power_table, primitive_root
 # Largest q with q*q < 2**63, keeping the uint64 butterflies overflow-free.
 _MAX_NTT_PRIME = 3_037_000_499
 _MAX_SIZE = 1 << 27  # longest N with a prime q = 1 (mod N) up to _MAX_NTT_PRIME
-_DIRECT_MAX_LEN = 4096  # longest n for the int64 tier
+_DIRECT_MAX_LEN = 4096  # longest n for the direct tier
 _MAX_PRIMES = 2**53 // (2**33 + 2**16)  # 2**20 - 8, the most primes the base change is exact for
 _BLOCK = 95 * 1024  # float64 entries per base-change matrix: 1024 values at 47 primes (_block)
 _POOL_MIN_SIZE = 1 << 16  # shortest transform whose primes run in a thread pool (measured, README)
@@ -61,27 +63,36 @@ def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
 
 
 def _cyclic(a, b, total: int):
-    """exact_cyclic on lists or rows, given total = sum(a)*sum(b): a list from the
-    int64 tier, else rows.  Rows are past that tier, and so is their product."""
+    """exact_cyclic on lists, 1-D int64 arrays or rows, given total = sum(a)*sum(b):
+    the direct tier's output (a's type), else rows.  Rows are past that tier, and so
+    is their product."""
     if total == 0:
         return [0] * len(a)
-    if total < 1 << 63 and isinstance(a, list) and len(a) <= _DIRECT_MAX_LEN:
-        return _direct_cyclic(a, b)
+    if total < 1 << 63 and not _is_rows(a) and len(a) <= _DIRECT_MAX_LEN:
+        return _direct_cyclic(a, b, total)
     return _ntt_cyclic(a, b, total)
 
 
-def _direct_cyclic(a: list[int], b: list[int]) -> list[int]:
-    """The int64 tier; exact while sum(a)*sum(b) < 2**63."""
-    n = len(a)
-    x = np.array(a, dtype=np.int64)
-    lin = np.convolve(x, x if a is b else np.array(b, dtype=np.int64))
+def _is_rows(x) -> bool:
+    """Whether x is residue rows, a 2-D array, rather than a list or 1-D array."""
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _direct_cyclic(a, b, total: int | None = None):
+    """The direct tier on lists (a list out) or int64 arrays (an int64 array out);
+    exact while total, by default sum(a)*sum(b), is below 2**63."""
+    n, bound = len(a), sum(a) * sum(b) if total is None else total
+    dtype = np.float64 if bound < 1 << 53 else np.int64
+    x = np.asarray(a, dtype=dtype)
+    lin = np.convolve(x, x if a is b else np.asarray(b, dtype=dtype))
     lin[: n - 1] += lin[n:]
-    return lin[:n].tolist()
+    out = lin[:n].astype(np.int64)
+    return out.tolist() if isinstance(a, list) else out
 
 
 def _ntt_cyclic(a, b, total: int) -> np.ndarray:
-    """The transform tier on lists or rows: the product's residue rows."""
-    n = a.shape[1] if isinstance(a, np.ndarray) else len(a)
+    """The transform tier on lists, 1-D int64 arrays or rows: the product's residue rows."""
+    n = a.shape[-1] if isinstance(a, np.ndarray) else len(a)
     size = 1 << (2 * n - 1).bit_length()
     primes = _primes_for(size, total + 1)
     rows_a = _residues(a, size, len(primes))
@@ -138,8 +149,11 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def _digits(a: list[int]) -> np.ndarray:
-    """a as little-endian 16-bit limbs, one row each (a uint64 array, seen as four, if they fit)."""
+def _digits(a) -> np.ndarray:
+    """a, non-negative ints, as little-endian 16-bit limbs, one row each: a 1-D int64
+    array, or a list whose entries fit in uint64, seen as four limbs per entry."""
+    if isinstance(a, np.ndarray):
+        return np.ascontiguousarray(a, dtype="<i8").view("<u2").reshape(len(a), 4)
     top = max(a)
     if top < 1 << 64:
         return np.array(a, dtype="<u8").view("<u2").reshape(len(a), 4)
@@ -149,13 +163,14 @@ def _digits(a: list[int]) -> np.ndarray:
 
 
 def _residues(src, size: int, k: int) -> np.ndarray:
-    """Rows of src mod the first k primes of the length-size pool; src is a list of
-    non-negative ints or rows of values below their primes' product.  Limbs -> residues:
-    the L limbs of each value against the 16-bit halves of 2**(16i) mod q in float64,
-    exact since L*2**32 < 2**53 for the L <= 2k + 4 limbs of a value below k primes'
-    product (a list entry is below the bound they pass), then a reduction."""
+    """Rows of src mod the first k primes of the length-size pool; src is a list or
+    1-D int64 array of non-negative ints, or rows of values below their primes'
+    product.  Limbs -> residues: the L limbs of each value against the 16-bit halves
+    of 2**(16i) mod q in float64, exact since L*2**32 < 2**53 for the L <= 2k + 4
+    limbs of a value below k primes' product (an entry is below the bound they
+    pass), then a reduction."""
     moduli = [q for q, _ in _prime_pool[size][:k]]
-    j = 0 if isinstance(src, list) else len(src)
+    j = len(src) if _is_rows(src) else 0
     if j >= k:
         return src[:k]
     block = _block(k)
@@ -176,12 +191,18 @@ def _residues(src, size: int, k: int) -> np.ndarray:
 
 
 def _ints(rows: np.ndarray) -> list[int]:
-    """The Python ints behind rows, formed from their limbs _block(k) at a time."""
+    """The Python ints behind rows: for one or two primes read off in uint64, else
+    formed from their limbs _block(k) at a time."""
     k, n = rows.shape
+    moduli = [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]
     if k == 1:  # values below one prime are their residues
         return rows[0].tolist()
+    if k == 2:  # Garner: x = r1 + q1*((r2 - r1)*q1**-1 mod q2), below q1*q2 < 2**63
+        (q1, q2), (r1, r2) = moduli, rows
+        h = _mod((r2 + np.uint64(q2) - _mod(r1.copy(), q2)) * np.uint64(pow(q1, -1, q2)), q2)
+        return (r1 + h * np.uint64(q1)).tolist()
     out = []
-    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]], _block(k)):
+    for limbs in _to_limbs(rows, moduli, _block(k)):
         raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
         out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
     return out

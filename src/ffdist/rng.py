@@ -11,7 +11,17 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """SplitMix64's output function, on an int below 2**64 or a uint64 array (which wraps)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -23,11 +33,8 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
 
     def randbelow(self, n: int) -> int:
         """Uniform draw from [0, n) by rejection; no modulo bias."""
@@ -38,6 +45,25 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % n
+
+    def randbelow_each(self, bounds) -> list[int]:
+        """[randbelow(b) for b in bounds], bounds a list or range: the same draws
+        and the same final state.  The k-th next output mixes state + k*gamma, so
+        the batch is mixed at once in numpy; if any draw of it would be rejected,
+        the state is left as it was and the scalar loop runs instead."""
+        top = max(bounds, default=0)
+        if bounds and 1 <= min(bounds) and top < 1 << 64:
+            x = np.arange(1, len(bounds) + 1, dtype=np.uint64)
+            x *= np.uint64(_GAMMA)
+            x += np.uint64(self._state)
+            draws = _mix(x).tolist()
+            # randbelow keeps a draw below 2**64 - (2**64 mod b), as every draw below 2**64 - b is
+            if max(draws) < (1 << 64) - top or all(
+                d < (1 << 64) - (1 << 64) % b for d, b in zip(draws, bounds)
+            ):
+                self._state = (self._state + len(bounds) * _GAMMA) & _MASK64
+                return [d % b for d, b in zip(draws, bounds)]
+        return [self.randbelow(b) for b in bounds]
 
 
 def derive_seed(*parts) -> int:
@@ -56,8 +82,9 @@ def sample_distinct(rng: SplitMix64, universe: int, n: int) -> list[int]:
     """Uniform n-subset of range(universe) via Floyd's algorithm, sorted."""
     if not 0 <= n <= universe:
         raise ValueError(f"cannot sample {n} distinct values from {universe}")
+    lo = universe - n
+    draws = rng.randbelow_each(range(lo + 1, universe + 1))
     chosen: set[int] = set()
-    for j in range(universe - n, universe):
-        t = rng.randbelow(j + 1)
+    for j, t in zip(range(lo, universe), draws):
         chosen.add(t if t not in chosen else j)
     return sorted(chosen)

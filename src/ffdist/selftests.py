@@ -48,7 +48,7 @@ def spectra_selftest() -> list[Check]:
                 for kind in ("distance", "dot"):
                     ok = ok and power_spectrum(S, kind, n).counts == bruteforce_spectrum(S, n, kind)
     checks.append(("power spectra match pair enumeration (p<=7)", ok))
-    # 128-bit entries put the bound near 2**259, past the int64 tier: the
+    # 128-bit entries put the bound near 2**259, past the direct tier: the
     # length-16 transforms run on nine primes near 2**31.5, recombined by CRT.
     a = [rng.next_u64() << 64 | rng.next_u64() for _ in range(5)]
     b = [(1 << 128) - 1 - x for x in a]

@@ -244,13 +244,13 @@ def random_subset(modulus: PrimeModulus, n: int, seed: int) -> FieldSubset:
 
 
 def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> WeightedPointSet:
-    """Uniform n-subset of F_p^d, unit multiplicities; requires p**d to fit in 64 bits."""
+    """Uniform n-subset of F_p^d, unit multiplicities; requires p**d below 2**63."""
     p = modulus.p
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     universe = p**dim
     if universe >= 1 << 63:
-        raise ValueError(f"p**d = {universe} does not fit in 64 bits")
+        raise ValueError(f"p**d = {universe} is not below 2**63")
     if not 1 <= n <= universe:
         raise ValueError(f"point count must satisfy 1 <= n <= {universe}, got {n}")
     rng = SplitMix64(derive_seed("pointset", p, dim, n, seed))

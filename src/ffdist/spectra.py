@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _cyclic, _ints, _within_engine, exact_cyclic
+from .convolution import _cyclic, _ints, _is_rows, _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, WeightedPointSet, _Lines, _text, bilinear_counts
@@ -22,28 +22,39 @@ GENERAL_SPECTRUM_GUARD = 100_000
 
 class Spectrum:
     """Exact count function F_p -> N with a cached total.  The counts may be held as
-    the engine's residue rows (their sums checked mod each prime) until first read."""
+    a 1-D int64 array, or as the engine's residue rows (their sums checked mod each
+    prime), until first read."""
 
     __slots__ = ("modulus", "total", "_held")
 
     def __init__(self, modulus: PrimeModulus, counts, expected_total: int | None = None):
         self.modulus, self.total, self._held = modulus, expected_total, counts
-        if not isinstance(counts, np.ndarray):
+        if not _is_rows(counts):
             if len(counts) != modulus.p:
                 raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
-            if min(counts) < 0:
+            if isinstance(counts, np.ndarray):
+                # In the uint64 view a negative int64 entry is at least 2**63, and the
+                # int64 sum is exact while p times the largest entry stays below 2**63.
+                top = int(counts.view(np.uint64).max())
+                low = -(top >> 63)
+                total = int(counts.sum()) if top < (1 << 63) // modulus.p else sum(counts.tolist())
+            else:
+                low, total = min(counts), sum(counts)
+            if low < 0:
                 raise ValueError("negative count")
-            self._keep(counts)
+            self._keep(counts, total)
 
     @property
     def counts(self) -> list[int]:
-        if isinstance(self._held, np.ndarray):
-            self._keep(_ints(self._held))
+        if _is_rows(self._held):
+            ints = _ints(self._held)
+            self._keep(ints, sum(ints))
+        elif isinstance(self._held, np.ndarray):  # its total was checked when it was held
+            self._held = self._held.tolist()
         return self._held
 
-    def _keep(self, counts: list[int]) -> None:
+    def _keep(self, counts, total: int) -> None:
         """Hold counts, in place of any rows, once they sum to the expected total."""
-        total = sum(counts)
         if self.total is not None and total != self.total:
             raise InvariantViolation(f"spectrum total {total} != forced combinatorial total {self.total}")
         self.total, self._held = total, counts
@@ -75,11 +86,12 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
         raise ValueError("empty set has no pair spectrum")
     # #{(a,b): a-b = delta} is the indicator's cyclic autocorrelation; push
     # each count (at most m < 2^31, so int64 is exact) onto its square.
-    ind = A.indicator()
-    diff_counts = exact_cyclic(ind, ind[:1] + ind[:0:-1])
+    ind = np.zeros(p, dtype=np.int64)
+    ind[np.fromiter(A, dtype=np.int64, count=m)] = 1
+    diff_counts = _values(_cyclic(ind, np.concatenate((ind[:1], ind[:0:-1])), m * m))
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, np.arange(p, dtype=np.int64) ** 2 % p, diff_counts)
-    return Spectrum(A.modulus, counts.tolist(), expected_total=m * m)
+    return Spectrum(A.modulus, counts, expected_total=m * m)
 
 
 def product_spectrum(A: FieldSubset) -> Spectrum:
@@ -92,12 +104,17 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     powers = power_table(primitive_root(p), p - 1, p)
     member = np.zeros(p, dtype=np.int64)
     member[np.fromiter(A, dtype=np.int64, count=m)] = 1
-    ind = member[powers].tolist()
+    ind = member[powers]
     # every count is at most m^2 < 2^62, so int64 holds it exactly
     counts = np.zeros(p, dtype=np.int64)
-    counts[powers] = exact_cyclic(ind, ind)
+    counts[powers] = _values(_cyclic(ind, ind, int(ind.sum()) ** 2))
     counts[0] = 2 * m - 1 if 0 in A else 0  # (0, b) and (a, 0); no power of g is 0
-    return Spectrum(A.modulus, counts.tolist(), expected_total=m * m)
+    return Spectrum(A.modulus, counts, expected_total=m * m)
+
+
+def _values(out):
+    """A product whose values are known to fit in int64: the direct tier's array, or rows' ints."""
+    return _ints(out) if _is_rows(out) else out
 
 
 def cyclic_convolve(S: Spectrum, T: Spectrum) -> Spectrum:

@@ -20,6 +20,7 @@ from ffdist.convolution import (
     _ntt_cyclic,
     _primes_for,
     _residues,
+    _to_limbs,
     exact_cyclic,
 )
 from ffdist.errors import GuardExceeded, InvariantViolation
@@ -223,7 +224,7 @@ def test_more_primes_than_the_base_change_allows_is_guard(monkeypatch):
     assert len(convolution._prime_pool[1 << 10]) == 3
 
 
-# (sum a, sum b) pairs around the int64 tier's bound, or (sum a, None) for a
+# (sum a, sum b) pairs around the direct tier's bound, or (sum a, None) for a
 # squaring: the first two multiply to exactly 2**63 - 1 and 2**63.
 _TOTALS = [
     (7 * 73 * 127, (2**63 - 1) // (7 * 73 * 127)),
@@ -263,7 +264,7 @@ def test_totals_straddle_the_int64_bound():
 )
 def test_tiers_agree_with_schoolbook(n, totals, nonzero, seed):
     # Sparse entries keep the schoolbook oracle cheap on both sides of the
-    # length cutoff; the int64 tier is checked wherever its bound holds.
+    # length cutoff; the direct tier is checked wherever its bound holds.
     rng = random.Random(seed)
     total_a, total_b = totals
     a = _spread(rng, n, total_a, min(n, nonzero))
@@ -284,6 +285,24 @@ def test_int64_bound_edge_point_masses(total_a, total_b):
     want = [0] * 211
     want[19] = total_a * total_b
     assert exact_cyclic(a, b) == want
+
+
+def test_float64_bound_edge():
+    # The direct tier convolves in float64 below the bound 2**53 and in int64
+    # from there.  2**53 - 1 = 6361 * 69431 * 20394401 sits just below it; the
+    # second pair's bound is 3 * 2**52 + 6 and its entry 0 is 2**53 + 3, an odd
+    # integer past 2**53 that float64 would round.
+    rng = random.Random(53)
+    for a, b in (
+        (_spread(rng, 211, 6361 * 69431, 9), _spread(rng, 211, 20394401, 9)),
+        ([1, 2**52 + 1], [1, 2]),
+    ):
+        want = cyclic_schoolbook(a, b)
+        assert _direct_cyclic(a, b) == want
+        got = _direct_cyclic(np.array(a), np.array(b), sum(a) * sum(b))
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert exact_cyclic(a, b) == want
+    assert want[0] == 2**53 + 3
 
 
 def _count_transforms(monkeypatch):
@@ -373,6 +392,26 @@ def test_garner_and_base_extension_match_python_crt(n, bits, seed):
         assert extended.tolist() == [[x % q for x in want] for q in moduli]
         assert (given_rows == rows[:j]).all()
     assert _ints(rows.copy()) == a
+
+
+def test_two_prime_ints_match_the_explicit_crt():
+    # _ints forms two primes' values by Garner's formula in uint64, below
+    # Q = q1*q2 < 2**63; the explicit CRT (_to_limbs) must give the same ints
+    # at x in {0, 1, Q-1, Q//2} and at random residues.  Rows of length n use
+    # the pool of length 2**bit_length(2n - 1): one value at a time takes the
+    # length-2 pool (its largest primes), 300 values the length-1024 pool.
+    rng = random.Random(2)
+    for n in (1, 300):
+        moduli = [q for q, _ in _primes_for(1 << (2 * n - 1).bit_length(), 1 << 62)][:2]
+        product = moduli[0] * moduli[1]
+        xs = [0, 1, product - 1, product // 2, *(rng.randrange(product) for _ in range(296))]
+        for s in range(0, len(xs), n):
+            rows = np.array([[x % q for x in xs[s : s + n]] for q in moduli], dtype=np.uint64)
+            before = rows.copy()
+            limbs = np.vstack(list(_to_limbs(rows, moduli, 64)))
+            explicit = [sum(int(v) << (16 * i) for i, v in enumerate(row)) for row in limbs]
+            assert _ints(rows) == explicit == xs[s : s + n]
+            assert (rows == before).all()
 
 
 def _set_pool(monkeypatch, min_size, workers):

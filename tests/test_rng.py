@@ -53,3 +53,47 @@ def test_sample_distinct_properties():
         assert out == sorted(out)
     with pytest.raises(ValueError):
         sample_distinct(g, 5, 6)
+
+
+def _floyd(rng, universe, n):
+    """sample_distinct's walk on scalar draws, one randbelow per step."""
+    chosen = set()
+    for j in range(universe - n, universe):
+        t = rng.randbelow(j + 1)
+        chosen.add(t if t not in chosen else j)
+    return sorted(chosen)
+
+
+def test_batched_draws_replay_the_scalar_stream(monkeypatch):
+    # At 3 * 2**61 a quarter of the raw draws are rejected, so a batch of 20
+    # almost always falls back to the scalar loop; the bound 2**64 is no
+    # uint64, so that walk is scalar throughout.
+    scalar_calls = []
+    real = SplitMix64.randbelow
+    monkeypatch.setattr(SplitMix64, "randbelow", lambda self, n: scalar_calls.append(n) or real(self, n))
+    seeds, fell_back = SplitMix64(29), 0
+    cases = [(1, 1), (10, 0), (10, 10), (211, 1), (211, 106), (211, 211), (101, 10), (3 * 2**61, 20), (2**64 - 1, 8)]
+    for universe, n in cases + [(2**64, 3)]:
+        for _ in range(10):
+            seed = seeds.next_u64()
+            batched, scalar = SplitMix64(seed), SplitMix64(seed)
+            scalar_calls.clear()
+            got = sample_distinct(batched, universe, n)
+            if universe == 3 * 2**61:
+                fell_back += bool(scalar_calls)
+            elif universe < 2**10:  # rejection odds below n * 2**-54
+                assert not scalar_calls
+            assert got == _floyd(scalar, universe, n)
+            assert batched._state == scalar._state
+    assert fell_back
+
+
+def test_randbelow_each_matches_randbelow():
+    seeds = SplitMix64(31)
+    for bounds in ([], [1], [7] * 40, [2**64 - 1, 2, 3 * 2**61, 2**63 + 1, 5]):
+        seed = seeds.next_u64()
+        batched, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert batched.randbelow_each(bounds) == [scalar.randbelow(b) for b in bounds]
+        assert batched._state == scalar._state
+    with pytest.raises(ValueError):
+        SplitMix64(1).randbelow_each([5, 0])

@@ -372,7 +372,7 @@ def _schoolbook_folds(counts):
 @pytest.mark.parametrize("p, bits", [(5, 4), (7, 20), (13, 40), (101, 12), (211, 30)])
 def test_fold_matches_repeated_schoolbook(p, bits):
     # Totals from about 2**6 to 2**48 per factor: every chain starts on the
-    # int64 tier and crosses into the transform tier, where spectra stay
+    # direct tier and crosses into the transform tier, where spectra stay
     # residue rows; the odd depths and 6 multiply rows over different prime
     # counts (result * base).
     rng = SplitMix64(p)
@@ -476,3 +476,32 @@ def test_length_guard_is_the_engines_longest_transform():
     assert convolution._within_engine(PrimeModulus(below)) == below
     with pytest.raises(GuardExceeded, match="hard limit"):
         convolution._within_engine(PrimeModulus(above))
+
+
+def test_int64_array_spectrum():
+    # A spectrum may be held as a 1-D int64 array: its length, sign and total
+    # are checked when it is held, and .counts forms Python ints once.
+    rng = SplitMix64(12)
+    counts = [rng.randbelow(1 << 20) for _ in range(7)]
+    X = Spectrum(P7, np.array(counts, dtype=np.int64), expected_total=sum(counts))
+    assert X.total == sum(counts)
+    assert X.counts == counts and all(type(c) is int for c in X.counts)
+    assert X.counts is X.counts
+    with pytest.raises(ValueError, match="negative count"):
+        Spectrum(P7, np.array([1, 2, -1, 0, 0, 0, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="need 7 counts"):
+        Spectrum(P7, np.zeros(6, dtype=np.int64))
+    with pytest.raises(InvariantViolation, match="forced combinatorial total"):
+        Spectrum(P7, np.array(counts, dtype=np.int64), expected_total=sum(counts) + 1)
+    # entries past 2**63 / p: the total is summed in Python ints, not int64
+    big = [2**62, 2**62, 2**62, 0, 0, 0, 5]
+    assert Spectrum(P7, np.array(big, dtype=np.int64)).total == 3 * 2**62 + 5
+    # fold from an array-held base: the direct tier keeps arrays, the transform
+    # tier turns them into rows, and every depth equals iterated exact_cyclic
+    want, held = counts, set()
+    for d in range(1, 9):
+        S = fold(Spectrum(P7, np.array(counts, dtype=np.int64)), d)
+        held.add(S._held.ndim)
+        assert S.counts == want and S.total == sum(counts) ** d
+        want = exact_cyclic(want, counts)
+    assert held == {1, 2}
