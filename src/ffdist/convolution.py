@@ -78,11 +78,10 @@ def _is_rows(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim == 2
 
 
-def _direct_cyclic(a, b, total: int | None = None):
+def _direct_cyclic(a, b, total: int):
     """The direct tier on lists (a list out) or int64 arrays (an int64 array out);
-    exact while total, by default sum(a)*sum(b), is below 2**63."""
-    n, bound = len(a), sum(a) * sum(b) if total is None else total
-    dtype = np.float64 if bound < 1 << 53 else np.int64
+    exact while total = sum(a)*sum(b) is below 2**63."""
+    n, dtype = len(a), np.float64 if total < 1 << 53 else np.int64
     x = np.asarray(a, dtype=dtype)
     lin = np.convolve(x, x if a is b else np.asarray(b, dtype=dtype))
     lin[: n - 1] += lin[n:]
@@ -191,18 +190,12 @@ def _residues(src, size: int, k: int) -> np.ndarray:
 
 
 def _ints(rows: np.ndarray) -> list[int]:
-    """The Python ints behind rows: for one or two primes read off in uint64, else
-    formed from their limbs _block(k) at a time."""
+    """The Python ints behind rows, formed from their limbs _block(k) at a time."""
     k, n = rows.shape
-    moduli = [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]]
     if k == 1:  # values below one prime are their residues
         return rows[0].tolist()
-    if k == 2:  # Garner: x = r1 + q1*((r2 - r1)*q1**-1 mod q2), below q1*q2 < 2**63
-        (q1, q2), (r1, r2) = moduli, rows
-        h = _mod((r2 + np.uint64(q2) - _mod(r1.copy(), q2)) * np.uint64(pow(q1, -1, q2)), q2)
-        return (r1 + h * np.uint64(q1)).tolist()
     out = []
-    for limbs in _to_limbs(rows, moduli, _block(k)):
+    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]], _block(k)):
         raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
         out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
     return out

@@ -56,13 +56,12 @@ class SplitMix64:
             x = np.arange(1, len(bounds) + 1, dtype=np.uint64)
             x *= np.uint64(_GAMMA)
             x += np.uint64(self._state)
-            draws = _mix(x).tolist()
-            # randbelow keeps a draw below 2**64 - (2**64 mod b), as every draw below 2**64 - b is
-            if max(draws) < (1 << 64) - top or all(
-                d < (1 << 64) - (1 << 64) % b for d, b in zip(draws, bounds)
-            ):
+            x, b = _mix(x), np.fromiter(bounds, np.uint64, len(bounds))
+            # randbelow keeps x < 2**64 - (2**64 mod b), as every x < 2**64 - b is;
+            # in uint64, 2**64 mod b is (0 - b) % b and the limit less one is ~that
+            if int(x.max()) < (1 << 64) - top or (x <= ~((0 - b) % b)).all():
                 self._state = (self._state + len(bounds) * _GAMMA) & _MASK64
-                return [d % b for d, b in zip(draws, bounds)]
+                return (x % b).tolist()
         return [self.randbelow(b) for b in bounds]
 
 

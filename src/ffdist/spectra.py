@@ -86,9 +86,8 @@ def diff_square_spectrum(A: FieldSubset) -> Spectrum:
         raise ValueError("empty set has no pair spectrum")
     # #{(a,b): a-b = delta} is the indicator's cyclic autocorrelation; push
     # each count (at most m < 2^31, so int64 is exact) onto its square.
-    ind = np.zeros(p, dtype=np.int64)
-    ind[np.fromiter(A, dtype=np.int64, count=m)] = 1
-    diff_counts = _values(_cyclic(ind, np.concatenate((ind[:1], ind[:0:-1])), m * m))
+    ind = A.indicator()
+    diff_counts = exact_cyclic(ind, ind[:1] + ind[:0:-1])
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, np.arange(p, dtype=np.int64) ** 2 % p, diff_counts)
     return Spectrum(A.modulus, counts, expected_total=m * m)
@@ -104,17 +103,12 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     powers = power_table(primitive_root(p), p - 1, p)
     member = np.zeros(p, dtype=np.int64)
     member[np.fromiter(A, dtype=np.int64, count=m)] = 1
-    ind = member[powers]
+    ind = member[powers].tolist()
     # every count is at most m^2 < 2^62, so int64 holds it exactly
     counts = np.zeros(p, dtype=np.int64)
-    counts[powers] = _values(_cyclic(ind, ind, int(ind.sum()) ** 2))
+    counts[powers] = exact_cyclic(ind, ind)
     counts[0] = 2 * m - 1 if 0 in A else 0  # (0, b) and (a, 0); no power of g is 0
     return Spectrum(A.modulus, counts, expected_total=m * m)
-
-
-def _values(out):
-    """A product whose values are known to fit in int64: the direct tier's array, or rows' ints."""
-    return _ints(out) if _is_rows(out) else out
 
 
 def cyclic_convolve(S: Spectrum, T: Spectrum) -> Spectrum:

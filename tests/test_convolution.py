@@ -20,7 +20,6 @@ from ffdist.convolution import (
     _ntt_cyclic,
     _primes_for,
     _residues,
-    _to_limbs,
     exact_cyclic,
 )
 from ffdist.errors import GuardExceeded, InvariantViolation
@@ -273,7 +272,7 @@ def test_tiers_agree_with_schoolbook(n, totals, nonzero, seed):
     want = cyclic_schoolbook(a, b)
     assert _ints(_ntt_cyclic(a, b, bound)) == want
     if bound < 2**63:
-        assert _direct_cyclic(a, b) == want
+        assert _direct_cyclic(a, b, bound) == want
     assert exact_cyclic(a, b) == want
 
 
@@ -298,8 +297,9 @@ def test_float64_bound_edge():
         ([1, 2**52 + 1], [1, 2]),
     ):
         want = cyclic_schoolbook(a, b)
-        assert _direct_cyclic(a, b) == want
-        got = _direct_cyclic(np.array(a), np.array(b), sum(a) * sum(b))
+        bound = sum(a) * sum(b)
+        assert _direct_cyclic(a, b, bound) == want
+        got = _direct_cyclic(np.array(a), np.array(b), bound)
         assert got.dtype == np.int64 and got.tolist() == want
         assert exact_cyclic(a, b) == want
     assert want[0] == 2**53 + 3
@@ -392,26 +392,6 @@ def test_garner_and_base_extension_match_python_crt(n, bits, seed):
         assert extended.tolist() == [[x % q for x in want] for q in moduli]
         assert (given_rows == rows[:j]).all()
     assert _ints(rows.copy()) == a
-
-
-def test_two_prime_ints_match_the_explicit_crt():
-    # _ints forms two primes' values by Garner's formula in uint64, below
-    # Q = q1*q2 < 2**63; the explicit CRT (_to_limbs) must give the same ints
-    # at x in {0, 1, Q-1, Q//2} and at random residues.  Rows of length n use
-    # the pool of length 2**bit_length(2n - 1): one value at a time takes the
-    # length-2 pool (its largest primes), 300 values the length-1024 pool.
-    rng = random.Random(2)
-    for n in (1, 300):
-        moduli = [q for q, _ in _primes_for(1 << (2 * n - 1).bit_length(), 1 << 62)][:2]
-        product = moduli[0] * moduli[1]
-        xs = [0, 1, product - 1, product // 2, *(rng.randrange(product) for _ in range(296))]
-        for s in range(0, len(xs), n):
-            rows = np.array([[x % q for x in xs[s : s + n]] for q in moduli], dtype=np.uint64)
-            before = rows.copy()
-            limbs = np.vstack(list(_to_limbs(rows, moduli, 64)))
-            explicit = [sum(int(v) << (16 * i) for i, v in enumerate(row)) for row in limbs]
-            assert _ints(rows) == explicit == xs[s : s + n]
-            assert (rows == before).all()
 
 
 def _set_pool(monkeypatch, min_size, workers):

@@ -505,3 +505,17 @@ def test_int64_array_spectrum():
         assert S.counts == want and S.total == sum(counts) ** d
         want = exact_cyclic(want, counts)
     assert held == {1, 2}
+
+
+def test_base_spectra_convolve_through_exact_cyclic(monkeypatch):
+    # The base spectra's one convolution each is exact_cyclic on lists, the span
+    # that perfbench's traced run times (and requires on every workload); their
+    # counts are then held as int64 arrays.
+    calls = []
+    monkeypatch.setattr(spectra, "exact_cyclic", lambda a, b: calls.append((a, b)) or exact_cyclic(a, b))
+    A = S("0,1,3", P7)
+    for build in (diff_square_spectrum, product_spectrum):
+        calls.clear()
+        X = build(A)
+        assert [(type(a), type(b)) for a, b in calls] == [(list, list)]
+        assert isinstance(X._held, np.ndarray) and X._held.ndim == 1
