@@ -19,7 +19,8 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   rows gain primes by way of limbs and _ints reads ints off them.  No step takes a
   %.  The forward pass is decimation in frequency, the backward one decimation in
   time on the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
-  applied and backward entry t is N times the inverse at -t mod N.  From length
+  applied and backward entry t is N times the inverse at -t mod N.  Each prime's
+  row builds its own N/2 roots and drops them once written.  From length
   _POOL_MIN_SIZE on, the primes of a product run in a thread pool, one row each
   (numpy's ufuncs release the GIL); each row is computed alone, so no output can
   depend on the pool.
@@ -43,7 +44,6 @@ _BLOCK = 95 * 1024  # float64 entries per base-change matrix: 1024 values at 47 
 _POOL_MIN_SIZE = 1 << 16  # shortest transform whose primes run in a thread pool (measured, README)
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
-_root_cache: dict[tuple[int, int], np.ndarray] = {}  # (q, N) -> gen^0 .. gen^(N/2-1)
 
 
 def _within_engine(modulus: PrimeModulus) -> int:
@@ -99,9 +99,8 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
     # Rows _residues built (not a view of a's) take the product: _forward copies a
     # prime's row before its product row is written, so a squaring holds one array.
     out = rows_a if rows_a.base is None else np.empty_like(rows_a)
-    qs = [q for q, _ in primes]
-    roots = [_roots(q, gen, size) for q, gen in primes]  # built here, so workers write no shared cache
-    args = (qs, roots, rows_a, rows_b, out)
+    qs, gens = zip(*primes)
+    args = (qs, gens, [size] * len(qs), rows_a, rows_b, out)
     workers = min(len(qs), _cpus()) if size >= _POOL_MIN_SIZE else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -120,18 +119,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _roots(q: int, gen: int, size: int) -> np.ndarray:
-    """gen**0 .. gen**(size/2 - 1) mod q, cached per (q, size)."""
-    roots = _root_cache.get((q, size))
-    if roots is None:
-        roots = _root_cache[q, size] = power_table(gen, size // 2, q).astype(np.uint64)
-    return roots
-
-
-def _product_row(q: int, roots: np.ndarray, xa: np.ndarray, xb: np.ndarray | None, row: np.ndarray) -> None:
+def _product_row(q: int, gen: int, size: int, xa: np.ndarray, xb: np.ndarray | None, row: np.ndarray) -> None:
     """One prime's row of the product, written into row: xa times xb (xa squared
-    if xb is None) mod q, cyclic of length row.size, on transforms of length 2*roots.size."""
-    n, size = row.size, 2 * roots.size
+    if xb is None) mod q, cyclic of length row.size, on transforms of length size
+    whose roots gen**0 .. gen**(size/2 - 1) mod q live only for this row."""
+    n, roots = row.size, power_table(gen, size // 2, q).astype(np.uint64)
     fa = _forward(xa, q, roots)
     fb = fa if xb is None else _forward(xb, q, roots)
     y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)

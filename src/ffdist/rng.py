@@ -50,16 +50,20 @@ class SplitMix64:
         """[randbelow(b) for b in bounds], bounds a list or range: the same draws
         and the same final state.  The k-th next output mixes state + k*gamma, so
         the batch is mixed at once in numpy; if any draw of it would be rejected,
-        the state is left as it was and the scalar loop runs instead."""
-        top = max(bounds, default=0)
-        if bounds and 1 <= min(bounds) and top < 1 << 64:
+        the state is left as it was and the scalar loop runs instead, as it does
+        for a bound outside [1, 2**64)."""
+        try:
+            b = np.fromiter(bounds, np.uint64, len(bounds))
+        except OverflowError:  # a bound below 0 or from 2**64 on
+            b = np.zeros(0, dtype=np.uint64)
+        if b.size and b.min() >= 1:
             x = np.arange(1, len(bounds) + 1, dtype=np.uint64)
             x *= np.uint64(_GAMMA)
             x += np.uint64(self._state)
-            x, b = _mix(x), np.fromiter(bounds, np.uint64, len(bounds))
+            x = _mix(x)
             # randbelow keeps x < 2**64 - (2**64 mod b), as every x < 2**64 - b is;
             # in uint64, 2**64 mod b is (0 - b) % b and the limit less one is ~that
-            if int(x.max()) < (1 << 64) - top or (x <= ~((0 - b) % b)).all():
+            if int(x.max()) < (1 << 64) - int(b.max()) or (x <= ~((0 - b) % b)).all():
                 self._state = (self._state + len(bounds) * _GAMMA) & _MASK64
                 return (x % b).tolist()
         return [self.randbelow(b) for b in bounds]

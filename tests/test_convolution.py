@@ -178,17 +178,30 @@ def test_butterfly_bounds_hold_for_every_pool_prime():
     assert max(_pool_extremes()) <= q
 
 
-def test_cached_root_tables_are_one_uint64_array():
-    # 8 bytes per twiddle, as the int64 table before them: 4*N bytes per (q, N).
-    for n, size in ((1, 2), (512, 1 << 10), (1 << 14, 1 << 15)):
-        x = [1 << 50] * n  # sum(x)**2 >= 2**100
-        _ntt_cyclic(x, x, sum(x) ** 2)
-        for q, gen in _primes_for(size, 1 << 100):
-            w = convolution._root_cache[q, size]
-            assert w.dtype == np.uint64
-            assert w.size == size // 2 and w.nbytes == 4 * size
-            assert w.tolist() == _roots(q, gen, size).tolist()
-            assert w[:3].tolist() == [pow(gen, j, q) for j in range(min(3, size // 2))]
+def test_a_product_leaves_no_transform_memory_behind(monkeypatch):
+    # A 24-prime squaring at length 2**15, in the calling thread and on a pool
+    # of two: once it returns, only its rows are left, so no prime keeps its
+    # transform or its N/2 roots (128 KB each here).  The pool's prime list is
+    # grown and the pool module imported before tracing starts.
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+    import tracemalloc
+
+    x = [(1 << 355) - 1] * (1 << 14)
+    assert len(_primes_for(1 << 15, sum(x) ** 2 + 1)) == 24
+    for workers in (None, 2):
+        with monkeypatch.context() as m:
+            if workers:
+                _set_pool(m, 2, workers)
+            tracemalloc.start()
+            try:
+                rows = _ntt_cyclic(x, x, sum(x) ** 2)
+                left = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert rows.shape == (24, 1 << 14)
+        assert rows.nbytes <= left <= rows.nbytes + (64 << 10)
+        del rows
 
 
 def test_zero_inputs():

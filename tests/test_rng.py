@@ -90,10 +90,12 @@ def test_batched_draws_replay_the_scalar_stream(monkeypatch):
 
 def test_randbelow_each_matches_randbelow():
     seeds = SplitMix64(31)
-    for bounds in ([], [1], [7] * 40, [2**64 - 1, 2, 3 * 2**61, 2**63 + 1, 5]):
+    # Bounds of 2**64, which uint64 cannot hold, take the scalar loop.
+    for bounds in ([], [1], [7] * 40, [2**64 - 1, 2, 3 * 2**61, 2**63 + 1, 5], [2**64], [3, 2**64, 9]):
         seed = seeds.next_u64()
         batched, scalar = SplitMix64(seed), SplitMix64(seed)
         assert batched.randbelow_each(bounds) == [scalar.randbelow(b) for b in bounds]
         assert batched._state == scalar._state
-    with pytest.raises(ValueError):
-        SplitMix64(1).randbelow_each([5, 0])
+    for bounds in ([5, 0], [0], [0] * 3, [4, 2**64 + 1], [-1, 4]):
+        with pytest.raises(ValueError):
+            SplitMix64(1).randbelow_each(bounds)
