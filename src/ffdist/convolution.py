@@ -12,18 +12,19 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
 * transform tier, otherwise: number-theoretic transforms modulo primes
   q = 1 (mod N) below 2**31.5, N <= _MAX_SIZE the power-of-two length, taken
   in order from one pool per N until their product exceeds the bound.  Out
-  come residue rows, one uint64 row of length n per prime, each row's sum
-  checked against the bound mod q.  Ints and residues meet as 16-bit limbs, one
-  row per value: _to_limbs (the explicit CRT) and _residues (limbs -> rows) change
-  base through them by exact float64 matrix products, _block(k) values at a time, so
-  rows gain primes by way of limbs and _ints reads ints off them.  No step takes a
-  %.  The forward pass is decimation in frequency, the backward one decimation in
-  time on the same uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is
-  applied and backward entry t is N times the inverse at -t mod N.  Each prime's
-  row builds its own N/2 roots and drops them once written.  From length
-  _POOL_MIN_SIZE on, the primes of a product run in a thread pool, one row each
-  (numpy's ufuncs release the GIL); each row is computed alone, so no output can
-  depend on the pool.
+  come residue rows, one uint32 row of length n per prime (the transforms run
+  in uint64), each row's sum checked against the bound mod q.  Ints and residues
+  meet as 16-bit limbs, one row per value: _to_limbs (the explicit CRT) and
+  _residues (limbs -> rows) change base through them by exact float64 matrix
+  products, _block(k) values at a time, so rows gain primes by way of limbs and
+  _ints reads ints off them.  No step takes a %.  The forward pass is
+  decimation in frequency, the backward one decimation in time on the same
+  uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is applied and
+  backward entry t is N times the inverse at -t mod N.  Each prime's row builds
+  its own N/2 roots and drops them once written.  From length _POOL_MIN_SIZE on,
+  the primes of a product run in a thread pool, one row each (numpy's ufuncs
+  release the GIL); each row is computed alone, so no output can depend on the
+  pool.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _MAX_NTT_PRIME = 3_037_000_499
 _MAX_SIZE = 1 << 27  # longest N with a prime q = 1 (mod N) up to _MAX_NTT_PRIME
 _DIRECT_MAX_LEN = 4096  # longest n for the direct tier
 _MAX_PRIMES = 2**53 // (2**33 + 2**16)  # 2**20 - 8, the most primes the base change is exact for
-_BLOCK = 95 * 1024  # float64 entries per base-change matrix: 1024 values at 47 primes (_block)
+_BLOCK = 95 * 256  # float64 entries per base-change matrix (0.2 MB): 256 values at 47 primes (_block)
 _POOL_MIN_SIZE = 1 << 16  # shortest transform whose primes run in a thread pool (measured, README)
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
@@ -128,9 +129,11 @@ def _product_row(q: int, gen: int, size: int, xa: np.ndarray, xb: np.ndarray | N
     fb = fa if xb is None else _forward(xb, q, roots)
     y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
     # y[t] is size times the linear convolution at -t mod size: read the first 2n
-    # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q).
+    # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q), both
+    # in uint64 (2q passes 2**32 for q > 2**31), and store the reduced row.
     lin = np.concatenate((y[:1], y[: -2 * n : -1]))
-    _mod(np.multiply(np.add(lin[:n], lin[n:], out=row), pow(size, -1, q), out=row), q)
+    wrap = np.add(lin[:n], lin[n:], out=lin[:n])
+    row[:] = _mod(np.multiply(wrap, pow(size, -1, q), out=wrap), q)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -166,10 +169,10 @@ def _residues(src, size: int, k: int) -> np.ndarray:
         return src[:k]
     block = _block(k)
     if j:
-        blocks, out = _to_limbs(src, moduli[:j], block), np.empty((k, src.shape[1]), dtype=np.uint64)
+        blocks, out = _to_limbs(src, moduli[:j], block), np.empty((k, src.shape[1]), dtype=np.uint32)
         out[:j] = src
     else:
-        digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint64)
+        digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint32)
         blocks = (digits[s : s + block] for s in range(0, len(src), block))
     qs = np.array(moduli[j:], dtype=np.int64)[:, None]
     for s, limbs in zip(range(0, out.shape[1], block), blocks):
@@ -212,7 +215,14 @@ def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
     table = np.zeros((m.shape[1] + 1, 2 * k + 1))  # columns: Q/q_i, Q/q_i a limb up, Q
     table[:-1, :k], table[1:, k:-1], table[:-1, -1] = m[:k].T, m[:k].T, m[k]
     qs = np.array(moduli, dtype=np.uint64)[:, None]
-    inverses = np.array([pow(x, -1, q) for x, q in zip(cofactors, moduli)], dtype=np.uint64)[:, None]
+    # (Q/q_i) mod q_i: multiply the columns of t[i, l] = q_l (1 at l = i) in pairs mod q_i
+    # down to one (entries below 2**31.5, products below 2**63), then invert small ints.
+    t = np.repeat(qs.T, k, axis=0)
+    np.fill_diagonal(t, 1)
+    while t.shape[1] > 1:
+        h = t.shape[1] // 2
+        t = np.hstack((_mod(t[:, :h] * t[:, h : 2 * h], qs), t[:, 2 * h :]))
+    inverses = np.array([pow(x, -1, q) for x, q in zip(t[:, 0].tolist(), moduli)], dtype=np.uint64)[:, None]
     for s in range(0, rows.shape[1], block):
         c = _mod(rows[:, s : s + block] * inverses, qs)  # products below q*q < 2**63
         # The float sum of k terms below 1 is off by less than k*k*2**-53 < 2**-13, so

@@ -15,13 +15,26 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U_M1, _U_M2, _U_GAMMA = np.uint64(_M1), np.uint64(_M2), np.uint64(_GAMMA)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _mix(z):
-    """SplitMix64's output function, on an int below 2**64 or a uint64 array (which wraps)."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix(z: int) -> int:
+    """SplitMix64's output function on an int below 2**64."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_each(x: np.ndarray) -> np.ndarray:
+    """_mix on every entry of a uint64 array, in place: its products wrap mod 2**64."""
+    x ^= x >> _U30
+    x *= _U_M1
+    x ^= x >> _U27
+    x *= _U_M2
+    x ^= x >> _U31
+    return x
 
 
 class SplitMix64:
@@ -58,9 +71,9 @@ class SplitMix64:
             b = np.zeros(0, dtype=np.uint64)
         if b.size and b.min() >= 1:
             x = np.arange(1, len(bounds) + 1, dtype=np.uint64)
-            x *= np.uint64(_GAMMA)
+            x *= _U_GAMMA
             x += np.uint64(self._state)
-            x = _mix(x)
+            _mix_each(x)
             # randbelow keeps x < 2**64 - (2**64 mod b), as every x < 2**64 - b is;
             # in uint64, 2**64 mod b is (0 - b) % b and the limit less one is ~that
             if int(x.max()) < (1 << 64) - int(b.max()) or (x <= ~((0 - b) % b)).all():

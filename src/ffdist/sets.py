@@ -28,6 +28,13 @@ class FieldSubset:
         self._elements: tuple[int, ...] = tuple(sorted({x % p for x in elements}))
 
     @classmethod
+    def _of_sorted(cls, modulus: PrimeModulus, elements: list[int]) -> "FieldSubset":
+        """The subset of elements that are already distinct, sorted and in [0, p)."""
+        subset = cls.__new__(cls)
+        subset.modulus, subset._elements = modulus, tuple(elements)
+        return subset
+
+    @classmethod
     def full(cls, modulus: PrimeModulus) -> "FieldSubset":
         return cls(modulus, range(modulus.p))
 
@@ -240,7 +247,7 @@ def random_subset(modulus: PrimeModulus, n: int, seed: int) -> FieldSubset:
     if not 1 <= n <= p:
         raise ValueError(f"subset size must satisfy 1 <= n <= {p}, got {n}")
     rng = SplitMix64(derive_seed("subset", p, n, seed))
-    return FieldSubset(modulus, sample_distinct(rng, p, n))
+    return FieldSubset._of_sorted(modulus, sample_distinct(rng, p, n))
 
 
 def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> WeightedPointSet:

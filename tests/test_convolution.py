@@ -204,6 +204,60 @@ def test_a_product_leaves_no_transform_memory_behind(monkeypatch):
         del rows
 
 
+def test_the_base_change_working_set_is_bounded():
+    # energy-deep's last two base changes: reading 47-prime rows of n = 9973
+    # values at length 2**15 as ints (what Spectrum.counts does), and extending
+    # their first 24 primes to all 47.  Beyond the rows and ints they return,
+    # each may hold a few float64 matrices of a 95*256-entry block: five such
+    # (0.97 MB) bound the tracemalloc peak, which the earlier 95*1024-entry
+    # blocks passed by 2.7 times (2.6 MB).
+    import tracemalloc
+
+    n, size, limit = 9973, 1 << 15, 5 * 95 * 256 * 8
+    moduli = [q for q, _ in _primes_for(size, 1 << (31 * 47))][:47]
+    rng = np.random.default_rng(47)
+    rows = np.array([rng.integers(0, q, n) for q in moduli], dtype=np.uint32)
+    outs = []
+    for call in (lambda: _ints(rows), lambda: _residues(rows[:24], size, 47)):
+        tracemalloc.start()
+        try:
+            outs.append(call())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= limit
+    ints, extended = outs
+    assert (_residues(ints, size, 47) == rows).all() and (extended[:24] == rows[:24]).all()
+
+
+def test_products_at_the_top_of_the_prime_range():
+    # The first primes of the length-2 and length-2**15 pools exceed 2**31, so
+    # the wrap lin[t] + lin[t + n] (each below q) can pass 2**32, and so can its
+    # scaling by N**-1, before they are reduced into a uint32 row.  With a = 1
+    # at 0 and n - 1 and every b[t] = -N**-1 mod q for the pool's first prime q
+    # (plus a multiple of q, so that the product takes two primes), N times every
+    # linear coefficient but one is q - 1 mod q, so the wraps reach 2q - 2.  The
+    # product must still be the schoolbook sum; its rows and _residues' (from
+    # ints, or extending rows by a prime) are uint32; and _residues -> _ints
+    # round-trips the sum and values around q and Q.
+    for n in (1, 1 << 14):
+        size = 1 << (2 * n - 1).bit_length()
+        q = _primes_for(size, 2)[0][0]
+        assert q > 2**31 and 2 * q - 2 >= 2**32
+        a, b = [0] * n, [-pow(size, -1, q) % q + q * t for t in range(1, n + 1)]
+        a[0] = a[-1] = 1
+        rows = _ntt_cyclic(a, b, sum(a) * sum(b))
+        want = cyclic_schoolbook(a, b)
+        assert rows.dtype == np.uint32 and len(rows) == 2 and _ints(rows) == want
+        k, product = len(rows), int(np.prod([m for m, _ in _primes_for(size, sum(a) * sum(b) + 1)], dtype=object))
+        for values in (want, ([q - 1, q, q + 1, product - 1, 0] * n)[:n]):
+            residues = _residues(values, size, k)
+            assert residues.dtype == np.uint32 and _ints(residues) == values
+        moduli = [m for m, _ in _primes_for(size, product + 1)]  # one more prime
+        extended = _residues(rows, size, k + 1)
+        assert extended.dtype == np.uint32 and extended.tolist() == [[x % m for x in want] for m in moduli]
+
+
 def test_zero_inputs():
     assert exact_cyclic([0] * 600, [1] * 600) == [0] * 600
     assert exact_cyclic([], []) == []
