@@ -236,10 +236,11 @@ def test_products_at_the_top_of_the_prime_range():
     # scaling by N**-1, before they are reduced into a uint32 row.  With a = 1
     # at 0 and n - 1 and every b[t] = -N**-1 mod q for the pool's first prime q
     # (plus a multiple of q, so that the product takes two primes), N times every
-    # linear coefficient but one is q - 1 mod q, so the wraps reach 2q - 2.  The
-    # product must still be the schoolbook sum; its rows and _residues' (from
-    # ints, or extending rows by a prime) are uint32; and _residues -> _ints
-    # round-trips the sum and values around q and Q.
+    # linear coefficient but one is q - 1 mod q: at n = 2**14 the wraps reach
+    # 2q - 2, and at n = 1 the one entry's scaling passes 2**32.  The product
+    # must still be the schoolbook sum; its rows and _residues' (from ints, or
+    # extending rows by a prime) are uint32; and _residues -> _ints round-trips
+    # the sum and values around q and Q.
     for n in (1, 1 << 14):
         size = 1 << (2 * n - 1).bit_length()
         q = _primes_for(size, 2)[0][0]
@@ -249,12 +250,12 @@ def test_products_at_the_top_of_the_prime_range():
         rows = _ntt_cyclic(a, b, sum(a) * sum(b))
         want = cyclic_schoolbook(a, b)
         assert rows.dtype == np.uint32 and len(rows) == 2 and _ints(rows) == want
-        k, product = len(rows), int(np.prod([m for m, _ in _primes_for(size, sum(a) * sum(b) + 1)], dtype=object))
+        product = int(np.prod([m for m, _ in _primes_for(size, sum(a) * sum(b) + 1)], dtype=object))
         for values in (want, ([q - 1, q, q + 1, product - 1, 0] * n)[:n]):
-            residues = _residues(values, size, k)
+            residues = _residues(values, size, 2)
             assert residues.dtype == np.uint32 and _ints(residues) == values
-        moduli = [m for m, _ in _primes_for(size, product + 1)]  # one more prime
-        extended = _residues(rows, size, k + 1)
+        moduli = [m for m, _ in _primes_for(size, product + 1)]  # a third prime
+        extended = _residues(rows, size, 3)
         assert extended.dtype == np.uint32 and extended.tolist() == [[x % m for x in want] for m in moduli]
 
 
