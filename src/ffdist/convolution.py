@@ -17,14 +17,12 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   meet as 16-bit limbs, one row per value: _to_limbs (the explicit CRT) and
   _residues (limbs -> rows) change base through them by exact float64 matrix
   products, _block(k) values at a time, so rows gain primes by way of limbs and
-  _ints reads ints off them.  No step takes a %.  The forward pass is
-  decimation in frequency, the backward one decimation in time on the same
-  uint64 roots (Gentleman & Sande, 1966), so no bit-reversal is applied and
-  backward entry t is N times the inverse at -t mod N.  Each prime's row builds
-  its own N/2 roots and drops them once written.  From length _POOL_MIN_SIZE on,
-  the primes of a product run in a thread pool, one row each (numpy's ufuncs
-  release the GIL); each row is computed alone, so no output can depend on the
-  pool.
+  _ints reads ints off them.  No step takes a %.  One radix-2 Stockham transform,
+  natural order in and out, runs both directions: on its own output it gives N
+  times the input at -t mod N, which is how the inverse is read.  Each prime's row
+  builds its own N/2 roots and drops them once written.  From length _POOL_MIN_SIZE
+  on, the primes of a product run in a thread pool, one row each (numpy's ufuncs
+  release the GIL); each row is computed alone, so no output can depend on the pool.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
     primes = _primes_for(size, total + 1)
     rows_a = _residues(a, size, len(primes))
     rows_b = [None] * len(primes) if b is a else _residues(b, size, len(primes))  # None: a squaring
-    # Rows _residues built (not a view of a's) take the product: _forward copies a
+    # Rows _residues built (not a view of a's) take the product: _transform copies a
     # prime's row before its product row is written, so a squaring holds one array.
     out = rows_a if rows_a.base is None else np.empty_like(rows_a)
     qs, gens = zip(*primes)
@@ -125,9 +123,9 @@ def _product_row(q: int, gen: int, size: int, xa: np.ndarray, xb: np.ndarray | N
     if xb is None) mod q, cyclic of length row.size, on transforms of length size
     whose roots gen**0 .. gen**(size/2 - 1) mod q live only for this row."""
     n, roots = row.size, power_table(gen, size // 2, q).astype(np.uint64)
-    fa = _forward(xa, q, roots)
-    fb = fa if xb is None else _forward(xb, q, roots)
-    y = _backward(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
+    fa = _transform(xa, q, roots)
+    fb = fa if xb is None else _transform(xb, q, roots)
+    y = _transform(_mod(np.multiply(fa, fb, out=fa), q), q, roots)
     # y[t] is size times the linear convolution at -t mod size: read the first 2n
     # entries at -t (entry 2n-1 is 0), wrap to length n (< 2q), scale (< 2q*q), both
     # in uint64 (2q passes 2**32 for q > 2**31), and store the reduced row.
@@ -137,7 +135,7 @@ def _product_row(q: int, gen: int, size: int, xa: np.ndarray, xb: np.ndarray | N
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, q a scalar or a column, as x - (x // q)*q (see the note above _forward)."""
+    """x mod q in place, q a scalar or a column, as x - (x // q)*q (see the note above _transform)."""
     t = np.floor_divide(x, np.uint64(q))
     x -= np.multiply(t, np.uint64(q), out=t)
     return x
@@ -229,16 +227,31 @@ def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
         # past the margin 2**-12 it gives u or u + 1, never u - 1.
         u = np.floor((c / qs).sum(axis=0) + 2.0**-12)
         limbs = (table @ np.vstack((c & 0xFFFF, c >> 16, -u))).astype(np.int64)
-        for _ in range(2):  # the carry out of the top is -1 where u + 1 gave x - Q: add Q back
-            carry = np.zeros(limbs.shape[1], dtype=np.int64)
-            for limb in limbs:
-                limb += carry
-                np.right_shift(limb, 16, out=carry)  # a floor, so negative limbs borrow
-                limb &= 0xFFFF
-            if carry.min() >= 0:
-                break
-            limbs[:-1, carry < 0] += m[k, :, None]
+        top = _carry(limbs)
+        if top.min() < 0:  # the carry out of the top is -1 where u + 1 gave x - Q: add Q back
+            limbs[:-1, top < 0] += m[k, :, None]
+            _carry(limbs)
         yield limbs.T
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """Carry int64 limb rows (least significant first) in place down to 16 bits; the carry
+    out of the top.  The shift is a floor, so negative limbs borrow.  A carry still rippling
+    after a few whole-block passes (through 0xFFFF limbs, as adding Q back does) goes a row at a time."""
+    out = np.zeros(limbs.shape[1], dtype=np.int64)
+    for _ in range(4):
+        carry = limbs >> 16
+        limbs &= 0xFFFF
+        out += carry[-1]
+        if not carry[:-1].any():
+            return out
+        limbs[1:] += carry[:-1]
+    carry = np.zeros_like(out)
+    for limb in limbs[np.argmax((limbs >> 16).any(axis=1)) :]:  # from row 0 if all are settled
+        limb += carry
+        np.right_shift(limb, 16, out=carry)
+        limb &= 0xFFFF
+    return out + carry
 
 
 def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
@@ -260,49 +273,34 @@ def _primes_for(size: int, bound: int) -> list[tuple[int, int]]:
     return pool[:k]
 
 
-# Every operand is below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum x + y or
-# difference x - y + q lies in [0, 2q) and its product with a root below
-# 2*q*q < 2**64.  uint64 holds them all, and x - (x // q)*q is x mod q (numpy
-# divides by a scalar q without a hardware division).  In uint64, x - q wraps
-# past 2**63 exactly when x < q, so min(x, x - q) is x mod q for x < 2q.
-def _forward(x: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
-    """Decimation in frequency of x zero-padded to length 2*len(roots), in a new
-    array: natural order in, bit-reversed out (blocked)."""
-    a, s = np.zeros(2 * roots.size, dtype=np.uint64), np.empty(2 * roots.size, dtype=np.uint64)
-    a[: x.size], q = x, np.uint64(q)
-    for lo, hi, d, e, w in _stages(a, s, roots, range(a.size.bit_length() - 2, -1, -1)):
+# Every operand is below q <= _MAX_NTT_PRIME, so q*q < 2**63: a sum x + y or difference
+# x - y + q lies in [0, 2q) and its product with a root below 2*q*q < 2**64.  uint64 holds
+# them all, and x - (x // q)*q is x mod q (numpy divides by a scalar q without a hardware
+# division).  In uint64, x - q wraps past 2**63 just when x < q: min(x, x - q) is x mod q.
+def _transform(x: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
+    """out[k] = sum_i x[i]*g**(ik) mod q for x zero-padded to N = 2*len(roots) entries,
+    roots = g**0 .. g**(N/2 - 1), in natural order; a uint64 x of length N is overwritten,
+    any other copied.  Run again on its output it gives N*x[-t mod N] at t.  Radix-2
+    Stockham autosort (Cochran et al., 1967): a stage's butterflies run on the contiguous
+    halves of one buffer, with the other's as scratch, then go to the other interleaved."""
+    n = 2 * roots.size
+    if x.size < n or x.dtype != np.uint64:
+        x = np.concatenate((x, np.zeros(n - x.size, dtype=x.dtype)), dtype=np.uint64)
+    a, b, q, h, s = x, np.empty_like(x), np.uint64(q), n // 2, 1
+    while True:
+        lo, hi, e, d = a[:h], a[h:], b[:h], b[h:]
         np.subtract(np.add(lo, q, out=d), hi, out=d)
         lo += hi
         np.minimum(lo, np.subtract(lo, q, out=e), out=lo)
-        np.multiply(d, w, out=hi)
+        if s == h:  # the last stage's root is 1 and its halves are in place
+            np.minimum(d, np.subtract(d, q, out=e), out=hi)
+            return a
+        if s == 2:  # a broadcast over runs of 2 is numpy's slowest loop: take columns
+            for j in (0, 1):
+                np.multiply(d[j::2], roots[::2], out=hi[j::2])
+        else:
+            np.multiply(d.reshape(-1, s), roots[::s, None], out=hi.reshape(-1, s))
         hi -= np.multiply(np.floor_divide(hi, q, out=d), q, out=d)
-    return a
-
-
-def _backward(a: np.ndarray, q: int, roots: np.ndarray) -> np.ndarray:
-    """In-place decimation in time on the forward roots: bit-reversed (blocked) in, natural out."""
-    q, s = np.uint64(q), np.empty_like(a)
-    for lo, hi, t, e, w in _stages(a, s, roots, range(a.size.bit_length() - 1)):
-        np.multiply(hi, w, out=t)
-        t -= np.multiply(np.floor_divide(t, q, out=e), q, out=e)
-        np.subtract(np.add(lo, q, out=hi), t, out=hi)
-        lo += t
-        np.minimum(a, np.subtract(a, q, out=s), out=a)
-    return a
-
-
-def _stages(a: np.ndarray, s: np.ndarray, roots: np.ndarray, levels: range):
-    """Per stage of half-span h = 2**level: the lo and hi halves of each 2h-block,
-    the halves of scratch s, and the roots.  Spans h < t = 2**floor(log2(N)/2)
-    run "blocked", a's 2t-blocks as columns, so no inner loop is short."""
-    n, t = a.size, 1 << (a.size.bit_length() - 1) // 2
-    blocked = 1 << levels[0] < t
-    for h in (1 << level for level in levels):
-        if blocked != (h < t):
-            blocked = h < t
-            m = a.reshape((-1, 2 * t) if blocked else (2 * t, -1)).T
-            s.reshape(m.shape)[...] = m  # through the scratch, so no copy is allocated
-            a[:] = s
-        k = n // (2 * t) if blocked else 1
-        v, w = a.reshape(-1, 2, h, k), s.reshape(2, -1, h, k)
-        yield v[:, 0], v[:, 1], w[0], w[1], roots[:: n // (2 * h), None]
+        out = b.view((np.void, 8 * s)).reshape(-1, 2)  # runs of s entries, one item each
+        out[:, 0], out[:, 1] = lo.view(out.dtype), hi.view(out.dtype)
+        a, b, s = b, a, 2 * s

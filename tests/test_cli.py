@@ -15,7 +15,7 @@ from ffdist.field import PrimeModulus
 from ffdist.sets import random_subset
 from ffdist.spectra import Spectrum, power_spectrum, spectrum_to_csv
 
-from test_convolution import _set_pool
+from test_convolution import _plant, _set_pool
 
 
 def run_cli(capsys, *argv):
@@ -238,17 +238,17 @@ def test_invariant_violation_exits_two(capsys, monkeypatch):
     assert "INVARIANT" in err
 
     # the same from a transform prime's pool thread: the fold of A^40 takes
-    # several primes at length 16, which all run on the pool here
-    from ffdist import convolution
-
+    # several primes at length 16, which all run on the pool here, and each
+    # prime's second transform raises
     _set_pool(monkeypatch, 2, 2)
     threads = []
 
-    def failing(*args):
-        threads.append(threading.current_thread() is threading.main_thread())
-        raise InvariantViolation("synthetic failure on a pool thread")
+    def failing(q, j, out):
+        if j == 2:
+            threads.append(threading.current_thread() is threading.main_thread())
+            raise InvariantViolation("synthetic failure on a pool thread")
 
-    monkeypatch.setattr(convolution, "_backward", failing)
+    _plant(monkeypatch, failing)
     code, _, err = run_cli(capsys, "spectrum", "--p", "7", "--set", "0,1,3", "--n", "40")
     assert code == 2
     assert "INVARIANT" in err and "pool thread" in err

@@ -13,13 +13,13 @@ from ffdist.convolution import (
     _MAX_NTT_PRIME,
     _MAX_PRIMES,
     _POOL_MIN_SIZE,
-    _backward,
+    _carry,
     _direct_cyclic,
-    _forward,
     _ints,
     _ntt_cyclic,
     _primes_for,
     _residues,
+    _transform,
     exact_cyclic,
 )
 from ffdist.errors import GuardExceeded, InvariantViolation
@@ -114,11 +114,11 @@ def _roots(q, gen, size):
 
 
 def test_round_trip_every_prime():
-    # Backward after forward, read at -t, is N * x mod q for every prime of
-    # one multi-prime run per length; the length-2 run starts at the largest
-    # pool prime.  Length 2**15 runs most spans blocked, and an all-(q-1)
-    # input makes every difference x - y + q and every product as large as
-    # they get.
+    # The transform run on its own output, read at -t, is N * x mod q for every
+    # prime of one multi-prime run per length; the length-2 run starts at the
+    # largest pool prime.  Length 2**15 runs every run width of the stages from
+    # 1 to N/4, and an all-(q-1) input makes every difference x - y + q and
+    # every product as large as they get.
     rng = np.random.default_rng(7)
     for size in (2, 4, 1 << 10, 1 << 15):
         primes = _primes_for(size, 1 << 200)
@@ -126,7 +126,7 @@ def test_round_trip_every_prime():
         for q, gen in primes:
             roots = _roots(q, gen, size)
             for x in (rng.integers(0, q, size, dtype=np.uint64), np.full(size, q - 1, dtype=np.uint64)):
-                y = _backward(_forward(x.copy(), q, roots), q, roots)
+                y = _transform(_transform(x.copy(), q, roots), q, roots)
                 assert (y[-np.arange(size) % size] == x * size % q).all()
     assert _primes_for(2, 1 << 200)[0] == _primes_for(2, 2)[0]
 
@@ -139,28 +139,38 @@ def _pool_extremes():
     return convolution._prime_pool[1 << 25][-1][0], _primes_for(2, 2)[0][0]
 
 
-def test_forward_matches_python_transform():
-    # Each output of _forward is one DFT entry sum_i x[i] * g**(i*k) mod q,
-    # taken with Python ints; which k sits where is read off the transform of
-    # the unit vector at 1.  Inputs from {1, 2, q-1, random} on the smallest
-    # and largest prime any pool holds (and the largest at length 64) reach
-    # the largest sums, differences and products the butterflies form.
+def _dft(x, q, gen):
+    """The DFT sum_i x[i] * gen**(i*k) mod q at every k, straight from the
+    definition: the powers are Python ints, every product is below q*q < 2**63
+    and every row sum below len(x)*q < 2**64."""
+    size = len(x)
+    powers = np.array([pow(gen, j, q) for j in range(size)], dtype=np.uint64)
+    x, i, out = np.asarray(x, dtype=np.uint64), np.arange(size), []
+    for ks in np.array_split(np.arange(size), max(1, size // 64)):
+        out += ((powers[np.outer(ks, i) % size] * x % np.uint64(q)).sum(axis=1) % np.uint64(q)).tolist()
+    return out
+
+
+def test_transform_matches_python_dft():
+    # out[k] is the DFT entry sum_i x[i] * g**(i*k) mod q at k itself, and the
+    # transform of the transform is N * x[-t] at t, at every length 2**1 ..
+    # 2**12.  Each length runs on the smallest prime any pool holds and on the
+    # largest prime of its own pool (the length-2 pool's first is the largest
+    # any pool holds); inputs from {1, 2, q-1, random} and all q-1 reach the
+    # largest sums, differences and products the butterflies form.
     rng = random.Random(12)
-    cases = [(q, size) for q in _pool_extremes() for size in (2, 4, 16, 64) if (q - 1) % size == 0]
-    cases.append((_primes_for(64, 2)[0][0], 64))
-    assert len(cases) >= 7
-    for q, size in cases:
-        gen = pow(primitive_root(q), (q - 1) // size, q)
-        roots = _roots(q, gen, size)
-        unit = np.zeros(size, dtype=np.uint64)
-        unit[1] = 1
-        log = {pow(gen, k, q): k for k in range(size)}
-        ks = [log[int(v)] for v in _forward(unit, q, roots)]
-        assert sorted(ks) == list(range(size))
-        values = [1, 2, q - 1, rng.randrange(q)]
-        for x in ([rng.choice(values) for _ in range(size)], [q - 1] * size):
-            got = _forward(np.array(x, dtype=np.uint64), q, roots).tolist()
-            assert got == [sum(v * pow(gen, i * k, q) for i, v in enumerate(x)) % q for k in ks]
+    smallest, largest = _pool_extremes()
+    assert _primes_for(2, 2)[0][0] == largest
+    for size in (1 << e for e in range(1, 13)):
+        for q in (smallest, _primes_for(size, 2)[0][0]):
+            gen = pow(primitive_root(q), (q - 1) // size, q)
+            roots = _roots(q, gen, size)
+            values = [1, 2, q - 1, rng.randrange(q)]
+            for x in ([rng.choice(values) for _ in range(size)], [q - 1] * size):
+                got = _transform(np.array(x, dtype=np.uint64), q, roots)
+                assert got.tolist() == _dft(x, q, gen)
+                again = _transform(got, q, roots)
+                assert again[-np.arange(size) % size].tolist() == [v * size % q for v in x]
 
 
 def test_butterfly_bounds_hold_for_every_pool_prime():
@@ -375,13 +385,13 @@ def test_float64_bound_edge():
 
 def _count_transforms(monkeypatch):
     calls = []
-    real = convolution._forward
+    real = convolution._transform
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(convolution, "_forward", counted)
+    monkeypatch.setattr(convolution, "_transform", counted)
     return calls
 
 
@@ -428,7 +438,7 @@ def test_residue_rows_match_python_mod(n, bits, seed):
     row = _residues(a, 64, 1)[0]
     padded = np.zeros(64, dtype=np.uint64)
     padded[:n] = row
-    assert _forward(row, q, roots).tolist() == _forward(padded, q, roots).tolist()
+    assert _transform(row, q, roots).tolist() == _transform(padded, q, roots).tolist()
 
 
 @SETTINGS
@@ -480,6 +490,26 @@ def _spy_threads(monkeypatch):
     return threads
 
 
+def _plant(monkeypatch, fault):
+    """Patch _transform to record each call's prime, in order, and to pass the
+    j-th call on prime q (j from 1) through fault(q, j, out) once it returns,
+    which may change out or raise.  A prime's calls follow each other on one
+    thread, so j does not depend on the pool: in a squaring, j = 2 is the
+    prime's backward pass."""
+    real, calls, lock = convolution._transform, [], threading.Lock()
+
+    def planted(x, q, roots):
+        out = real(x, q, roots)
+        with lock:
+            calls.append(q)
+            j = calls.count(q)
+        fault(q, j, out)
+        return out
+
+    monkeypatch.setattr(convolution, "_transform", planted)
+    return calls
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_pooled_rows_equal_serial_rows(monkeypatch, workers):
     # With the cutoff lowered to length 2**10, a product of n = 257 (length
@@ -527,49 +557,47 @@ def test_pool_starts_at_its_cutoff(monkeypatch):
 
 
 def test_an_error_in_one_worker_surfaces(monkeypatch):
-    # An InvariantViolation raised on a pool thread, in one prime's transform,
-    # is raised by the product itself.
-    _set_pool(monkeypatch, 2, 2)
-    real, raised = convolution._backward, []
+    # An InvariantViolation raised in one prime's second transform (its
+    # backward pass) is raised by the product itself, from the calling thread
+    # with one worker and from a pool thread with two.
     x = [1 << 40] * 600
     second = _primes_for(2048, sum(x) ** 2 + 1)[1][0]
+    for workers in (1, 2):
+        raised = []
 
-    def failing(a, q, roots):
-        if q == second:
-            raised.append(threading.current_thread() is threading.main_thread())
-            raise InvariantViolation("planted in one worker")
-        return real(a, q, roots)
+        def failing(q, j, out):
+            if q == second and j == 2:
+                raised.append(threading.current_thread() is threading.main_thread())
+                raise InvariantViolation("planted in one worker")
 
-    monkeypatch.setattr(convolution, "_backward", failing)
-    with pytest.raises(InvariantViolation, match="planted in one worker"):
-        _ntt_cyclic(x, x, sum(x) ** 2)
-    assert raised == [False]
+        with monkeypatch.context() as m:
+            _set_pool(m, 2, workers)
+            _plant(m, failing)
+            with pytest.raises(InvariantViolation, match="planted in one worker"):
+                _ntt_cyclic(x, x, sum(x) ** 2)
+        assert raised == [workers == 1]
 
 
 def test_a_planted_error_in_one_prime_row_is_caught(monkeypatch):
-    # One coefficient off in one prime's backward transform moves that row's
-    # sum off sum(a)*sum(b) mod q; the product must not return, at the real
-    # cutoff and with every length on a pool of 1 or 2 workers.
-    real, x = convolution._backward, [1 << 40] * 600
+    # One coefficient off in the second prime's second transform (its backward
+    # pass) moves that row's sum off sum(a)*sum(b) mod q; the product must not
+    # return, at the real cutoff and with every length on a pool of 1 or 2
+    # workers.
+    x = [1 << 40] * 600
+    second = _primes_for(2048, sum(x) ** 2 + 1)[1][0]
+
+    def off_by_one(q, j, out):
+        if q == second and j == 2:
+            out[0] = (out[0] + 1) % q
+
     for workers in (None, 1, 2):
-        calls, lock = [], threading.Lock()
-
-        def planted(a, q, roots):
-            out = real(a, q, roots)
-            with lock:
-                calls.append(q)
-                second = len(calls) == 2
-            if second:
-                out[0] = (out[0] + 1) % q
-            return out
-
         with monkeypatch.context() as m:
             if workers:
                 _set_pool(m, 2, workers)
-            m.setattr(convolution, "_backward", planted)
+            calls = _plant(m, off_by_one)
             with pytest.raises(InvariantViolation, match="transform prime"):
                 exact_cyclic(x, x)
-        assert len(calls) >= 2
+        assert calls.count(second) == 2
 
 
 def test_explicit_crt_u_is_corrected_at_both_ends():
@@ -599,6 +627,25 @@ def test_explicit_crt_u_is_corrected_at_both_ends():
             if size == 2:
                 i = j % len(xs)
                 assert _ints(rows[:j, i : i + 1].astype(np.uint64)) == [xs[i]]
+
+
+def test_carry_matches_python_ints():
+    # _carry leaves 16-bit limbs and a carry out of the top row that keep the
+    # value sum_i r_i * 2**(16i) of signed int64 rows r.  Rows from a few bits
+    # to 2**45 settle in one to several whole-block passes; runs of 0xFFFF with
+    # a +1 below and of 0 with a -1 below ripple past the passes to the top.
+    rng = random.Random(21)
+    cases = [np.array([[rng.randrange(-(1 << b), 1 << b) for _ in range(5)] for _ in range(n)])
+             for n in (1, 2, 7, 40) for b in (3, 17, 30, 45)]
+    cases += [np.array([[1 << 16] + [0xFFFF] * 30, [-1] + [0] * 30, [5] * 31]).T]
+    for rows in cases:
+        width = rows.shape[0]
+        want = [sum(int(v) << (16 * i) for i, v in enumerate(column)) for column in rows.T]
+        limbs = rows.astype(np.int64)
+        top = _carry(limbs)
+        assert ((limbs >= 0) & (limbs <= 0xFFFF)).all()
+        got = [sum(int(v) << (16 * i) for i, v in enumerate(column)) + (int(t) << (16 * width)) for column, t in zip(limbs.T, top)]
+        assert got == want
 
 
 def test_base_change_reads_its_rows_without_writing_them():

@@ -33,6 +33,7 @@ from oracles import (
     materialize_power,
     sphere_counts,
 )
+from test_convolution import _plant, _set_pool
 from test_set_properties import SETTINGS
 
 P5 = PrimeModulus(5)
@@ -409,22 +410,24 @@ def test_residue_errors_in_a_fold_are_caught(monkeypatch):
     rows = convolution._ntt_cyclic(x, x, X.total**2)
     with pytest.raises(InvariantViolation, match="forced combinatorial total"):
         Spectrum(P7, rows, expected_total=X.total**2 + 1).counts
-    # X*X takes 3 primes, (X*X)**2 six more: the fifth backward transform is
-    # a prime of a product of rows.  One coefficient off in its row moves
-    # that row's sum, and the product does not return.
-    real, calls = convolution._backward, []
+    # X*X takes 3 primes, (X*X)**2 six: the fifth backward pass is the second
+    # prime's second transform in the product of rows, its fourth call.  One
+    # coefficient off in its row moves that row's sum, and the product does
+    # not return, serially and with the pool forced on.
+    second = convolution._primes_for(16, 2**93)[1][0]
 
-    def planted(a, q, roots):
-        out = real(a, q, roots)
-        calls.append(q)
-        if len(calls) == 5:
+    def off_by_one(q, j, out):
+        if q == second and j == 4:
             out[3] = (out[3] + 1) % q
-        return out
 
-    monkeypatch.setattr(convolution, "_backward", planted)
-    with pytest.raises(InvariantViolation, match="transform prime"):
-        fold(X, 4)
-    assert len(calls) == 9  # raised once that product's six primes were done
+    for workers in (None, 2):
+        with monkeypatch.context() as m:
+            if workers:
+                _set_pool(m, 2, workers)
+            calls = _plant(m, off_by_one)
+            with pytest.raises(InvariantViolation, match="transform prime"):
+                fold(X, 4)
+        assert len(calls) == 18  # raised once that product's six primes were done
 
 
 def _rows_spectrum(p, bits, depth, seed):
