@@ -10,24 +10,26 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   the bound, so either is exact, in any order of summation.  Its cost is
   O(n^2); the cutoff is measured against the transforms (README).
 * transform tier, otherwise: number-theoretic transforms modulo primes
-  q = 1 (mod N) below 2**31.5, N <= _MAX_SIZE the power-of-two length, taken
-  in order from one pool per N until their product exceeds the bound.  Out
-  come residue rows, one uint32 row of length n per prime (the transforms run
-  in uint64), each row's sum checked against the bound mod q.  Ints and residues
-  meet as 16-bit limbs, one row per value: _to_limbs (the explicit CRT) and
-  _residues (limbs -> rows) change base through them by exact float64 matrix
-  products, _block(k) values at a time, so rows gain primes by way of limbs and
-  _ints reads ints off them.  No step takes a %.  One radix-2 Stockham transform,
-  natural order in and out, runs both directions: on its own output it gives N
-  times the input at -t mod N, which is how the inverse is read.  Each prime's row
-  builds its own N/2 roots and drops them once written.  From length _POOL_MIN_SIZE
-  on, the primes of a product run in a thread pool, one row each (numpy's ufuncs
-  release the GIL); each row is computed alone, so no output can depend on the pool.
+  q = 1 (mod N) below 2**31.5.  _plan alone picks N <= _MAX_SIZE, the power-of-two
+  length, the first primes of N's pool whose product exceeds the bound, and the
+  threads.  Out come _Rows: one uint32 row of length n per prime (the transforms
+  run in uint64), each row's sum checked against the bound mod q, and the primes
+  the rows are read against.  Ints and residues meet as 16-bit limbs, one row per
+  value: _to_limbs (the explicit CRT) and _residues (limbs -> rows) change base
+  through them by exact float64 matrix products, _block(k) values at a time, so
+  rows move to other primes by way of limbs and _ints reads ints off them.  No
+  step takes a %.  One radix-2 Stockham transform, natural order in and out,
+  runs both directions: on its own output it gives N times the input at -t mod
+  N, which is how the inverse is read.  Each prime's row builds its own N/2
+  roots and drops them once written.  From length _POOL_MIN_SIZE on, the primes
+  of a product run in a thread pool, one row each (numpy's ufuncs release the
+  GIL); each row is computed alone, so no output can depend on the pool.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,11 @@ _BLOCK = 95 * 256  # float64 entries per base-change matrix (0.2 MB): 256 values
 _POOL_MIN_SIZE = 1 << 16  # shortest transform whose primes run in a thread pool (measured, README)
 
 _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_order_N)]
+
+
+class _Rows(NamedTuple):
+    array: np.ndarray  # (k, n), uint32 as a product leaves it: row i holds n values mod moduli[i]
+    moduli: tuple[int, ...]  # k primes, whose product the values are below
 
 
 def _within_engine(modulus: PrimeModulus) -> int:
@@ -67,14 +74,9 @@ def _cyclic(a, b, total: int):
     is their product."""
     if total == 0:
         return [0] * len(a)
-    if total < 1 << 63 and not _is_rows(a) and len(a) <= _DIRECT_MAX_LEN:
+    if total < 1 << 63 and not isinstance(a, _Rows) and len(a) <= _DIRECT_MAX_LEN:
         return _direct_cyclic(a, b, total)
     return _ntt_cyclic(a, b, total)
-
-
-def _is_rows(x) -> bool:
-    """Whether x is residue rows, a 2-D array, rather than a list or 1-D array."""
-    return isinstance(x, np.ndarray) and x.ndim == 2
 
 
 def _direct_cyclic(a, b, total: int):
@@ -88,19 +90,24 @@ def _direct_cyclic(a, b, total: int):
     return out.tolist() if isinstance(a, list) else out
 
 
-def _ntt_cyclic(a, b, total: int) -> np.ndarray:
-    """The transform tier on lists, 1-D int64 arrays or rows: the product's residue rows."""
-    n = a.shape[-1] if isinstance(a, np.ndarray) else len(a)
+def _plan(n: int, total: int) -> tuple[int, list[tuple[int, int]], int]:
+    """A length-n product's transform length N, its primes (the first of N's pool whose
+    product exceeds total = sum(a)*sum(b), with generators of order N) and its threads."""
     size = 1 << (2 * n - 1).bit_length()
     primes = _primes_for(size, total + 1)
-    rows_a = _residues(a, size, len(primes))
-    rows_b = [None] * len(primes) if b is a else _residues(b, size, len(primes))  # None: a squaring
+    return size, primes, min(len(primes), _cpus()) if size >= _POOL_MIN_SIZE else 1
+
+
+def _ntt_cyclic(a, b, total: int) -> _Rows:
+    """The transform tier on lists, 1-D int64 arrays or rows: the product's rows."""
+    size, primes, workers = _plan(a.array.shape[1] if isinstance(a, _Rows) else len(a), total)
+    qs, gens = zip(*primes)
+    rows_a = _residues(a, qs).array
+    rows_b = [None] * len(qs) if b is a else _residues(b, qs).array  # None: a squaring
     # Rows _residues built (not a view of a's) take the product: _transform copies a
     # prime's row before its product row is written, so a squaring holds one array.
     out = rows_a if rows_a.base is None else np.empty_like(rows_a)
-    qs, gens = zip(*primes)
     args = (qs, gens, [size] * len(qs), rows_a, rows_b, out)
-    workers = min(len(qs), _cpus()) if size >= _POOL_MIN_SIZE else 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -110,7 +117,7 @@ def _ntt_cyclic(a, b, total: int) -> np.ndarray:
         list(map(_product_row, *args))
     if [int(s) % q for q, s in zip(qs, out.sum(axis=1))] != [total % q for q in qs]:
         raise InvariantViolation(f"a product's rows do not sum to {total} mod every transform prime")
-    return out
+    return _Rows(out, qs)
 
 
 def _cpus() -> int:
@@ -154,21 +161,22 @@ def _digits(a) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u2").reshape(len(a), width)
 
 
-def _residues(src, size: int, k: int) -> np.ndarray:
-    """Rows of src mod the first k primes of the length-size pool; src is a list or
-    1-D int64 array of non-negative ints, or rows of values below their primes'
-    product.  Limbs -> residues: the L limbs of each value against the 16-bit halves
-    of 2**(16i) mod q in float64, exact since L*2**32 < 2**53 for the L <= 2k + 4
-    limbs of a value below k primes' product (an entry is below the bound they
-    pass), then a reduction."""
-    moduli = [q for q, _ in _prime_pool[size][:k]]
-    j = len(src) if _is_rows(src) else 0
-    if j >= k:
-        return src[:k]
-    block = _block(k)
-    if j:
-        blocks, out = _to_limbs(src, moduli[:j], block), np.empty((k, src.shape[1]), dtype=np.uint32)
-        out[:j] = src
+def _residues(src, moduli) -> _Rows:
+    """Rows of src mod the primes moduli; src is a list or 1-D int64 array of
+    non-negative ints, or _Rows, whose rows for the primes that both runs start
+    with are kept (a view if those are all of moduli).  Limbs -> residues: the L
+    limbs of each value against the 16-bit halves of 2**(16i) mod q in float64,
+    exact since L*2**32 < 2**53 for the L <= 2k + 4 limbs of a value below k <=
+    _MAX_PRIMES primes' product, then a reduction."""
+    moduli, k, j, block = tuple(moduli), len(moduli), 0, _block(len(moduli))
+    if isinstance(src, _Rows):
+        j = min(k, len(src.moduli))
+        while src.moduli[:j] != moduli[:j]:
+            j -= 1
+        if j == k:
+            return _Rows(src.array[:k], moduli)
+        blocks, out = _to_limbs(*src, block), np.empty((k, src.array.shape[1]), dtype=np.uint32)
+        out[:j] = src.array[:j]
     else:
         digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint32)
         blocks = (digits[s : s + block] for s in range(0, len(src), block))
@@ -179,16 +187,15 @@ def _residues(src, size: int, k: int) -> np.ndarray:
             halves = np.vstack((powers & 0xFFFF, powers >> 16)).astype(np.float64)
         lo, hi = np.split((halves @ limbs.T.astype(np.float64)).astype(np.uint64), 2)
         out[j:, s : s + block] = _mod((_mod(hi, qs) << 16) + lo, qs)  # below 2**48 + 2**53
-    return out
+    return _Rows(out, moduli)
 
 
-def _ints(rows: np.ndarray) -> list[int]:
+def _ints(rows: _Rows) -> list[int]:
     """The Python ints behind rows, formed from their limbs _block(k) at a time."""
-    k, n = rows.shape
-    if k == 1:  # values below one prime are their residues
-        return rows[0].tolist()
+    if len(rows.moduli) == 1:  # values below one prime are their residues
+        return rows.array[0].tolist()
     out = []
-    for limbs in _to_limbs(rows, [q for q, _ in _prime_pool[1 << (2 * n - 1).bit_length()][:k]], _block(k)):
+    for limbs in _to_limbs(*rows, _block(len(rows.moduli))):
         raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
         out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
     return out
@@ -213,14 +220,7 @@ def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
     table = np.zeros((m.shape[1] + 1, 2 * k + 1))  # columns: Q/q_i, Q/q_i a limb up, Q
     table[:-1, :k], table[1:, k:-1], table[:-1, -1] = m[:k].T, m[:k].T, m[k]
     qs = np.array(moduli, dtype=np.uint64)[:, None]
-    # (Q/q_i) mod q_i: multiply the columns of t[i, l] = q_l (1 at l = i) in pairs mod q_i
-    # down to one (entries below 2**31.5, products below 2**63), then invert small ints.
-    t = np.repeat(qs.T, k, axis=0)
-    np.fill_diagonal(t, 1)
-    while t.shape[1] > 1:
-        h = t.shape[1] // 2
-        t = np.hstack((_mod(t[:, :h] * t[:, h : 2 * h], qs), t[:, 2 * h :]))
-    inverses = np.array([pow(x, -1, q) for x, q in zip(t[:, 0].tolist(), moduli)], dtype=np.uint64)[:, None]
+    inverses = np.array([pow(c % q, -1, q) for c, q in zip(cofactors, moduli)], dtype=np.uint64)[:, None]
     for s in range(0, rows.shape[1], block):
         c = _mod(rows[:, s : s + block] * inverses, qs)  # products below q*q < 2**63
         # The float sum of k terms below 1 is off by less than k*k*2**-53 < 2**-13, so

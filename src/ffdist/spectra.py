@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _cyclic, _ints, _is_rows, _within_engine, exact_cyclic
+from .convolution import _cyclic, _ints, _Rows, _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, WeightedPointSet, _Lines, _text, bilinear_counts
@@ -22,14 +22,14 @@ GENERAL_SPECTRUM_GUARD = 100_000
 
 class Spectrum:
     """Exact count function F_p -> N with a cached total.  The counts may be held as
-    a 1-D int64 array, or as the engine's residue rows (their sums checked mod each
-    prime), until first read."""
+    a 1-D int64 array, or as the engine's _Rows (their sums checked mod each of
+    their primes), until first read."""
 
     __slots__ = ("modulus", "total", "_held")
 
     def __init__(self, modulus: PrimeModulus, counts, expected_total: int | None = None):
         self.modulus, self.total, self._held = modulus, expected_total, counts
-        if not _is_rows(counts):
+        if not isinstance(counts, _Rows):
             if len(counts) != modulus.p:
                 raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
             if isinstance(counts, np.ndarray):
@@ -46,7 +46,7 @@ class Spectrum:
 
     @property
     def counts(self) -> list[int]:
-        if _is_rows(self._held):
+        if isinstance(self._held, _Rows):
             ints = _ints(self._held)
             self._keep(ints, sum(ints))
         elif isinstance(self._held, np.ndarray):  # its total was checked when it was held

@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 import threading
@@ -17,8 +18,10 @@ from ffdist.convolution import (
     _direct_cyclic,
     _ints,
     _ntt_cyclic,
+    _plan,
     _primes_for,
     _residues,
+    _Rows,
     _transform,
     exact_cyclic,
 )
@@ -209,8 +212,8 @@ def test_a_product_leaves_no_transform_memory_behind(monkeypatch):
                 left = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-        assert rows.shape == (24, 1 << 14)
-        assert rows.nbytes <= left <= rows.nbytes + (64 << 10)
+        assert rows.array.shape == (24, 1 << 14)
+        assert rows.array.nbytes <= left <= rows.array.nbytes + (64 << 10)
         del rows
 
 
@@ -224,11 +227,11 @@ def test_the_base_change_working_set_is_bounded():
     import tracemalloc
 
     n, size, limit = 9973, 1 << 15, 5 * 95 * 256 * 8
-    moduli = [q for q, _ in _primes_for(size, 1 << (31 * 47))][:47]
+    moduli = tuple(q for q, _ in _primes_for(size, 1 << (31 * 47)))[:47]
     rng = np.random.default_rng(47)
     rows = np.array([rng.integers(0, q, n) for q in moduli], dtype=np.uint32)
     outs = []
-    for call in (lambda: _ints(rows), lambda: _residues(rows[:24], size, 47)):
+    for call in (lambda: _ints(_Rows(rows, moduli)), lambda: _residues(_Rows(rows[:24], moduli[:24]), moduli)):
         tracemalloc.start()
         try:
             outs.append(call())
@@ -237,7 +240,7 @@ def test_the_base_change_working_set_is_bounded():
             tracemalloc.stop()
         assert peak - held <= limit
     ints, extended = outs
-    assert (_residues(ints, size, 47) == rows).all() and (extended[:24] == rows[:24]).all()
+    assert (_residues(ints, moduli).array == rows).all() and (extended.array[:24] == rows[:24]).all()
 
 
 def test_products_at_the_top_of_the_prime_range():
@@ -259,14 +262,37 @@ def test_products_at_the_top_of_the_prime_range():
         a[0] = a[-1] = 1
         rows = _ntt_cyclic(a, b, sum(a) * sum(b))
         want = cyclic_schoolbook(a, b)
-        assert rows.dtype == np.uint32 and len(rows) == 2 and _ints(rows) == want
+        assert rows.array.dtype == np.uint32 and len(rows.moduli) == 2 and _ints(rows) == want
         product = int(np.prod([m for m, _ in _primes_for(size, sum(a) * sum(b) + 1)], dtype=object))
         for values in (want, ([q - 1, q, q + 1, product - 1, 0] * n)[:n]):
-            residues = _residues(values, size, 2)
-            assert residues.dtype == np.uint32 and _ints(residues) == values
+            residues = _residues(values, rows.moduli)
+            assert residues.array.dtype == np.uint32 and _ints(residues) == values
         moduli = [m for m, _ in _primes_for(size, product + 1)]  # a third prime
-        extended = _residues(rows, size, 3)
-        assert extended.dtype == np.uint32 and extended.tolist() == [[x % m for x in want] for m in moduli]
+        extended = _residues(rows, moduli)
+        assert extended.array.dtype == np.uint32
+        assert extended.array.tolist() == [[x % m for x in want] for m in moduli]
+
+
+def test_energy_deep_fold_chain_plans_without_running():
+    # dot_energy at p = 9973, |A| = 3000, d = 64 squares a length-9973 spectrum
+    # of total 3000**2 six times; the e-th squaring's total is (3000**2)**(2**e).
+    # Its plans need no transform: every one is length 2**15 on one thread (below
+    # _POOL_MIN_SIZE), on the first 2, 3, 6, 12, 24 and 47 primes of one pool.
+    plans = [_plan(9973, (3000**2) ** (2**e)) for e in range(1, 7)]
+    assert [(size, workers) for size, _, workers in plans] == [(1 << 15, 1)] * 6
+    assert [len(primes) for _, primes, _ in plans] == [2, 3, 6, 12, 24, 47]
+    assert all(primes == plans[-1][1][: len(primes)] for _, primes, _ in plans)
+
+
+def test_convolution_exposes_one_public_function():
+    # Every public module-level function of convolution gets a traced span per
+    # call under perfbench (spans.install), so the engine's helpers stay private.
+    public = {
+        name
+        for name, fn in vars(convolution).items()
+        if inspect.isfunction(fn) and fn.__module__ == convolution.__name__ and not name.startswith("_")
+    }
+    assert public == {"exact_cyclic"}
 
 
 def test_zero_inputs():
@@ -429,13 +455,13 @@ def test_residue_rows_match_python_mod(n, bits, seed):
     a[rng.randrange(n)] |= 1 << (bits - 1)
     for size, bound in ((1 << 10, 1 << 200), (2, 2)):
         primes = [q for q, _ in _primes_for(size, bound)]
-        rows = _residues(a, size, len(primes))
-        assert rows.shape == (len(primes), n)
-        assert rows.tolist() == [[x % q for x in a] for q in primes]
+        rows = _residues(a, primes)
+        assert rows.array.shape == (len(primes), n) and rows.moduli == tuple(primes)
+        assert rows.array.tolist() == [[x % q for x in a] for q in primes]
     # the transform zero-pads a row to its length: rows carry no padding
     q, gen = _primes_for(64, 2)[0]
     roots = _roots(q, gen, 64)
-    row = _residues(a, 64, 1)[0]
+    row = _residues(a, [q]).array[0]
     padded = np.zeros(64, dtype=np.uint64)
     padded[:n] = row
     assert _transform(row, q, roots).tolist() == _transform(padded, q, roots).tolist()
@@ -458,18 +484,18 @@ def test_garner_and_base_extension_match_python_crt(n, bits, seed):
     a = [rng.getrandbits(bits) for _ in range(n)]
     size = 1 << (2 * n - 1).bit_length()
     moduli = [q for q, _ in _primes_for(size, 1 << bits)]
-    moduli = [q for q, _ in _primes_for(size, (1 << bits) * moduli[-1])]
+    moduli = tuple(q for q, _ in _primes_for(size, (1 << bits) * moduli[-1]))
     rows = np.array([[x % q for x in a] for q in moduli], dtype=np.uint64)
     product = 1
     for j, q in enumerate(moduli, 1):
         product *= q
         want = [x % product for x in a]
-        assert _ints(rows[:j].copy()) == want
+        assert _ints(_Rows(rows[:j].copy(), moduli[:j])) == want
         given_rows = rows[:j].copy()
-        extended = _residues(given_rows, size, len(moduli))
-        assert extended.tolist() == [[x % q for x in want] for q in moduli]
+        extended = _residues(_Rows(given_rows, moduli[:j]), moduli)
+        assert extended.array.tolist() == [[x % q for x in want] for q in moduli]
         assert (given_rows == rows[:j]).all()
-    assert _ints(rows.copy()) == a
+    assert _ints(_Rows(rows.copy(), moduli)) == a
 
 
 def _set_pool(monkeypatch, min_size, workers):
@@ -531,10 +557,10 @@ def test_pooled_rows_equal_serial_rows(monkeypatch, workers):
                     _set_pool(monkeypatch, 1 << 10, workers)
                     threads.clear()
                     pooled = _ntt_cyclic(a, b, sum(a) * sum(b))
-                    assert pooled.tolist() == serial.tolist()
+                    assert pooled.array.tolist() == serial.array.tolist() and pooled.moduli == serial.moduli
                     assert _ints(pooled) == cyclic_schoolbook(a, b)
-                    assert threads == ({False} if n > 256 and workers > 1 and len(pooled) > 1 else {True})
-                    counts.add(len(pooled))
+                    assert threads == ({False} if n > 256 and workers > 1 and len(pooled.moduli) > 1 else {True})
+                    counts.add(len(pooled.moduli))
     finally:
         sys.setswitchinterval(interval)
     assert counts == {1, 2, 3, 4, 9}
@@ -552,7 +578,7 @@ def test_pool_starts_at_its_cutoff(monkeypatch):
             a[i] = rng.getrandbits(40)
         threads.clear()
         rows = _ntt_cyclic(a, b, sum(a) * sum(b))
-        assert len(rows) == 3 and _ints(rows) == cyclic_schoolbook(a, b)
+        assert len(rows.moduli) == 3 and _ints(rows) == cyclic_schoolbook(a, b)
         assert threads == {not pooled}
 
 
@@ -612,7 +638,7 @@ def test_explicit_crt_u_is_corrected_at_both_ends():
     # Python-int CRT of each prefix extends that of the prefix before.
     rng = random.Random(16)
     for size, count in ((2, 400), (1 << 15, 60)):
-        moduli = [q for q, _ in _primes_for(size, 1 << (31 * count))]
+        moduli = tuple(q for q, _ in _primes_for(size, 1 << (31 * count)))
         drawn = [[rng.randrange(q) for q in moduli] for _ in range(2)]
         # Q is odd, so Q // 2 = (Q - 1)/2, which is (q - 1)/2 mod every prime q of Q
         rows = np.array([[0, 1, q - 1, (q - 1) // 2, *(r[i] for r in drawn)] for i, q in enumerate(moduli)])
@@ -621,12 +647,12 @@ def test_explicit_crt_u_is_corrected_at_both_ends():
             crt = [x + product * ((r[j - 1] - x) * pow(product, -1, q) % q) for x, r in zip(crt, drawn)]
             product *= q
             xs = [0, 1, product - 1, product // 2, *crt]
-            extended = _residues(rows[:j].astype(np.uint64), size, j + 1)
+            extended = _residues(_Rows(rows[:j].astype(np.uint64), moduli[:j]), moduli[: j + 1]).array
             assert extended[:j].tolist() == rows[:j].tolist()
             assert extended[j].tolist() == [x % moduli[j] for x in xs]
             if size == 2:
                 i = j % len(xs)
-                assert _ints(rows[:j, i : i + 1].astype(np.uint64)) == [xs[i]]
+                assert _ints(_Rows(rows[:j, i : i + 1].astype(np.uint64), moduli[:j])) == [xs[i]]
 
 
 def test_carry_matches_python_ints():
@@ -653,11 +679,11 @@ def test_base_change_reads_its_rows_without_writing_them():
     rng = random.Random(9)
     a = [rng.getrandbits(300) for _ in range(40)]
     rows = _ntt_cyclic(a, a, sum(a) ** 2)
-    before = rows.copy()
+    before = rows.array.copy()
     want = cyclic_schoolbook(a, a)
     assert _ints(rows) == want
-    assert (rows == before).all()
-    extended = _residues(rows, 128, len(_primes_for(128, sum(a) ** 2 << 100)))
-    assert len(extended) > len(rows)
-    assert (rows == before).all() and (extended[: len(rows)] == before).all()
+    assert (rows.array == before).all()
+    extended = _residues(rows, [q for q, _ in _primes_for(128, sum(a) ** 2 << 100)])
+    assert len(extended.moduli) > len(rows.moduli)
+    assert (rows.array == before).all() and (extended.array[: len(before)] == before).all()
     assert _ints(extended) == want

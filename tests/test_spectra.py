@@ -389,11 +389,11 @@ def test_fold_matches_repeated_schoolbook(p, bits):
 def test_residue_backed_spectrum_forms_its_ints_once(monkeypatch):
     calls = []
     real = spectra._ints
-    monkeypatch.setattr(spectra, "_ints", lambda rows: calls.append(rows.shape) or real(rows))
+    monkeypatch.setattr(spectra, "_ints", lambda rows: calls.append(rows.array.shape) or real(rows))
     rng = SplitMix64(3)
     X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
     lazy = fold(X, 4)
-    assert isinstance(lazy._held, np.ndarray) and not calls
+    assert isinstance(lazy._held, convolution._Rows) and not calls
     eager = Spectrum(P7, _schoolbook_folds(X.counts)[4], expected_total=X.total**4)
     assert lazy.total == eager.total and not calls
     assert lazy.counts == eager.counts
@@ -430,30 +430,60 @@ def test_residue_errors_in_a_fold_are_caught(monkeypatch):
         assert len(calls) == 18  # raised once that product's six primes were done
 
 
+def test_a_fold_holds_rows_on_its_last_plans_primes(monkeypatch):
+    # fold(X, 4) of seven 40-bit counts ends on a squaring of 2**160-sized
+    # totals: its rows carry the six primes that product's plan picked.
+    plans, real = [], convolution._plan
+    monkeypatch.setattr(convolution, "_plan", lambda n, total: plans.append(real(n, total)) or plans[-1])
+    rng = SplitMix64(4)
+    X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
+    rows = fold(X, 4)._held
+    last = tuple(q for q, _ in plans[-1][1])
+    assert isinstance(rows, convolution._Rows) and len(last) == 6
+    assert rows.moduli == last and rows.array.shape == (6, 7)
+
+
+def test_rows_are_read_against_the_primes_they_carry():
+    # Counts taken mod the primes of the length-64 pool, which a length-7
+    # product (length 16) does not use: .counts reads them against their own
+    # primes, and so does a product, which moves them to its own primes.
+    counts = [5 * 10**11, 1, 2, 3, 4, 0, 9]
+    moduli = [q for q, _ in convolution._primes_for(64, sum(counts) + 1)]
+    assert moduli != [q for q, _ in convolution._primes_for(16, sum(counts) + 1)]
+
+    def held():
+        return Spectrum(P7, convolution._residues(counts, moduli), expected_total=sum(counts))
+
+    assert held().counts == counts
+    square = cyclic_convolve(held(), held())
+    assert square.counts == cyclic_schoolbook(counts, counts)
+    assert cyclic_convolve(held(), Spectrum(P7, counts)).counts == cyclic_schoolbook(counts, counts)
+
+
 def _rows_spectrum(p, bits, depth, seed):
     """A spectrum held as residue rows that already carry every prime its depth-fold
     needs, so each product's _residues returns a view of the caller's rows."""
     rng = SplitMix64(seed)
     counts = [rng.randbelow(1 << bits) for _ in range(p)]
     size = 1 << (2 * p - 1).bit_length()
-    k = len(convolution._primes_for(size, sum(counts) ** depth + 1))
-    return Spectrum(PrimeModulus(p), convolution._residues(counts, size, k), expected_total=sum(counts)), counts
+    moduli = [q for q, _ in convolution._primes_for(size, sum(counts) ** depth + 1)]
+    return Spectrum(PrimeModulus(p), convolution._residues(counts, moduli), expected_total=sum(counts)), counts
 
 
 def test_a_product_never_writes_over_rows_it_did_not_build():
     # S's rows carry enough primes for S * S, so the product reads a view of
     # them: it must write into rows of its own.
     X, counts = _rows_spectrum(101, 40, 2, seed=1)
-    before = X._held.copy()
+    before = X._held.array.copy()
     square = cyclic_convolve(X, X)
-    assert (X._held == before).all()
+    assert (X._held.array == before).all()
     assert square.counts == cyclic_schoolbook(counts, counts)
     # With too few primes, the product extends them into rows it built and
     # writes over those; the caller's rows still stay as they were.
     Y, small = _rows_spectrum(101, 20, 1, seed=2)
-    before = Y._held.copy()
+    before = Y._held.array.copy()
     assert cyclic_convolve(Y, Y).counts == cyclic_schoolbook(small, small)
-    assert len(before) == 1 and (Y._held == before).all()
+    assert len(before) == 1 and (Y._held.array == before).all()
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -461,12 +491,12 @@ def test_fold_with_aliased_result_and_base_keeps_its_input(d):
     # fold's first odd step sets result = base, so the next squaring of base
     # reads the rows result still holds.
     X, counts = _rows_spectrum(13, 30, d, seed=d)
-    before = X._held.copy()
+    before = X._held.array.copy()
     want = counts
     for _ in range(d - 1):
         want = exact_cyclic(want, counts)
     assert fold(X, d).counts == want
-    assert (X._held == before).all() and X.counts == counts
+    assert (X._held.array == before).all() and X.counts == counts
 
 
 def test_length_guard_is_the_engines_longest_transform():
@@ -504,7 +534,7 @@ def test_int64_array_spectrum():
     want, held = counts, set()
     for d in range(1, 9):
         S = fold(Spectrum(P7, np.array(counts, dtype=np.int64)), d)
-        held.add(S._held.ndim)
+        held.add(S._held.array.ndim if isinstance(S._held, convolution._Rows) else S._held.ndim)
         assert S.counts == want and S.total == sum(counts) ** d
         want = exact_cyclic(want, counts)
     assert held == {1, 2}
