@@ -37,6 +37,7 @@ from .sets import (
     WeightedPointSet,
     isotropic_line,
     parse_subset,
+    random_multiset,
     random_pointset,
     random_subset,
 )

@@ -48,6 +48,7 @@ from .sets import (
     WeightedPointSet,
     isotropic_line,
     parse_subset,
+    random_multiset,
     random_pointset,
     random_subset,
     read_set_file,
@@ -332,14 +333,6 @@ def _cmd_encode_check(args) -> tuple[dict, dict]:
     return config, {"encodings": [entry for entry, _, _ in checked.values()], "all_passed": True}
 
 
-def _random_multiset(rng: SplitMix64, modulus: PrimeModulus, dim: int) -> WeightedPointSet:
-    pairs = []
-    for _ in range(1 + rng.randbelow(10)):
-        pt = tuple(rng.randbelow(modulus.p) for _ in range(dim))
-        pairs.append((pt, 1 + rng.randbelow(5)))
-    return WeightedPointSet(modulus, dim, pairs)
-
-
 def _cmd_deviation_check(args) -> tuple[dict, dict]:
     modulus = _modulus(args, "deviation-check needs --p")
     dims = (2, 3) if args.dim == "both" else (int(args.dim),)
@@ -347,8 +340,8 @@ def _cmd_deviation_check(args) -> tuple[dict, dict]:
     for trial in range(args.random_multisets):
         for dim in dims:
             rng = SplitMix64(derive_seed("deviation", modulus.p, args.seed, trial, dim))
-            E = _random_multiset(rng, modulus, dim)
-            F = _random_multiset(rng, modulus, dim)
+            E = random_multiset(rng, modulus, dim, 10, 5)
+            F = random_multiset(rng, modulus, dim, 10, 5)
             report = deviation_check(E, F)
             if not report.passed:
                 raise InvariantViolation(

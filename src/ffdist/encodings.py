@@ -93,18 +93,14 @@ def encode(A: FieldSubset, kind: str, n: int) -> tuple[WeightedPointSet, Weighte
     k = 2 - n % 2
     depth = (n - k) // 2
     base = base_spectrum(A, kind)  # built at depth 0 too, so an unknown form is rejected
-    carried = fold(base, depth) if depth else Spectrum.point_mass(A.modulus, 0)
+    carried = list((fold(base, depth) if depth else Spectrum.point_mass(A.modulus, 0)).items())
     distance = kind == "distance"
-    e_scale, f_scale = (2, -1) if distance else (1, 1)
-    e_pairs, f_pairs = [], []
-    for x in product(A.elements(), repeat=k):
-        norm = sum(c * c for c in x) if distance else 0
-        e_x = tuple(e_scale * c for c in x)
-        f_x = tuple(f_scale * c for c in x)
-        for s, mult in carried.items():
-            e_pairs.append((e_x + (norm + s,), mult))
-            f_pairs.append((f_x + (norm + s,), mult))
-    E = WeightedPointSet(A.modulus, k + 1, e_pairs)
-    F = WeightedPointSet(A.modulus, k + 1, f_pairs)
+    free = [(x, sum(c * c for c in x) if distance else 0) for x in product(A.elements(), repeat=k)]
+
+    def side(scale: int) -> WeightedPointSet:
+        scaled = [(tuple(scale * c for c in x), norm) for x, norm in free]
+        return WeightedPointSet(A.modulus, k + 1, [(y + (norm + s,), m) for y, norm in scaled for s, m in carried])
+
+    E, F = (side(2), side(-1)) if distance else (side(1), side(1))
     assert E.total == F.total == len(A) ** n
     return E, F

@@ -14,7 +14,7 @@ from .energy import bruteforce_spectrum, distance_energy, dot_energy, energy_bru
 from .field import PrimeModulus, additive_character
 from .incidence import PlaneSet, build_proof_instance, count_incidences, verify_proof_instance
 from .rng import SplitMix64
-from .sets import FieldSubset, WeightedPointSet, isotropic_line, parse_subset, random_subset
+from .sets import FieldSubset, WeightedPointSet, isotropic_line, parse_subset, random_multiset, random_subset
 from .spectra import (
     diff_square_spectrum,
     distance_spectrum_general,
@@ -102,16 +102,7 @@ def encodings_selftest() -> list[Check]:
     rng = SplitMix64(3)
     ok2 = ok3 = True
     for _ in range(5):
-        pairs = []
-        for dim in (2, 3):
-            sides = []
-            for _ in range(2):
-                entries = []
-                for _ in range(1 + rng.randbelow(6)):
-                    pt = tuple(rng.randbelow(7) for _ in range(dim))
-                    entries.append((pt, 1 + rng.randbelow(4)))
-                sides.append(WeightedPointSet(PrimeModulus(7), dim, entries))
-            pairs.append(sides)
+        pairs = [[random_multiset(rng, PrimeModulus(7), dim, 6, 4) for _ in range(2)] for dim in (2, 3)]
         ok2 = ok2 and deviation_check(*pairs[0]).passed
         ok3 = ok3 and deviation_check(*pairs[1]).passed
     checks.append(("plane deviation bound", ok2))

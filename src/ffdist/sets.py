@@ -73,7 +73,8 @@ class FieldSubset:
         return f"FieldSubset(p={self.modulus.p}, {{{self.serialize()}}})"
 
     def difference(self, other: "FieldSubset") -> "FieldSubset":
-        self._check_same(other)
+        if other.modulus != self.modulus:
+            raise ValueError("mixed moduli")
         return FieldSubset(self.modulus, set(self._elements).difference(other._elements))
 
     def dilate(self, c: int) -> "FieldSubset":
@@ -85,10 +86,6 @@ class FieldSubset:
     def serialize(self) -> str:
         """Comma-separated canonical elements; parse_subset inverts this."""
         return ",".join(map(str, self))
-
-    def _check_same(self, other: "FieldSubset") -> None:
-        if other.modulus != self.modulus:
-            raise ValueError("mixed moduli")
 
 
 class WeightedPointSet:
@@ -265,6 +262,15 @@ def random_pointset(modulus: PrimeModulus, dim: int, n: int, seed: int) -> Weigh
     indices = np.array(sample_distinct(rng, universe, n), dtype=np.int64)
     points = indices[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64) % p
     return WeightedPointSet.of_points(modulus, dim, points.tolist())
+
+
+def random_multiset(rng: SplitMix64, modulus: PrimeModulus, dim: int,
+                    max_points: int, max_mult: int) -> WeightedPointSet:
+    """1..max_points points of F_p^dim, each of multiplicity 1..max_mult, drawn
+    from rng: the count, then each point's coordinates and its multiplicity."""
+    count = 1 + rng.randbelow(max_points)
+    pairs = ((tuple(rng.randbelow(modulus.p) for _ in range(dim)), 1 + rng.randbelow(max_mult)) for _ in range(count))
+    return WeightedPointSet(modulus, dim, pairs)
 
 
 def isotropic_line(modulus: PrimeModulus) -> WeightedPointSet:

@@ -21,7 +21,7 @@ from ffdist.energy import (
 from ffdist.field import PrimeModulus
 from ffdist.incidence import build_proof_instance, verify_proof_instance
 from ffdist.rng import SplitMix64, derive_seed
-from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_pointset, random_subset
+from ffdist.sets import FieldSubset, isotropic_line, parse_subset, random_multiset, random_pointset, random_subset
 from ffdist.spectra import (
     diff_square_spectrum,
     distance_spectrum_general,
@@ -36,7 +36,6 @@ from ffdist.verify import (
     iosevich_rudnev_check,
 )
 
-from test_encodings import random_multiset
 from oracles import cyclic_schoolbook, dist_pair_counts, dot_pair_counts, sphere_counts
 
 
@@ -90,8 +89,8 @@ def _deviation_criterion(dim, label):
             modulus = PrimeModulus(p)
             for trial in range(100):
                 rng = SplitMix64(derive_seed("acc-dev", dim, p, trial))
-                E = random_multiset(rng, modulus, dim)
-                F = random_multiset(rng, modulus, dim)
+                E = random_multiset(rng, modulus, dim, 8, 5)
+                F = random_multiset(rng, modulus, dim, 8, 5)
                 report = deviation_check(E, F)
                 assert report.dim == dim
                 assert len(report.margins) == p  # every lambda checked

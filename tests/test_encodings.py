@@ -6,7 +6,7 @@ from ffdist.encodings import PAIR_COUNT_GUARD, WeightedPointSet, deviation_check
 from ffdist.errors import GuardExceeded, ParseError
 from ffdist.field import PrimeModulus
 from ffdist.rng import SplitMix64
-from ffdist.sets import FieldSubset, parse_subset, random_pointset, random_subset
+from ffdist.sets import FieldSubset, parse_subset, random_multiset, random_pointset, random_subset
 from ffdist.energy import distance_energy, dot_energy
 from ffdist.spectra import power_spectrum
 
@@ -20,14 +20,6 @@ from test_set_properties import SETTINGS
 
 P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
-
-
-def random_multiset(rng, modulus, dim, max_entries=8, max_mult=5):
-    entries = {}
-    for _ in range(1 + rng.randbelow(max_entries)):
-        pt = tuple(rng.randbelow(modulus.p) for _ in range(dim))
-        entries[pt] = entries.get(pt, 0) + 1 + rng.randbelow(max_mult)
-    return WeightedPointSet(modulus, dim, entries)
 
 
 def test_weighted_pointset_basics():
@@ -45,7 +37,7 @@ def test_weighted_pointset_basics():
 
 def test_multiset_csv_roundtrip():
     rng = SplitMix64(4)
-    w = random_multiset(rng, P7, 3)
+    w = random_multiset(rng, P7, 3, 8, 5)
     assert WeightedPointSet.from_csv(w.to_csv()) == w
     for text in (
         "nope",
@@ -59,7 +51,7 @@ def test_multiset_csv_roundtrip():
         with pytest.raises(ParseError):
             WeightedPointSet.from_csv(text)
     for d in (1, 4):
-        w = random_multiset(rng, P7, d)
+        w = random_multiset(rng, P7, d, 8, 5)
         assert WeightedPointSet.from_csv(w.to_csv()) == w
     # an empty multiset is the two header lines, and only they are required
     empty = WeightedPointSet(P7, 2, {})
@@ -114,11 +106,11 @@ def test_pair_count_trivial_examples():
 def test_pair_counts_match_double_loop():
     rng = SplitMix64(42)
     for _ in range(20):
-        E2 = random_multiset(rng, P7, 2)
-        F2 = random_multiset(rng, P7, 2)
+        E2 = random_multiset(rng, P7, 2, 8, 5)
+        F2 = random_multiset(rng, P7, 2, 8, 5)
         assert pair_counts(E2, F2) == weighted_pair_counts_dim2(E2, F2)
-        E3 = random_multiset(rng, P7, 3)
-        F3 = random_multiset(rng, P7, 3)
+        E3 = random_multiset(rng, P7, 3, 8, 5)
+        F3 = random_multiset(rng, P7, 3, 8, 5)
         assert pair_counts(E3, F3) == weighted_pair_counts_dim3(E3, F3)
 
 
@@ -141,7 +133,7 @@ def test_bilinear_counter_matches_double_loop_past_three_limbs(p, dim, data):
 def test_bilinear_counter_in_any_dimension():
     rng = SplitMix64(17)
     for dim in (1, 4, 6):
-        E, F = random_multiset(rng, P7, dim), random_multiset(rng, P7, dim)
+        E, F = random_multiset(rng, P7, dim, 8, 5), random_multiset(rng, P7, dim, 8, 5)
         literal = [0] * 7
         for e, me in E.entries.items():
             for f, mf in F.entries.items():
@@ -185,7 +177,7 @@ def test_pair_count_guard(monkeypatch):
     import ffdist.encodings
 
     rng = SplitMix64(1)
-    E = random_multiset(rng, P7, 2)
+    E = random_multiset(rng, P7, 2, 8, 5)
     monkeypatch.setattr(ffdist.encodings, "PAIR_COUNT_GUARD", 0)
     with pytest.raises(GuardExceeded):
         pair_counts(E, E)
@@ -208,12 +200,12 @@ def test_deviation_bounds_random(p):
     modulus = PrimeModulus(p)
     rng = SplitMix64(p * 7)
     for _ in range(25):
-        E2, F2 = random_multiset(rng, modulus, 2), random_multiset(rng, modulus, 2)
+        E2, F2 = random_multiset(rng, modulus, 2, 8, 5), random_multiset(rng, modulus, 2, 8, 5)
         r2 = deviation_check(E2, F2)
         assert r2.dim == 2 and r2.rhs_squared == p ** 3 * r2.second_moment_product
         assert r2.passed and min(r2.margins) >= 0
         assert r2.second_moment_product == E2.second_moment() * F2.second_moment()
-        E3, F3 = random_multiset(rng, modulus, 3), random_multiset(rng, modulus, 3)
+        E3, F3 = random_multiset(rng, modulus, 3, 8, 5), random_multiset(rng, modulus, 3, 8, 5)
         r3 = deviation_check(E3, F3)
         assert r3.dim == 3 and r3.rhs_squared == p ** 4 * r3.second_moment_product
         assert r3.passed and min(r3.margins) >= 0

@@ -14,6 +14,7 @@ from ffdist.sets import (
     isotropic_line,
     parse_set_file,
     parse_subset,
+    random_multiset,
     random_pointset,
     random_subset,
 )
@@ -65,6 +66,8 @@ def test_subset_operations():
     assert len(A) == 3 and 2 in A and 3 not in A
     assert A.dilate(2).elements() == [1, 2, 4]  # {2,4,8=1}
     assert A.difference(parse_subset("2,3", P7)).elements() == [1, 4]
+    with pytest.raises(ValueError, match="mixed moduli"):
+        A.difference(parse_subset("2,3", PrimeModulus(11)))
     with pytest.raises(ValueError):
         A.dilate(0)
 
@@ -103,6 +106,16 @@ def test_random_pointset():
     assert support(distance_spectrum_general(single)).elements() == [0]
     with pytest.raises(ValueError):
         random_pointset(p5, 3, 126, seed=0)
+
+
+def test_random_multiset_replays_within_its_bounds():
+    draws = [random_multiset(SplitMix64(seed), P7, 3, 4, 2) for seed in range(200)]
+    assert draws[:20] == [random_multiset(SplitMix64(seed), P7, 3, 4, 2) for seed in range(20)]
+    # 1..4 points of multiplicity 1 or 2; equal points merge, so totals stay in 1..8
+    assert {len(w) for w in draws} == {1, 2, 3, 4}
+    assert {w.dim for w in draws} == {3}
+    assert {1, 2} <= {m for w in draws for m in w.entries.values()}
+    assert all(1 <= w.total <= 8 for w in draws)
 
 
 def test_isotropic_line():
