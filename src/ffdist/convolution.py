@@ -9,21 +9,17 @@ non-negative.  The O(n^2) schoolbook sum is only the tests' oracle.
   else in int64.  Every product and partial sum is an integer no larger than
   the bound, so either is exact, in any order of summation.  Its cost is
   O(n^2); the cutoff is measured against the transforms (README).
-* transform tier, otherwise: number-theoretic transforms modulo primes
-  q = 1 (mod N) below 2**31.5.  _plan alone picks N <= _MAX_SIZE, the power-of-two
-  length, the first primes of N's pool whose product exceeds the bound, and the
-  threads.  Out come _Rows: one uint32 row of length n per prime (the transforms
-  run in uint64), each row's sum checked against the bound mod q, and the primes
-  the rows are read against.  Ints and residues meet as 16-bit limbs, one row per
-  value: _to_limbs (the explicit CRT) and _residues (limbs -> rows) change base
-  through them by exact float64 matrix products, _block(k) values at a time, so
-  rows move to other primes by way of limbs and _ints reads ints off them.  No
-  step takes a %.  One radix-2 Stockham transform, natural order in and out,
-  runs both directions: on its own output it gives N times the input at -t mod
-  N, which is how the inverse is read.  Each prime's row builds its own N/2
-  roots and drops them once written.  From length _POOL_MIN_SIZE on, the primes
-  of a product run in a thread pool, one row each (numpy's ufuncs release the
-  GIL); each row is computed alone, so no output can depend on the pool.
+* transform tier, otherwise: number-theoretic transforms (_transform) modulo primes
+  q = 1 (mod N) below 2**31.5, each prime's row computed alone, on a thread pool from
+  length _POOL_MIN_SIZE on.  The output lies in [low, low + width]: [0, bound], or a
+  narrower interval that the caller knows (as spectra.cyclic_convolve does).  _plan
+  alone picks N <= _MAX_SIZE, the first primes of N's pool whose product exceeds width,
+  and the threads.  Out come _Rows: one uint32 row of residues per prime, its sum
+  checked against the bound mod q, with the primes, low and width.  Ints and residues
+  meet as 16-bit limbs, one row per value: _to_limbs (the explicit CRT of x - low) and
+  _residues (limbs -> rows) change base through them by exact float64 matrix products,
+  _block(k) values at a time, and _small reads one or two primes in int64.  A value so
+  formed outside [low, low + width] raises InvariantViolation.  No step takes a %.
 """
 
 from __future__ import annotations
@@ -49,7 +45,9 @@ _prime_pool: dict[int, list[tuple[int, int]]] = {}  # N -> [(q, generator_of_ord
 
 class _Rows(NamedTuple):
     array: np.ndarray  # (k, n), uint32 as a product leaves it: row i holds n values mod moduli[i]
-    moduli: tuple[int, ...]  # k primes, whose product the values are below
+    moduli: tuple[int, ...]  # k primes, whose product exceeds width
+    low: int = 0  # the values lie in [low, low + width] (width None: below the primes' product)
+    width: int | None = None
 
 
 def _within_engine(modulus: PrimeModulus) -> int:
@@ -68,15 +66,14 @@ def exact_cyclic(a: list[int], b: list[int]) -> list[int]:
     return out if isinstance(out, list) else _ints(out)
 
 
-def _cyclic(a, b, total: int):
-    """exact_cyclic on lists, 1-D int64 arrays or rows, given total = sum(a)*sum(b):
-    the direct tier's output (a's type), else rows.  Rows are past that tier, and so
-    is their product."""
+def _cyclic(a, b, total: int, interval=None):
+    """exact_cyclic on lists, 1-D int64 arrays or rows, given total = sum(a)*sum(b): the direct tier's output
+    (a's type), else rows (always, for rows in), whose (low, width) interval() gives, called on that tier only."""
     if total == 0:
         return [0] * len(a)
     if total < 1 << 63 and not isinstance(a, _Rows) and len(a) <= _DIRECT_MAX_LEN:
         return _direct_cyclic(a, b, total)
-    return _ntt_cyclic(a, b, total)
+    return _ntt_cyclic(a, b, total, *(interval() if interval else (0, total)))
 
 
 def _direct_cyclic(a, b, total: int):
@@ -90,17 +87,17 @@ def _direct_cyclic(a, b, total: int):
     return out.tolist() if isinstance(a, list) else out
 
 
-def _plan(n: int, total: int) -> tuple[int, list[tuple[int, int]], int]:
+def _plan(n: int, width: int) -> tuple[int, list[tuple[int, int]], int]:
     """A length-n product's transform length N, its primes (the first of N's pool whose
-    product exceeds total = sum(a)*sum(b), with generators of order N) and its threads."""
+    product exceeds width, at least one, with generators of order N) and its threads."""
     size = 1 << (2 * n - 1).bit_length()
-    primes = _primes_for(size, total + 1)
+    primes = _primes_for(size, max(width + 1, 2))
     return size, primes, min(len(primes), _cpus()) if size >= _POOL_MIN_SIZE else 1
 
 
-def _ntt_cyclic(a, b, total: int) -> _Rows:
-    """The transform tier on lists, 1-D int64 arrays or rows: the product's rows."""
-    size, primes, workers = _plan(a.array.shape[1] if isinstance(a, _Rows) else len(a), total)
+def _ntt_cyclic(a, b, total: int, low: int, width: int) -> _Rows:
+    """The transform tier on lists, 1-D int64 arrays or rows: the product's rows, its values in [low, low + width]."""
+    size, primes, workers = _plan(a.array.shape[1] if isinstance(a, _Rows) else len(a), width)
     qs, gens = zip(*primes)
     rows_a = _residues(a, qs).array
     rows_b = [None] * len(qs) if b is a else _residues(b, qs).array  # None: a squaring
@@ -117,7 +114,7 @@ def _ntt_cyclic(a, b, total: int) -> _Rows:
         list(map(_product_row, *args))
     if [int(s) % q for q, s in zip(qs, out.sum(axis=1))] != [total % q for q in qs]:
         raise InvariantViolation(f"a product's rows do not sum to {total} mod every transform prime")
-    return _Rows(out, qs)
+    return _Rows(out, qs, low, width)
 
 
 def _cpus() -> int:
@@ -162,21 +159,20 @@ def _digits(a) -> np.ndarray:
 
 
 def _residues(src, moduli) -> _Rows:
-    """Rows of src mod the primes moduli; src is a list or 1-D int64 array of
-    non-negative ints, or _Rows, whose rows for the primes that both runs start
-    with are kept (a view if those are all of moduli).  Limbs -> residues: the L
-    limbs of each value against the 16-bit halves of 2**(16i) mod q in float64,
-    exact since L*2**32 < 2**53 for the L <= 2k + 4 limbs of a value below k <=
-    _MAX_PRIMES primes' product, then a reduction."""
-    moduli, k, j, block = tuple(moduli), len(moduli), 0, _block(len(moduli))
+    """Rows of src mod the primes moduli; src is a list or 1-D int64 array of non-negative ints, or _Rows,
+    whose rows for the primes both runs start with are kept (a view if those are all of moduli), the other
+    primes taking x - low, then low.  Limbs -> residues: the L limbs of each value against the 16-bit halves
+    of 2**(16i) mod q in float64, exact since L*2**32 < 2**53 for the L <= 2k + 4 limbs of a value below
+    k <= _MAX_PRIMES primes' product, then a reduction."""
+    moduli, k, j, block, lows = tuple(moduli), len(moduli), 0, _block(len(moduli)), 0
     if isinstance(src, _Rows):
         j = min(k, len(src.moduli))
         while src.moduli[:j] != moduli[:j]:
             j -= 1
         if j == k:
-            return _Rows(src.array[:k], moduli)
+            return src._replace(array=src.array[:k], moduli=moduli)
         blocks, out = _to_limbs(*src, block), np.empty((k, src.array.shape[1]), dtype=np.uint32)
-        out[:j] = src.array[:j]
+        out[:j], lows = src.array[:j], np.array([src.low % q for q in moduli[j:]], dtype=np.uint64)[:, None]
     else:
         digits, out = _digits(src), np.empty((k, len(src)), dtype=np.uint32)
         blocks = (digits[s : s + block] for s in range(0, len(src), block))
@@ -186,19 +182,33 @@ def _residues(src, moduli) -> _Rows:
             powers = power_table(1 << 16, limbs.shape[1], qs)
             halves = np.vstack((powers & 0xFFFF, powers >> 16)).astype(np.float64)
         lo, hi = np.split((halves @ limbs.T.astype(np.float64)).astype(np.uint64), 2)
-        out[j:, s : s + block] = _mod((_mod(hi, qs) << 16) + lo, qs)  # below 2**48 + 2**53
-    return _Rows(out, moduli)
+        out[j:, s : s + block] = _mod((_mod(hi, qs) << 16) + lo + lows, qs)  # below 2**48 + 2**54
+    return src._replace(array=out, moduli=moduli) if isinstance(src, _Rows) else _Rows(out, moduli)
 
 
 def _ints(rows: _Rows) -> list[int]:
-    """The Python ints behind rows, formed from their limbs _block(k) at a time."""
-    if len(rows.moduli) == 1:  # values below one prime are their residues
-        return rows.array[0].tolist()
+    """The Python ints behind rows: in int64 for one or two primes, else from their limbs _block(k) at a time."""
+    if len(rows.moduli) < 3:
+        out = _small(rows).tolist()
+        return [x + rows.low for x in out] if rows.low else out
     out = []
     for limbs in _to_limbs(*rows, _block(len(rows.moduli))):
         raw, step = limbs.astype("<u2").tobytes(), 2 * limbs.shape[1]
-        out += [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+        out += [int.from_bytes(raw[i : i + step], "little") + rows.low for i in range(0, len(raw), step)]
     return out
+
+
+def _small(rows: _Rows) -> np.ndarray:
+    """The values x - low behind rows of one or two primes, in int64 (below q0*q1 < 2**63): for two, Garner's
+    x0 + q0*((x1 - x0)*q0**-1 mod q1) in uint64, x_i = x - low mod q_i (below 3*q1, q1*q1, then q0*q1)."""
+    (q0, *rest), low = rows.moduli, rows.low
+    x = _mod(rows.array[0] + np.uint64(q0 - low % q0), q0)
+    for q1 in rest:
+        t = _mod(rows.array[1] + np.uint64(2 * q1 - low % q1) - _mod(x.copy(), q1), q1)
+        x += _mod(t * np.uint64(pow(q0, -1, q1)), q1) * np.uint64(q0)
+    if rows.width is not None and int(x.max()) > rows.width:
+        raise InvariantViolation(f"a value read off the rows lies outside [{low}, {low} + {rows.width}]")
+    return x.view(np.int64)
 
 
 def _block(k: int) -> int:
@@ -207,22 +217,22 @@ def _block(k: int) -> int:
     return max(1, _BLOCK // (2 * k + 1))
 
 
-def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
-    """Residues -> limbs: the values x < Q = prod(moduli) behind rows as 16-bit limbs
-    in int64, one row each, block values at a time.  Bernstein's explicit CRT (1995),
-    x = sum_i c_i*(Q/q_i) - u*Q with c_i = x*(Q/q_i)**-1 mod q_i and u = floor(sum_i c_i/q_i),
-    as one float64 product of c_i's 16-bit halves and -u against Q/q_i's and Q's limbs,
-    then a signed carry.  Its sums lie in (-k*2**16, 2k*2**32) for k primes, so they
-    are exact while 2k*2**32 + k*2**16 < 2**53, that is for k <= _MAX_PRIMES."""
+def _to_limbs(rows: np.ndarray, moduli: list[int], low: int, width: int | None, block: int):
+    """Residues -> limbs: the values x - low < Q = prod(moduli) behind rows as 16-bit limbs in int64, one
+    row each, block values at a time, each checked to be at most width.  Bernstein's explicit CRT (1995),
+    x = sum_i c_i*(Q/q_i) - u*Q with c_i = x*(Q/q_i)**-1 mod q_i and u = floor(sum_i c_i/q_i), as one
+    float64 product of c_i's 16-bit halves and -u against Q/q_i's and Q's limbs, then a signed carry.  Its
+    sums lie in (-k*2**16, 2k*2**32) for k primes: exact while 2k*2**32 + k*2**16 < 2**53, for k <= _MAX_PRIMES."""
     k, product = len(moduli), np.prod(moduli, dtype=object)
     cofactors = [product // q for q in moduli]
-    m = _digits([*cofactors, product])
+    m = _digits([*cofactors, product, product if width is None else width + 1])
     table = np.zeros((m.shape[1] + 1, 2 * k + 1))  # columns: Q/q_i, Q/q_i a limb up, Q
     table[:-1, :k], table[1:, k:-1], table[:-1, -1] = m[:k].T, m[:k].T, m[k]
     qs = np.array(moduli, dtype=np.uint64)[:, None]
     inverses = np.array([pow(c % q, -1, q) for c, q in zip(cofactors, moduli)], dtype=np.uint64)[:, None]
+    lows = np.array([q - low % q for q in moduli], dtype=np.uint64)[:, None]
     for s in range(0, rows.shape[1], block):
-        c = _mod(rows[:, s : s + block] * inverses, qs)  # products below q*q < 2**63
+        c = _mod((rows[:, s : s + block] + lows) * inverses, qs)  # (x - low)*(Q/q_i)**-1, below 2q*q < 2**64
         # The float sum of k terms below 1 is off by less than k*k*2**-53 < 2**-13, so
         # past the margin 2**-12 it gives u or u + 1, never u - 1.
         u = np.floor((c / qs).sum(axis=0) + 2.0**-12)
@@ -231,6 +241,8 @@ def _to_limbs(rows: np.ndarray, moduli: list[int], block: int):
         if top.min() < 0:  # the carry out of the top is -1 where u + 1 gave x - Q: add Q back
             limbs[:-1, top < 0] += m[k, :, None]
             _carry(limbs)
+        if width is not None and (_carry(limbs[:-1] - m[k + 1, :, None]) >= 0).any():  # -1 iff x - low <= width
+            raise InvariantViolation(f"a value read off the rows lies outside [{low}, {low} + {width}]")
         yield limbs.T
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convolution import _cyclic, _ints, _Rows, _within_engine, exact_cyclic
+from .convolution import _cyclic, _ints, _Rows, _small, _within_engine, exact_cyclic
 from .errors import GuardExceeded, InvariantViolation
 from .field import PrimeModulus, power_table, primitive_root
 from .sets import FieldSubset, WeightedPointSet, _Lines, _text, bilinear_counts
@@ -21,25 +21,19 @@ GENERAL_SPECTRUM_GUARD = 100_000
 
 
 class Spectrum:
-    """Exact count function F_p -> N with a cached total.  The counts may be held as
-    a 1-D int64 array, or as the engine's _Rows (their sums checked mod each of
-    their primes), until first read."""
+    """Exact count function F_p -> N with a cached total.  The counts may be held as a 1-D int64 array, or as
+    the engine's _Rows (their sums checked mod each of their primes), until first read.  _bounds, once known, is
+    (c, L, M): an integer c with |S - c|_1 <= L and |S - c|_inf <= M (cyclic_convolve plans its primes by them)."""
 
-    __slots__ = ("modulus", "total", "_held")
+    __slots__ = ("modulus", "total", "_held", "_bounds")
 
     def __init__(self, modulus: PrimeModulus, counts, expected_total: int | None = None):
-        self.modulus, self.total, self._held = modulus, expected_total, counts
+        self.modulus, self.total, self._held, self._bounds = modulus, expected_total, counts, None
         if not isinstance(counts, _Rows):
             if len(counts) != modulus.p:
                 raise ValueError(f"need {modulus.p} counts, got {len(counts)}")
-            if isinstance(counts, np.ndarray):
-                # In the uint64 view a negative int64 entry is at least 2**63, and the
-                # int64 sum is exact while p times the largest entry stays below 2**63.
-                top = int(counts.view(np.uint64).max())
-                low = -(top >> 63)
-                total = int(counts.sum()) if top < (1 << 63) // modulus.p else sum(counts.tolist())
-            else:
-                low, total = min(counts), sum(counts)
+            array = isinstance(counts, np.ndarray)
+            low, total = (int(counts.min()), _sum64(counts)) if array else (min(counts), sum(counts))
             if low < 0:
                 raise ValueError("negative count")
             self._keep(counts, total)
@@ -52,6 +46,15 @@ class Spectrum:
         elif isinstance(self._held, np.ndarray):  # its total was checked when it was held
             self._held = self._held.tolist()
         return self._held
+
+    def _deviation(self) -> tuple[int, int, int]:
+        """_bounds, exact about a median for an int64 array or rows of < 3 primes; if unknown, (0, total, total)."""
+        if self._bounds is None and not isinstance(self._held, list) and len(getattr(self._held, "moduli", ())) < 3:
+            x = _small(self._held) if isinstance(self._held, _Rows) else self._held  # rows: in int64, less low
+            mid = int(np.partition(x, len(x) // 2)[len(x) // 2])
+            dev = np.abs(x - mid)  # below 2**63
+            self._bounds = mid + getattr(self._held, "low", 0), _sum64(dev), int(dev.max())
+        return self._bounds or (0, self.total, self.total)
 
     def _keep(self, counts, total: int) -> None:
         """Hold counts, in place of any rows, once they sum to the expected total."""
@@ -111,12 +114,27 @@ def product_spectrum(A: FieldSubset) -> Spectrum:
     return Spectrum(A.modulus, counts, expected_total=m * m)
 
 
+def _sum64(x: np.ndarray) -> int:
+    """The exact sum of an int64 array of fewer than 2**31 entries, taken in two 32-bit halves."""
+    return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
+
+
 def cyclic_convolve(S: Spectrum, T: Spectrum) -> Spectrum:
-    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact; rows stay rows."""
+    """out[t] = sum_u S[u] * T[t-u] with indices mod p, exact; rows stay rows.  For bounds (c, L, M) and (e, L', M'),
+    out lies within r = min(L*M', M*L') of m = c*sum(T) + e*sum(S) - p*c*e, which narrows a transform-tier plan."""
     if S.modulus != T.modulus:
         raise ValueError("mixed moduli")
-    total = S.total * T.total
-    return Spectrum(S.modulus, _cyclic(S._held, T._held, total), expected_total=total)
+    total, chain = S.total * T.total, []
+
+    def interval() -> tuple[int, int]:
+        (c, l1, top), (e, l1_t, top_t) = S._deviation(), T._deviation()
+        m, r = c * T.total + e * S.total - S.modulus.p * c * e, min(l1 * top_t, top * l1_t)
+        chain.append((m, l1 * l1_t, r))
+        return max(0, m - r), max(0, min(total, m + r) - max(0, m - r))
+
+    out = Spectrum(S.modulus, _cyclic(S._held, T._held, total, interval), expected_total=total)
+    out._bounds = chain[0] if chain and len(out._held.moduli) > 2 else None  # None: _deviation reads them exactly
+    return out
 
 
 def fold(S: Spectrum, d: int) -> Spectrum:
@@ -159,7 +177,7 @@ def self_dot_spectrum(A: FieldSubset, n: int) -> Spectrum:
     """
     p = _within_engine(A.modulus)
     x = np.fromiter(A, dtype=np.int64, count=len(A))
-    counts = np.bincount(x * x % p, minlength=p).tolist()
+    counts = np.bincount(x * x % p, minlength=p)
     return fold(Spectrum(A.modulus, counts, expected_total=len(A)), n)
 
 

@@ -33,6 +33,12 @@ from oracles import cyclic_schoolbook
 from test_set_properties import SETTINGS
 
 
+def _plain_product(a, b):
+    """The transform tier's rows of a*b, read as values in [0, sum(a)*sum(b)]."""
+    total = sum(a) * sum(b)
+    return _ntt_cyclic(a, b, total, 0, total)
+
+
 def _random_list(rng, n, bits):
     out = []
     for _ in range(n):
@@ -208,7 +214,7 @@ def test_a_product_leaves_no_transform_memory_behind(monkeypatch):
                 _set_pool(m, 2, workers)
             tracemalloc.start()
             try:
-                rows = _ntt_cyclic(x, x, sum(x) ** 2)
+                rows = _plain_product(x, x)
                 left = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -260,7 +266,7 @@ def test_products_at_the_top_of_the_prime_range():
         assert q > 2**31 and 2 * q - 2 >= 2**32
         a, b = [0] * n, [-pow(size, -1, q) % q + q * t for t in range(1, n + 1)]
         a[0] = a[-1] = 1
-        rows = _ntt_cyclic(a, b, sum(a) * sum(b))
+        rows = _plain_product(a, b)
         want = cyclic_schoolbook(a, b)
         assert rows.array.dtype == np.uint32 and len(rows.moduli) == 2 and _ints(rows) == want
         product = int(np.prod([m for m, _ in _primes_for(size, sum(a) * sum(b) + 1)], dtype=object))
@@ -276,12 +282,41 @@ def test_products_at_the_top_of_the_prime_range():
 def test_energy_deep_fold_chain_plans_without_running():
     # dot_energy at p = 9973, |A| = 3000, d = 64 squares a length-9973 spectrum
     # of total 3000**2 six times; the e-th squaring's total is (3000**2)**(2**e).
-    # Its plans need no transform: every one is length 2**15 on one thread (below
+    # Planned on the plain width [0, total], with no bounds on the counts, it
+    # needs no transform: every plan is length 2**15 on one thread (below
     # _POOL_MIN_SIZE), on the first 2, 3, 6, 12, 24 and 47 primes of one pool.
+    # (The centred widths of the seed-1 set are pinned in test_spectra.)
     plans = [_plan(9973, (3000**2) ** (2**e)) for e in range(1, 7)]
     assert [(size, workers) for size, _, workers in plans] == [(1 << 15, 1)] * 6
     assert [len(primes) for _, primes, _ in plans] == [2, 3, 6, 12, 24, 47]
     assert all(primes == plans[-1][1][: len(primes)] for _, primes, _ in plans)
+    # a width of 0 (every value known) still plans one prime
+    assert len(_plan(9973, 0)[1]) == 1
+
+
+def test_values_outside_the_rows_interval_are_refused():
+    # The interval certificate: values in [lo, hi] (spreads of 1, 40 and 80 bits)
+    # are held as rows over one to three primes, from the fewest whose product
+    # exceeds hi - lo.  Read against their own interval, [lo, lo + (hi - lo)],
+    # they come back exactly, and extend to a fourth prime; read with low one
+    # too high (lo falls below it and wraps to Q - 1) or with width one too
+    # small (hi lies past it), every read path refuses them: _small (one or two
+    # primes), _to_limbs for _ints (three) and for the base extension.
+    rng = random.Random(33)
+    for bits in (1, 40, 80):
+        values = [rng.getrandbits(bits) + (1 << bits) for _ in range(50)]
+        lo, hi = min(values), max(values)
+        moduli = tuple(q for q, _ in _primes_for(128, 1 << (31 * 4)))
+        for primes in range(len(_primes_for(128, hi - lo + 1)), 4):  # from the fewest whose product exceeds hi - lo
+            held = _residues(values, moduli[:primes]).array
+            assert _ints(_Rows(held, moduli[:primes], lo, hi - lo)) == values
+            for low, width in ((lo + 1, hi - lo - 1), (lo, hi - lo - 1)):
+                with pytest.raises(InvariantViolation, match="outside"):
+                    _ints(_Rows(held, moduli[:primes], low, width))
+                with pytest.raises(InvariantViolation, match="outside"):
+                    _residues(_Rows(held, moduli[:primes], low, width), moduli)
+            extended = _residues(_Rows(held, moduli[:primes], lo, hi - lo), moduli).array
+            assert extended.tolist() == [[v % q for v in values] for q in moduli]
 
 
 def test_convolution_exposes_one_public_function():
@@ -374,7 +409,7 @@ def test_tiers_agree_with_schoolbook(n, totals, nonzero, seed):
     b = a if total_b is None else _spread(rng, n, total_b, min(n, nonzero))
     bound = sum(a) * sum(b)
     want = cyclic_schoolbook(a, b)
-    assert _ints(_ntt_cyclic(a, b, bound)) == want
+    assert _ints(_plain_product(a, b)) == want
     if bound < 2**63:
         assert _direct_cyclic(a, b, bound) == want
     assert exact_cyclic(a, b) == want
@@ -553,10 +588,10 @@ def test_pooled_rows_equal_serial_rows(monkeypatch, workers):
                 a = [rng.getrandbits(bits) for _ in range(n)]
                 for b in (a, [rng.getrandbits(bits) for _ in range(n)]):
                     _set_pool(monkeypatch, 1 << 40, workers)
-                    serial = _ntt_cyclic(a, b, sum(a) * sum(b))
+                    serial = _plain_product(a, b)
                     _set_pool(monkeypatch, 1 << 10, workers)
                     threads.clear()
-                    pooled = _ntt_cyclic(a, b, sum(a) * sum(b))
+                    pooled = _plain_product(a, b)
                     assert pooled.array.tolist() == serial.array.tolist() and pooled.moduli == serial.moduli
                     assert _ints(pooled) == cyclic_schoolbook(a, b)
                     assert threads == ({False} if n > 256 and workers > 1 and len(pooled.moduli) > 1 else {True})
@@ -577,7 +612,7 @@ def test_pool_starts_at_its_cutoff(monkeypatch):
         for i in rng.sample(range(n), 3):
             a[i] = rng.getrandbits(40)
         threads.clear()
-        rows = _ntt_cyclic(a, b, sum(a) * sum(b))
+        rows = _plain_product(a, b)
         assert len(rows.moduli) == 3 and _ints(rows) == cyclic_schoolbook(a, b)
         assert threads == {not pooled}
 
@@ -600,7 +635,7 @@ def test_an_error_in_one_worker_surfaces(monkeypatch):
             _set_pool(m, 2, workers)
             _plant(m, failing)
             with pytest.raises(InvariantViolation, match="planted in one worker"):
-                _ntt_cyclic(x, x, sum(x) ** 2)
+                _plain_product(x, x)
         assert raised == [workers == 1]
 
 
@@ -678,7 +713,7 @@ def test_base_change_reads_its_rows_without_writing_them():
     # _ints and the base extension of _residues leave their rows as they were.
     rng = random.Random(9)
     a = [rng.getrandbits(300) for _ in range(40)]
-    rows = _ntt_cyclic(a, a, sum(a) ** 2)
+    rows = _plain_product(a, a)
     before = rows.array.copy()
     want = cyclic_schoolbook(a, a)
     assert _ints(rows) == want

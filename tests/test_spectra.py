@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -407,7 +409,7 @@ def test_residue_errors_in_a_fold_are_caught(monkeypatch):
     X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
     # Exact counts that miss the expected total are caught when formed.
     x = X.counts
-    rows = convolution._ntt_cyclic(x, x, X.total**2)
+    rows = convolution._ntt_cyclic(x, x, X.total**2, 0, X.total**2)
     with pytest.raises(InvariantViolation, match="forced combinatorial total"):
         Spectrum(P7, rows, expected_total=X.total**2 + 1).counts
     # X*X takes 3 primes, (X*X)**2 six: the fifth backward pass is the second
@@ -434,7 +436,7 @@ def test_a_fold_holds_rows_on_its_last_plans_primes(monkeypatch):
     # fold(X, 4) of seven 40-bit counts ends on a squaring of 2**160-sized
     # totals: its rows carry the six primes that product's plan picked.
     plans, real = [], convolution._plan
-    monkeypatch.setattr(convolution, "_plan", lambda n, total: plans.append(real(n, total)) or plans[-1])
+    monkeypatch.setattr(convolution, "_plan", lambda n, width: plans.append(real(n, width)) or plans[-1])
     rng = SplitMix64(4)
     X = Spectrum(P7, [rng.randbelow(1 << 40) for _ in range(7)])
     rows = fold(X, 4)._held
@@ -552,3 +554,119 @@ def test_base_spectra_convolve_through_exact_cyclic(monkeypatch):
         X = build(A)
         assert [(type(a), type(b)) for a, b in calls] == [(list, list)]
         assert isinstance(X._held, np.ndarray) and X._held.ndim == 1
+
+
+# -- centred bounds ----------------------------------------------------------
+
+
+def _bench_set(seed: int, p: int, m: int) -> FieldSubset:
+    """perfbench's input sets: a uniform m-subset of F_p by Floyd's algorithm, each draw
+    below j + 1 taken from random.Random(seed).getrandbits by rejection."""
+    rng, chosen = random.Random(seed), set()
+    for j in range(p - m, p):
+        t = rng.getrandbits((j + 1).bit_length())
+        while t > j:
+            t = rng.getrandbits((j + 1).bit_length())
+        chosen.add(t if t not in chosen else j)
+    return FieldSubset(PrimeModulus(p), chosen)
+
+
+def _spy_plans(monkeypatch):
+    """The widths of the products planned from now on, and their primes' counts."""
+    widths, primes, real = [], [], convolution._plan
+
+    def spied(n, width):
+        plan = real(n, width)
+        widths.append(width)
+        primes.append(len(plan[1]))
+        return plan
+
+    monkeypatch.setattr(convolution, "_plan", spied)
+    return widths, primes
+
+
+def _plain(m):
+    """Plan every product on [0, total]: no spectrum has bounds tighter than any counts meet."""
+    m.setattr(Spectrum, "_deviation", lambda self: (0, self.total, self.total))
+
+
+def test_energy_deep_chain_primes_per_squaring(monkeypatch):
+    # perfbench's seed-1 energy-deep set (dot, p = 9973, |A| = 3000, d = 64).  Its
+    # six squarings take 1, 2, 4, 7, 14 and 28 primes from centred bounds (the
+    # first three read exactly off an int64 array or rows of one or two primes),
+    # against 2, 3, 6, 12, 24 and 47 on [0, total], and the counts are the same.
+    base = product_spectrum(_bench_set(1, 9973, 3000))
+    widths, primes = _spy_plans(monkeypatch)
+    centred = fold(base, 64)
+    assert primes == [1, 2, 4, 7, 14, 28]
+    assert all(w < base.total ** (2 ** (e + 1)) for e, w in enumerate(widths))
+    with monkeypatch.context() as m:
+        _plain(m)
+        primes.clear()
+        plain = fold(base, 64)
+    assert primes == [2, 3, 6, 12, 24, 47]
+    assert centred.counts == plain.counts
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_an_understated_radius_is_never_silently_wrong(monkeypatch, workers):
+    # Bounds whose L and M are cut by 2**s (and so r by 4**s) plan too few primes
+    # for some products of fold(X, 7).  Every value read off rows (_small, _ints
+    # and the base extension) is checked against the product's interval, so the
+    # fold raises InvariantViolation or returns the exact counts, serially and
+    # with the pool forced on; some cuts must reach the certificate.
+    rng = np.random.default_rng(7)
+    counts = rng.integers(0, 1 << 40, 101)
+    want = fold(Spectrum(PrimeModulus(101), counts.copy()), 7).counts
+    real, seen = Spectrum._deviation, set()
+    for s in (0, 1, 2, 4, 8, 16, 30, 60, 200):
+        with monkeypatch.context() as m:
+            if workers:
+                _set_pool(m, 2, workers)
+            m.setattr(Spectrum, "_deviation", lambda self: (lambda c, l1, top: (c, l1 >> s, top >> s))(*real(self)))
+            try:
+                got = fold(Spectrum(PrimeModulus(101), counts.copy()), 7).counts
+            except InvariantViolation as error:
+                seen.add("outside" if "outside" in str(error) else "other")
+            else:
+                assert got == want
+                seen.add("exact")
+    assert {"outside", "exact"} <= seen
+
+
+@SETTINGS
+@given(
+    p=st.sampled_from([101, 4099]),
+    kind=st.sampled_from(["distance", "dot"]),
+    size=st.integers(min_value=1, max_value=101),
+    d=st.integers(min_value=1, max_value=9),
+    held=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_centred_folds_equal_plain_folds(p, kind, size, d, held, seed):
+    # Both forms at every depth to 9 (the odd ones multiply result * base), on
+    # p = 101, whose folds reach the transform tier once |A|**(2d) passes 2**63,
+    # and on p = 4099, past the direct tier's length, where |A| < 64 gives the
+    # sparse sets with |A|**2 < p.  Centred widths never exceed the plain ones,
+    # and the counts equal the plain fold's and, at p = 101, the repeated
+    # schoolbook.  held: the base as rows over three primes, with no bounds
+    # known, so its first product plans the plain width.
+    modulus = PrimeModulus(p)
+    base = base_spectrum(FieldSubset(modulus, random.Random(seed).sample(range(p), min(size, p))), kind)
+    if held:
+        moduli = [q for q, _ in convolution._primes_for(1 << 13, 1 << 63)][:3]
+        base = Spectrum(modulus, convolution._residues(base.counts, moduli), expected_total=base.total)
+    runs = []
+    for plain in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if plain:
+                _plain(m)
+            widths, _ = _spy_plans(m)
+            runs.append((fold(base, d).counts, widths))
+    (centred, widths), (want, plain_widths) = runs
+    assert centred == want and len(widths) == len(plain_widths)
+    assert all(w <= pw for w, pw in zip(widths, plain_widths))
+    if held and d > 1:
+        assert widths[0] == base.total**2
+    if p == 101:
+        assert want == _schoolbook_folds(base.counts)[d]
